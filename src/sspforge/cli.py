@@ -324,6 +324,8 @@ def cmd_fuzz(args) -> int:
 def cmd_report(args) -> int:
     with open(args.input) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise FormatError("a report must be a JSON object")
     print(f"command: {doc.get('command')}")
     for key, value in sorted(doc.items()):
         if key == "command":

@@ -147,6 +147,19 @@ _ENV_MAX_UNIVERSE = "SSPFORGE_MAX_UNIVERSE"
 _ENV_MAX_SOLUTIONS = "SSPFORGE_MAX_SOLUTIONS"
 
 
+def _env_count(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        value = int(text)
+    except ValueError:
+        raise FormatError(f"{name}={text!r} is not an integer") from None
+    if value < 0:
+        raise FormatError(f"{name}={text!r} is negative")
+    return value
+
+
 @dataclass(frozen=True)
 class Bounds:
     """Enumeration limits.
@@ -162,16 +175,20 @@ class Bounds:
 
     @staticmethod
     def from_env() -> "Bounds":
+        """The defaults, overridden by the environment; FormatError names a
+        variable that is not a non-negative integer."""
         b = Bounds()
-        mu = os.environ.get(_ENV_MAX_UNIVERSE)
-        ms = os.environ.get(_ENV_MAX_SOLUTIONS)
-        if mu is not None:
-            b = Bounds(max_universe=int(mu), max_solutions=b.max_solutions,
-                       max_vertices=b.max_vertices)
-        if ms is not None:
-            b = Bounds(max_universe=b.max_universe, max_solutions=int(ms),
-                       max_vertices=b.max_vertices)
-        return b
+        return Bounds(
+            max_universe=_env_count(_ENV_MAX_UNIVERSE, b.max_universe),
+            max_solutions=_env_count(_ENV_MAX_SOLUTIONS, b.max_solutions),
+            max_vertices=b.max_vertices,
+        )
 
 
-DEFAULT_BOUNDS = Bounds.from_env()
+try:
+    DEFAULT_BOUNDS = Bounds.from_env()
+except FormatError:
+    # importing must not fail on a malformed variable: the library keeps
+    # the built-in limits, and the CLI reads the variables again and
+    # reports the error
+    DEFAULT_BOUNDS = Bounds()

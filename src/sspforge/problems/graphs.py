@@ -2,7 +2,12 @@
 arc-universe FAS.
 
 Enumerators here are exact: branch-and-bound trees are pruned only by
-lower bounds that never cut a valid solution.
+lower bounds that never cut a valid solution.  Vertex sets and
+neighbourhoods are bitmasks.  The cover search (which also serves
+independent sets and cliques, as complements) branches on the lowest free
+vertex with a free neighbour, forces a banned vertex's neighbourhood into
+the cover, and bounds the rest by a greedy matching over the free
+vertices.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..core import CapacityError, DomainError, FormatError
+from ..core import CapacityError, DomainError, FormatError, indices_of
 
 
 def _check_edges(n, edges, directed=False):
@@ -213,60 +218,44 @@ def _pad_supersets(base: int, free: list[int], budget: int, out: list[int], cap:
 
 
 def covers_upto(n, edges, k, cap) -> list[int]:
-    """All vertex covers of size at most k, as vertex masks."""
+    """All vertex covers of size at most k, as vertex masks.
+
+    Branches on the lowest free vertex that has a free neighbour: take it,
+    or ban it and take its whole neighbourhood.  Every edge at a banned
+    vertex is thus covered, so the free vertices carry all uncovered edges;
+    a greedy matching among them bounds the vertices still needed.
+    """
     if k < 0:
         return []
-    edges = list(edges)
+    nb = [0] * n
+    for u, v in edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+    full = (1 << n) - 1
     out: list[int] = []
 
-    def matching_lb(chosen):
-        used = chosen
-        cnt = 0
-        for u, v in edges:
-            if (used >> u | used >> v) & 1:
-                continue
-            used |= (1 << u) | (1 << v)
-            cnt += 1
-        return cnt
-
     def rec(chosen, banned, budget):
-        while True:
-            forced = -1
-            for u, v in edges:
-                if (chosen >> u | chosen >> v) & 1:
-                    continue
-                bu = banned >> u & 1
-                bv = banned >> v & 1
-                if bu and bv:
-                    return
-                if bu:
-                    forced = v
-                    break
-                if bv:
-                    forced = u
-                    break
-            if forced < 0:
-                break
-            if budget == 0:
-                return
-            chosen |= 1 << forced
-            budget -= 1
-        target = None
-        for u, v in edges:
-            if not ((chosen >> u | chosen >> v) & 1):
-                target = (u, v)
-                break
-        if target is None:
-            free = [
-                i for i in range(n) if not ((chosen >> i | banned >> i) & 1)
-            ]
-            _pad_supersets(chosen, free, budget, out, cap)
+        free = full & ~(chosen | banned)
+        x, need = -1, 0
+        m = free
+        while m:
+            low = m & -m
+            m ^= low
+            mate = nb[low.bit_length() - 1] & m
+            if mate:
+                if x < 0:
+                    x = low.bit_length() - 1
+                m ^= mate & -mate
+                need += 1
+        if x < 0:
+            _pad_supersets(chosen, indices_of(free), budget, out, cap)
             return
-        if budget == 0 or matching_lb(chosen) > budget:
+        if need > budget:
             return
-        u, v = target
-        rec(chosen | 1 << u, banned, budget - 1)
-        rec(chosen, banned | 1 << u, budget)
+        rec(chosen | 1 << x, banned, budget - 1)
+        forced = nb[x] & free
+        if forced.bit_count() <= budget:
+            rec(chosen | forced, banned | 1 << x, budget - forced.bit_count())
 
     rec(0, 0, k)
     out.sort()

@@ -1,9 +1,13 @@
 """Arc/edge-universe route problems: Hamiltonian paths and cycles, TSP,
 and vertex-disjoint path systems.
 
-Universes are the arc (edge) lists; solutions are arc masks.  Enumeration
-is by depth-first search over simple paths, which stays cheap on the
-chain-structured graphs the reductions produce.
+Universes are the arc (edge) lists; solutions are arc masks.  The
+directed searches (Hamiltonian paths and cycles, disjoint path systems)
+walk simple paths from junction to junction: ``_chains`` folds every run
+of in- and out-degree-1 vertices into one step, so the long chains of the
+reduction gadgets cost one step each.  Before routing a later terminal
+pair, the path-system search checks over those steps that the pair can
+still be joined.  Undirected cycles and tours are enumerated directly.
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ import itertools
 import sys
 from dataclasses import dataclass
 
-from ..core import CapacityError, DomainError, FormatError
+from ..core import CapacityError, DomainError, FormatError, mask_of
 
-# path searches recurse once per visited vertex; reduction targets carry
-# chains several hundred vertices long
+# path searches recurse once per junction or visited vertex on the path,
+# and reduction targets carry hundreds of them
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 
@@ -239,12 +243,41 @@ class DisjointPathsInstance:
         return arcs_walked == len(used)
 
 
+def _chains(n, arcs, keep) -> list[list[tuple[int, int, int]]]:
+    """The out-steps of every vertex a search can stand on.
+
+    A step leaves a vertex by one arc and then follows every vertex of
+    in- and out-degree 1 that is not in ``keep``; it is ``(end, vertex
+    mask, arc mask)``, where the vertex mask holds the passed vertices and
+    the end.  A passed vertex can only be entered through its own chain,
+    so a search that tracks the vertices it stands on never needs to
+    check the ones a step passes.  Passed vertices get no steps.
+    """
+    out = [[] for _ in range(n)]
+    indeg = [0] * n
+    for i, (u, v) in enumerate(arcs):
+        out[u].append((i, v))
+        indeg[v] += 1
+    inner = [
+        indeg[v] == 1 and len(out[v]) == 1 and v not in keep for v in range(n)
+    ]
+    steps = [[] for _ in range(n)]
+    for u in range(n):
+        if inner[u]:
+            continue
+        for i, v in out[u]:
+            vm, am = 0, 1 << i
+            while inner[v]:
+                vm |= 1 << v
+                i, v = out[v][0]
+                am |= 1 << i
+            steps[u].append((v, vm | 1 << v, am))
+    return steps
+
+
 def ham_paths(inst: DirectedHamPathInstance, cap) -> list[int]:
-    n = inst.n
-    adj = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(inst.arcs):
-        adj[u].append((i, v))
-    full = (1 << n) - 1
+    steps = _chains(inst.n, inst.arcs, {inst.s, inst.t})
+    full = (1 << inst.n) - 1
     out: list[int] = []
 
     def dfs(cur, visited, arcmask):
@@ -254,9 +287,9 @@ def ham_paths(inst: DirectedHamPathInstance, cap) -> list[int]:
                 if len(out) > cap:
                     raise CapacityError("solution cap exceeded")
             return
-        for i, v in adj[cur]:
+        for v, vm, am in steps[cur]:
             if not visited >> v & 1:
-                dfs(v, visited | 1 << v, arcmask | 1 << i)
+                dfs(v, visited | vm, arcmask | am)
 
     dfs(inst.s, 1 << inst.s, 0)
     out.sort()
@@ -267,25 +300,19 @@ def ham_cycles_directed(inst: DirectedHamCycleInstance, cap) -> list[int]:
     n = inst.n
     if n < 2:
         return []
-    adj = [[] for _ in range(n)]
-    closing = {}
-    for i, (u, v) in enumerate(inst.arcs):
-        adj[u].append((i, v))
-        if v == 0:
-            closing[u] = i
+    steps = _chains(n, inst.arcs, {0})
     full = (1 << n) - 1
     out: list[int] = []
 
     def dfs(cur, visited, arcmask):
-        if visited == full:
-            if cur in closing:
-                out.append(arcmask | 1 << closing[cur])
-                if len(out) > cap:
-                    raise CapacityError("solution cap exceeded")
-            return
-        for i, v in adj[cur]:
-            if v != 0 and not visited >> v & 1:
-                dfs(v, visited | 1 << v, arcmask | 1 << i)
+        for v, vm, am in steps[cur]:
+            if v == 0:
+                if visited | vm == full:
+                    out.append(arcmask | am)
+                    if len(out) > cap:
+                        raise CapacityError("solution cap exceeded")
+            elif not visited >> v & 1:
+                dfs(v, visited | vm, arcmask | am)
 
     dfs(0, 1, 0)
     out.sort()
@@ -333,13 +360,23 @@ def tsp_tours(inst: TspInstance, cap) -> list[int]:
 
 
 def disjoint_path_systems(inst: DisjointPathsInstance, cap) -> list[int]:
-    n = inst.n
-    adj = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(inst.arcs):
-        adj[u].append((i, v))
-    terminals = set(x for p in inst.pairs for x in p)
-    out: list[int] = []
     pairs = inst.pairs
+    terminals = set(x for p in pairs for x in p)
+    steps = _chains(inst.n, inst.arcs, terminals)
+    tmask = mask_of(terminals)
+    out: list[int] = []
+
+    def reaches(s, t, blocked):
+        # can s still reach t through steps that end on no blocked vertex?
+        seen, stack = 1 << s, [s]
+        while stack:
+            for v, _, _ in steps[stack.pop()]:
+                if v == t:
+                    return True
+                if not (blocked | seen) >> v & 1:
+                    seen |= 1 << v
+                    stack.append(v)
+        return False
 
     def route(pi, usedv, arcmask):
         if pi == len(pairs):
@@ -348,19 +385,18 @@ def disjoint_path_systems(inst: DisjointPathsInstance, cap) -> list[int]:
                 raise CapacityError("solution cap exceeded")
             return
         s, t = pairs[pi]
-        if usedv >> s & 1:
+        # a path may not touch another pair's terminal
+        blocked = tmask & ~(1 << t)
+        if pi and not reaches(s, t, usedv | blocked):
             return
 
         def dfs(cur, usedv2, am):
             if cur == t:
                 route(pi + 1, usedv2, am)
                 return
-            for i, v in adj[cur]:
-                if usedv2 >> v & 1:
-                    continue
-                if v in terminals and v != t:
-                    continue
-                dfs(v, usedv2 | 1 << v, am | 1 << i)
+            for v, vm, sam in steps[cur]:
+                if not (usedv2 | blocked) >> v & 1:
+                    dfs(v, usedv2 | vm, am | sam)
 
         dfs(s, usedv | 1 << s, arcmask)
 

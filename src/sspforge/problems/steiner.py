@@ -2,12 +2,17 @@
 cost budget.
 
 The enumerator attaches terminals one by one along simple paths and then
-grows optional non-terminal branches, pruning on the budget and a
-disjoint-requirement lower bound over the unreached terminals.
+grows optional non-terminal branches.  The attach walk moves from junction
+to junction: a run of degree-2 non-terminal vertices is one step, since the
+tree holds such a vertex only together with its whole run.  It prunes on
+the budget plus a lower bound built from disjoint balls around the
+unreached terminals, kept incremental through each terminal's distance to
+the partial tree.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from ..core import CapacityError, DomainError, FormatError
@@ -102,55 +107,64 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
         adj[v].append((i, u))
     out: list[int] = []
 
-    # static per-terminal claims: the incident edges (one needed when a
-    # neighbor is already in the tree), and incident plus continuation
-    # edges (two needed otherwise); claims overlapping a previous claim
-    # count zero to stay a valid disjoint-requirement bound
-    t_near = {}
-    t_near_claim = {}
-    t_far = {}
-    t_far_claim = {}
-    t_nbrs = {}
-    for t in set(terminals):
-        eset1 = 0
-        cheapest = None
-        nbrs = 0
-        for i, y in adj[t]:
-            eset1 |= 1 << i
-            nbrs |= 1 << y
-            if cheapest is None or costs[i] < cheapest:
-                cheapest = costs[i]
-        t_nbrs[t] = nbrs
-        if cheapest is None:
-            t_near[t] = None
-            continue
-        t_near[t], t_near_claim[t] = eset1, cheapest
-        eset2 = eset1
-        second = None
-        for i, y in adj[t]:
-            for i2, _ in adj[y]:
-                eset2 |= 1 << i2
-                if i2 != i and (second is None or costs[i2] < second):
-                    second = costs[i2]
-        t_far[t] = eset2
-        t_far_claim[t] = cheapest + (second or 0)
+    # Lower bound on the cost still to add.  Let P be the partial tree (the
+    # tree plus the path being walked) and x a terminal outside it.  The
+    # final tree joins x to P by a path whose part within distance r of x,
+    # for any r <= d(x, P), costs at least r and uses only edges with an
+    # endpoint closer than r to x, none of them in P.  Such balls around
+    # several terminals, taken with disjoint edge sets, add up.  Each
+    # terminal claims the largest radius up to d(x, P) whose ball misses
+    # the balls already claimed.
+    inf = sum(costs) + 1
+    dist = [[inf] * len(terminals) for _ in range(n)]
+    balls = []
+    for j, x in enumerate(terminals):
+        dist[x][j] = 0
+        heap = [(0, x)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u][j]:
+                continue
+            for i, y in adj[u]:
+                if d + costs[i] < dist[y][j]:
+                    dist[y][j] = d + costs[i]
+                    heapq.heappush(heap, (d + costs[i], y))
+        # radius -> (edges with an endpoint closer than it, next smaller radius)
+        ball, inside, prev = {}, 0, 0
+        for r, u in sorted((dist[u][j], u) for u in range(n) if dist[u][j] < inf):
+            if r > prev:
+                ball[r] = (inside, prev)
+                prev = r
+            for i, _ in adj[u]:
+                inside |= 1 << i
+        balls.append(ball)
+    dist = [tuple(row) for row in dist]
+    # terminals close to another one claim first: their balls are small
+    order = sorted(
+        range(len(terminals)),
+        key=lambda j: min(
+            (dist[y][j] for y in terminals if y != terminals[j]), default=inf
+        ),
+    )
 
-    def remaining_lb(tree_v, skip):
-        total = 0
-        used = 0
-        for t in terminals:
-            if t == skip or tree_v >> t & 1:
+    def remaining_lb(near, pending):
+        # near[j]: the distance from terminal j to P; pending: the
+        # terminals, in claiming order, not in the tree
+        total = used = 0
+        for j in pending:
+            r = near[j]
+            if not r:
                 continue
-            if t_near[t] is None:
-                return None  # isolated terminal, unreachable
-            if t_nbrs[t] & tree_v:
-                claim, eset = t_near_claim[t], t_near[t]
-            else:
-                claim, eset = t_far_claim[t], t_far[t]
-            if eset & used:
-                continue
-            total += claim
-            used |= eset
+            if r == inf:
+                return inf  # unreachable: no tree completes this one
+            ball = balls[j]
+            eset, smaller = ball[r]
+            while eset & used and smaller:
+                r = smaller
+                eset, smaller = ball[r]
+            if not eset & used:
+                total += r
+                used |= eset
         return total
 
     def extensions(tree_v, mask, cost, banned):
@@ -178,7 +192,28 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
             )
         extensions(tree_v, mask, cost, banned | 1 << pivot)
 
-    def attach_next(tree_v, mask, cost):
+    # the attach walk stands only on terminals and vertices of degree other
+    # than 2; a degree-2 non-terminal is in the tree only together with its
+    # whole chain, so a walk that enters a chain always runs through it,
+    # and the distance to a chain's inside is at least that to its ends
+    inner = [len(adj[x]) == 2 for x in range(n)]
+    for x in terminals:
+        inner[x] = False
+    steps = [[] for _ in range(n)]
+    for x in range(n):
+        if inner[x]:
+            continue
+        for i, y in adj[x]:
+            vm, em, c = 0, 1 << i, costs[i]
+            while inner[y]:
+                vm |= 1 << y
+                i, y = next(e for e in adj[y] if e[0] != i)
+                em |= 1 << i
+                c += costs[i]
+            steps[x].append((y, vm | 1 << y, em, c))
+
+    def attach_next(tree_v, mask, cost, near):
+        # callers check the bound while the next terminal is still out
         t = next((x for x in terminals if not tree_v >> x & 1), None)
         if t is None:
             out.append(mask)
@@ -186,23 +221,29 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
                 raise CapacityError("solution cap exceeded")
             extensions(tree_v, mask, cost, 0)
             return
+        near = list(map(min, near, dist[t]))
+        pending = [j for j in order if near[j]]
 
-        def dfs(cur, pv, pmask, pcost):
-            # the bound must see the path vertices: the path may run
-            # through or beside other unreached terminals
-            lb = remaining_lb(tree_v | pv, t)
-            if lb is None or cost + pcost + lb > budget:
-                return
-            if tree_v >> cur & 1:
-                attach_next(tree_v | pv, mask | pmask, cost + pcost)
-                return
-            for i, y in adj[cur]:
-                if pv >> y & 1 or mask >> i & 1:
+        def dfs(cur, pv, pmask, pcost, near):
+            for y, vm, em, c in steps[cur]:
+                if pv >> y & 1:
                     continue
-                dfs(y, pv | 1 << y, pmask | 1 << i, pcost + costs[i])
+                near_y = list(map(min, near, dist[y]))
+                if cost + pcost + c + remaining_lb(near_y, pending) > budget:
+                    continue
+                if tree_v >> y & 1:
+                    attach_next(
+                        tree_v | pv | vm, mask | pmask | em, cost + pcost + c, near_y
+                    )
+                else:
+                    dfs(y, pv | vm, pmask | em, pcost + c, near_y)
 
-        dfs(t, 1 << t, 0, 0)
+        dfs(t, 1 << t, 0, 0, near)
+        del dfs
 
-    attach_next(1 << terminals[0], 0, 0)
+    attach_next(1 << terminals[0], 0, 0, dist[terminals[0]])
+    # the searches recurse through their own closure cells; emptying the
+    # cells frees the tables now instead of at a later cyclic collection
+    del attach_next, extensions
     out.sort()
     return out

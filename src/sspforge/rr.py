@@ -15,6 +15,7 @@ from typing import Any
 
 from .core import (
     Bounds,
+    CapacityError,
     DEFAULT_BOUNDS,
     DistanceMeasure,
     FormatError,
@@ -128,7 +129,7 @@ def enumerate_scenarios(inst: CostRrInstance, bounds: Bounds = DEFAULT_BOUNDS):
         )
         out.append((raised, c2))
         if len(out) > bounds.max_solutions:
-            raise FormatError("scenario count exceeds the enumeration cap")
+            raise CapacityError("scenario count exceeds the enumeration cap")
     return out
 
 

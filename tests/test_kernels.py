@@ -1,0 +1,426 @@
+"""Safety net for the enumeration kernels.
+
+Every kind's enumerator must list exactly the sets its verifier accepts
+on small universes, and the chain-step and bitset searches must list
+exactly what the plain searches they replaced listed on large reduction
+targets.  The plain searches are kept below as the reference.
+"""
+
+import random
+
+import pytest
+
+from sspforge.core import Bounds, CapacityError, DistanceMeasure
+from sspforge.gen import random_lb, random_source_for_edge
+from sspforge.problems import (
+    ProblemKind,
+    SteinerTreeInstance,
+    enumerate_solutions,
+    universe_size,
+    verify,
+)
+from sspforge.problems.graphs import covers_upto, independent_sets_atleast
+from sspforge.problems.paths import (
+    disjoint_path_systems,
+    ham_cycles_directed,
+    ham_paths,
+)
+from sspforge.problems.steiner import steiner_trees_upto
+from sspforge.reductions import ALL_EDGES, BLOWUP_EDGES, build_blowup, build_preserving
+
+BOUNDS = Bounds(max_universe=24, max_solutions=1 << 20, max_vertices=16384)
+CAP = 1 << 20
+SOURCES_PER_EDGE = 20
+MAX_POWERSET = 16
+
+
+def small_instances():
+    """Sources and targets of every edge's random corpus with at most
+    MAX_POWERSET universe elements, each once."""
+    found = {}
+    for edge in ALL_EDGES:
+        for i in range(SOURCES_PER_EDGE):
+            rng = random.Random(repr(("kernels", edge, i)))
+            src = random_source_for_edge(edge, rng)
+            if edge in BLOWUP_EDGES:
+                measure = rng.choice(list(DistanceMeasure))
+                art = build_blowup(edge, src, random_lb(rng, src), measure)
+            else:
+                params = {"k": rng.randint(2, 4)} if edge == "2ddp-kddp" else None
+                art = build_preserving(edge, src, params)
+            for kind, inst in ((art.source_kind, src), (art.target_kind, art.target)):
+                if universe_size(inst) <= MAX_POWERSET:
+                    found.setdefault((kind, inst), None)
+    return list(found)
+
+
+def powerset_filter(kind, inst):
+    return [m for m in range(1 << universe_size(inst)) if verify(kind, inst, m)]
+
+
+def test_enumeration_equals_verify_filter_on_every_kind():
+    instances = small_instances()
+    assert {kind for kind, _ in instances} == set(ProblemKind)
+    for kind, inst in instances:
+        assert enumerate_solutions(kind, inst, BOUNDS) == powerset_filter(
+            kind, inst
+        ), (kind, inst)
+
+
+def test_weighted_steiner_equals_verify_filter():
+    # the corpus has unit costs only; the distance bound must also hold
+    # with zero and uneven costs and on disconnected graphs
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        edges = tuple(pairs[: rng.randint(0, min(len(pairs), 12))])
+        costs = tuple(rng.randint(0, 3) for _ in edges)
+        terminals = tuple(rng.sample(range(n), rng.randint(1, min(n, 4))))
+        inst = SteinerTreeInstance(
+            n, edges, costs, terminals, rng.randint(0, sum(costs) + 1)
+        )
+        assert enumerate_solutions(
+            ProblemKind.STEINER_TREE, inst, BOUNDS
+        ) == powerset_filter(ProblemKind.STEINER_TREE, inst), inst
+
+
+# ------------------------------------------------- large reduction targets
+
+# (edge, acceptance-corpus index): among the largest targets of each
+# edge's first 60 acceptance sources whose reference search takes about
+# a second or less
+LARGE = (
+    ("3sat-2ddp", 11),
+    ("3sat-vc", 55),
+    ("3sat-is", 54),
+    ("3sat-steinertree", 10),
+    ("3sat-dhampath", 28),
+)
+
+
+def large_target(edge, i):
+    rng = random.Random(repr(("acceptance", edge, i)))
+    src = random_source_for_edge(edge, rng)
+    return build_blowup(edge, src, random_lb(rng, src), DistanceMeasure.HAMMING).target
+
+
+@pytest.mark.parametrize("edge,i", LARGE)
+def test_kernels_equal_reference_on_large_targets(edge, i):
+    t = large_target(edge, i)
+    if edge == "3sat-2ddp":
+        pairs = [
+            (disjoint_path_systems(t, CAP), ref_disjoint_path_systems(t, CAP)),
+        ]
+        kddp = build_preserving("2ddp-kddp", t, {"k": 3}).target
+        pairs.append(
+            (disjoint_path_systems(kddp, CAP), ref_disjoint_path_systems(kddp, CAP))
+        )
+    elif edge == "3sat-vc":
+        pairs = [
+            (
+                covers_upto(t.n, t.edges, t.k, CAP),
+                ref_covers_upto(t.n, t.edges, t.k, CAP),
+            )
+        ]
+    elif edge == "3sat-is":
+        pairs = [
+            (
+                independent_sets_atleast(t.n, t.edges, t.k, CAP),
+                ref_independent_sets_atleast(t.n, t.edges, t.k, CAP),
+            )
+        ]
+    elif edge == "3sat-steinertree":
+        pairs = [
+            (steiner_trees_upto(t, t.k, CAP), ref_steiner_trees_upto(t, t.k, CAP))
+        ]
+    else:
+        cyc = build_preserving("dhampath-dhamcycle", t).target
+        pairs = [
+            (ham_paths(t, CAP), ref_ham_paths(t, CAP)),
+            (ham_cycles_directed(cyc, CAP), ref_ham_cycles_directed(cyc, CAP)),
+        ]
+    for got, want in pairs:
+        assert want  # a target with no solutions would compare nothing
+        assert got == want
+
+
+def test_cap_is_enforced_by_the_new_kernels():
+    t = large_target("3sat-2ddp", 11)
+    with pytest.raises(CapacityError):
+        disjoint_path_systems(t, 9)
+    assert len(disjoint_path_systems(t, 10)) == 10
+
+
+# ------------------------------------------------- reference searches
+#
+# The searches the chain-step and bitset kernels replaced: one recursive
+# call per vertex, and a scan of the whole edge list per search node.
+
+
+def ref_ham_paths(inst, cap):
+    n = inst.n
+    adj = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(inst.arcs):
+        adj[u].append((i, v))
+    full = (1 << n) - 1
+    out = []
+
+    def dfs(cur, visited, arcmask):
+        if cur == inst.t:
+            if visited == full:
+                out.append(arcmask)
+                if len(out) > cap:
+                    raise CapacityError("solution cap exceeded")
+            return
+        for i, v in adj[cur]:
+            if not visited >> v & 1:
+                dfs(v, visited | 1 << v, arcmask | 1 << i)
+
+    dfs(inst.s, 1 << inst.s, 0)
+    out.sort()
+    return out
+
+
+def ref_ham_cycles_directed(inst, cap):
+    n = inst.n
+    if n < 2:
+        return []
+    adj = [[] for _ in range(n)]
+    closing = {}
+    for i, (u, v) in enumerate(inst.arcs):
+        adj[u].append((i, v))
+        if v == 0:
+            closing[u] = i
+    full = (1 << n) - 1
+    out = []
+
+    def dfs(cur, visited, arcmask):
+        if visited == full:
+            if cur in closing:
+                out.append(arcmask | 1 << closing[cur])
+                if len(out) > cap:
+                    raise CapacityError("solution cap exceeded")
+            return
+        for i, v in adj[cur]:
+            if v != 0 and not visited >> v & 1:
+                dfs(v, visited | 1 << v, arcmask | 1 << i)
+
+    dfs(0, 1, 0)
+    out.sort()
+    return out
+
+
+def ref_disjoint_path_systems(inst, cap):
+    n = inst.n
+    adj = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(inst.arcs):
+        adj[u].append((i, v))
+    terminals = set(x for p in inst.pairs for x in p)
+    out = []
+    pairs = inst.pairs
+
+    def route(pi, usedv, arcmask):
+        if pi == len(pairs):
+            out.append(arcmask)
+            if len(out) > cap:
+                raise CapacityError("solution cap exceeded")
+            return
+        s, t = pairs[pi]
+        if usedv >> s & 1:
+            return
+
+        def dfs(cur, usedv2, am):
+            if cur == t:
+                route(pi + 1, usedv2, am)
+                return
+            for i, v in adj[cur]:
+                if usedv2 >> v & 1:
+                    continue
+                if v in terminals and v != t:
+                    continue
+                dfs(v, usedv2 | 1 << v, am | 1 << i)
+
+        dfs(s, usedv | 1 << s, arcmask)
+
+    route(0, 0, 0)
+    out.sort()
+    return out
+
+
+def _ref_pad_supersets(base, free, budget, out, cap):
+    out.append(base)
+    if len(out) > cap:
+        raise CapacityError("solution cap exceeded")
+    if budget <= 0:
+        return
+    for i, v in enumerate(free):
+        _ref_pad_supersets(base | 1 << v, free[i + 1 :], budget - 1, out, cap)
+
+
+def ref_covers_upto(n, edges, k, cap):
+    if k < 0:
+        return []
+    edges = list(edges)
+    out = []
+
+    def matching_lb(chosen):
+        used = chosen
+        cnt = 0
+        for u, v in edges:
+            if (used >> u | used >> v) & 1:
+                continue
+            used |= (1 << u) | (1 << v)
+            cnt += 1
+        return cnt
+
+    def rec(chosen, banned, budget):
+        while True:
+            forced = -1
+            for u, v in edges:
+                if (chosen >> u | chosen >> v) & 1:
+                    continue
+                bu = banned >> u & 1
+                bv = banned >> v & 1
+                if bu and bv:
+                    return
+                if bu:
+                    forced = v
+                    break
+                if bv:
+                    forced = u
+                    break
+            if forced < 0:
+                break
+            if budget == 0:
+                return
+            chosen |= 1 << forced
+            budget -= 1
+        target = None
+        for u, v in edges:
+            if not ((chosen >> u | chosen >> v) & 1):
+                target = (u, v)
+                break
+        if target is None:
+            free = [i for i in range(n) if not ((chosen >> i | banned >> i) & 1)]
+            _ref_pad_supersets(chosen, free, budget, out, cap)
+            return
+        if budget == 0 or matching_lb(chosen) > budget:
+            return
+        u, v = target
+        rec(chosen | 1 << u, banned, budget - 1)
+        rec(chosen, banned | 1 << u, budget)
+
+    rec(0, 0, k)
+    out.sort()
+    return out
+
+
+def ref_independent_sets_atleast(n, edges, k, cap):
+    full = (1 << n) - 1
+    return sorted(full ^ c for c in ref_covers_upto(n, edges, n - k, cap))
+
+
+def ref_steiner_trees_upto(inst, budget, cap):
+    if budget < 0:
+        return []
+    n, edges, costs = inst.n, inst.edges, inst.costs
+    terminals = tuple(dict.fromkeys(inst.terminals))
+    adj = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        adj[u].append((i, v))
+        adj[v].append((i, u))
+    out = []
+
+    t_near, t_near_claim, t_far, t_far_claim, t_nbrs = {}, {}, {}, {}, {}
+    for t in set(terminals):
+        eset1 = 0
+        cheapest = None
+        nbrs = 0
+        for i, y in adj[t]:
+            eset1 |= 1 << i
+            nbrs |= 1 << y
+            if cheapest is None or costs[i] < cheapest:
+                cheapest = costs[i]
+        t_nbrs[t] = nbrs
+        if cheapest is None:
+            t_near[t] = None
+            continue
+        t_near[t], t_near_claim[t] = eset1, cheapest
+        eset2 = eset1
+        second = None
+        for i, y in adj[t]:
+            for i2, _ in adj[y]:
+                eset2 |= 1 << i2
+                if i2 != i and (second is None or costs[i2] < second):
+                    second = costs[i2]
+        t_far[t] = eset2
+        t_far_claim[t] = cheapest + (second or 0)
+
+    def remaining_lb(tree_v, skip):
+        total = 0
+        used = 0
+        for t in terminals:
+            if t == skip or tree_v >> t & 1:
+                continue
+            if t_near[t] is None:
+                return None
+            if t_nbrs[t] & tree_v:
+                claim, eset = t_near_claim[t], t_near[t]
+            else:
+                claim, eset = t_far_claim[t], t_far[t]
+            if eset & used:
+                continue
+            total += claim
+            used |= eset
+        return total
+
+    def extensions(tree_v, mask, cost, banned):
+        pivot, grow = -1, -1
+        tv = tree_v
+        while tv:
+            x = (tv & -tv).bit_length() - 1
+            tv &= tv - 1
+            for i, y in adj[x]:
+                if banned >> i & 1 or mask >> i & 1 or tree_v >> y & 1:
+                    continue
+                if pivot < 0 or i < pivot:
+                    pivot, grow = i, y
+        if pivot < 0:
+            return
+        if cost + costs[pivot] <= budget:
+            out.append(mask | 1 << pivot)
+            if len(out) > cap:
+                raise CapacityError("solution cap exceeded")
+            extensions(
+                tree_v | 1 << grow, mask | 1 << pivot, cost + costs[pivot], banned
+            )
+        extensions(tree_v, mask, cost, banned | 1 << pivot)
+
+    def attach_next(tree_v, mask, cost):
+        t = next((x for x in terminals if not tree_v >> x & 1), None)
+        if t is None:
+            out.append(mask)
+            if len(out) > cap:
+                raise CapacityError("solution cap exceeded")
+            extensions(tree_v, mask, cost, 0)
+            return
+
+        def dfs(cur, pv, pmask, pcost):
+            lb = remaining_lb(tree_v | pv, t)
+            if lb is None or cost + pcost + lb > budget:
+                return
+            if tree_v >> cur & 1:
+                attach_next(tree_v | pv, mask | pmask, cost + pcost)
+                return
+            for i, y in adj[cur]:
+                if pv >> y & 1 or mask >> i & 1:
+                    continue
+                dfs(y, pv | 1 << y, pmask | 1 << i, pcost + costs[i])
+
+        dfs(t, 1 << t, 0, 0)
+
+    attach_next(1 << terminals[0], 0, 0)
+    out.sort()
+    return out

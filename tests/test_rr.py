@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from sspforge.core import DistanceMeasure, UnsupportedKindError, mask_of
+from sspforge.core import (
+    Bounds,
+    CapacityError,
+    DistanceMeasure,
+    UnsupportedKindError,
+    mask_of,
+)
 from sspforge.gen import random_comb_rr, random_radjsat
 from sspforge.problems import (
     CnfInstance,
@@ -54,6 +60,13 @@ def test_scenarios_degenerate_bounds():
 def test_scenarios_single_budget():
     inst = _cost_instance(K3, gamma=1, kappa=0, raisable=mask_of([0, 1, 2]))
     assert len(enumerate_scenarios(inst)) == 4  # empty plus three singletons
+
+
+def test_scenarios_over_cap_is_capacity_error():
+    inst = _cost_instance(K3, gamma=1, kappa=0, raisable=mask_of([0, 1, 2]))
+    with pytest.raises(CapacityError):
+        enumerate_scenarios(inst, Bounds(max_solutions=3))
+    assert len(enumerate_scenarios(inst, Bounds(max_solutions=4))) == 4
 
 
 def test_comb_rr_gamma_zero_yes():

@@ -180,6 +180,15 @@ def test_cli_report(tmp_path, capsys):
     assert "fuzz" in out and "cases_run" in out
 
 
+@pytest.mark.parametrize("text", ["[]", "3", '"fuzz"', "null"])
+def test_cli_report_rejects_non_object(tmp_path, capsys, text):
+    p = tmp_path / "r.json"
+    p.write_text(text)
+    assert main(["report", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cli_solve_nominal_and_games(tmp_path, capsys):
     cnf = CnfInstance(3, ((0, 1, 2),))
     p = tmp_path / "f.cnf"
@@ -221,6 +230,38 @@ def test_env_bounds(monkeypatch):
     monkeypatch.setenv("SSPFORGE_MAX_SOLUTIONS", "99")
     b = Bounds.from_env()
     assert b.max_universe == 10 and b.max_solutions == 99
+
+
+@pytest.mark.parametrize("var", ["SSPFORGE_MAX_UNIVERSE", "SSPFORGE_MAX_SOLUTIONS"])
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_env_bounds_are_format_errors(monkeypatch, capsys, var, value):
+    from sspforge.core import Bounds, FormatError
+
+    monkeypatch.setenv(var, value)
+    with pytest.raises(FormatError, match=var):
+        Bounds.from_env()
+    assert main(["fuzz", "--edges", "3sat-vc", "--count", "1"]) == 2
+    err = capsys.readouterr().err
+    assert var in err and "Traceback" not in err
+
+
+def test_bad_env_bounds_do_not_break_import():
+    import os
+    import subprocess
+    import sys
+
+    import sspforge
+
+    src = os.path.dirname(os.path.dirname(sspforge.__file__))
+    env = dict(os.environ, SSPFORGE_MAX_UNIVERSE="abc", SSPFORGE_MAX_SOLUTIONS="x1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sspforge.core as c; print(c.DEFAULT_BOUNDS == c.Bounds())"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True"
 
 
 def test_cli_reduce_unknown_file(tmp_path):
