@@ -222,8 +222,7 @@ def cmd_solve(args) -> int:
         if wit is not None:
             print(f"x-assignment literals: {indices_of(wit)}")
     elif args.problem == "eae-sat":
-        cnf = serialize.instance_from_payload(ProblemKind.THREE_SAT, doc["cnf"])
-        ans = solve_eae_sat(cnf, tuple(doc["x"]), tuple(doc["y"]), tuple(doc["z"]))
+        ans = solve_eae_sat(*serialize.eae_sat_from_doc(doc))
         print(f"answer: {'yes' if ans else 'no'}")
     else:
         raise FormatError(f"unknown problem {args.problem}")

@@ -37,6 +37,11 @@ from .reductions import build_blowup
 INFEASIBLE = float("inf")
 
 
+def _check_budget(name, value):
+    if not isinstance(value, int) or value < 0:
+        raise FormatError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CombRrInstance:
     kind: ProblemKind
@@ -49,6 +54,8 @@ class CombRrInstance:
     def __post_init__(self):
         if self.blockable >> universe_size(self.instance):
             raise FormatError("blockable set outside the universe")
+        _check_budget("gamma", self.gamma)
+        _check_budget("kappa", self.kappa)
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,12 @@ class CostRrInstance:
         n = universe_size(self.instance)
         if not len(self.c1) == len(self.c_lo) == len(self.c_hi) == n:
             raise FormatError("cost vectors must match the universe")
+        if not all(isinstance(c, int) for c in self.c1 + self.c_lo + self.c_hi):
+            raise FormatError("costs must be integers")
         if any(lo > hi for lo, hi in zip(self.c_lo, self.c_hi)):
             raise FormatError("lower costs must not exceed upper costs")
+        _check_budget("gamma", self.gamma)
+        _check_budget("kappa", self.kappa)
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,7 @@ class RAdjSatInstance:
             raise FormatError("X, Y, Z must partition the variables")
         if not len(parts[0]) == len(parts[1]) == len(parts[2]):
             raise FormatError("X, Y, Z must have equal sizes")
+        _check_budget("gamma", self.gamma)
 
 
 @dataclass
@@ -98,15 +110,31 @@ class RrWitness:
     objective: int | float | None = None
 
 
-def _masked_cost(costs, mask):
-    total = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            total += costs[i]
-        mask >>= 1
-        i += 1
-    return total
+def _subset_sums(costs):
+    """sum(costs[i] for i in S), indexed by the mask S."""
+    table = [0]
+    for c in costs:
+        table += [t + c for t in table]
+    return table
+
+
+def _set_costs(costs, sets):
+    """Cost of every set in ``sets``: two tables of partial sums, over the
+    low and the high half of the universe, give c(S) = low[S & m] +
+    high[S >> half] with at most 2 * 2^ceil(n/2) table entries."""
+    half = len(costs) // 2
+    low, high = _subset_sums(costs[:half]), _subset_sums(costs[half:])
+    m = (1 << half) - 1
+    return [low[s & m] + high[s >> half] for s in sets]
+
+
+def _lit_mask(n_vars, bits, variables):
+    """Literal mask of the assignment that sets ``variables[pos]`` true
+    exactly when bit ``pos`` of ``bits`` is set."""
+    m = 0
+    for pos, v in enumerate(variables):
+        m |= 1 << (v if bits >> pos & 1 else n_vars + v)
+    return m
 
 
 def _subsets_upto(indices, gamma):
@@ -172,33 +200,55 @@ def eval_cost_rr(
     inst: CostRrInstance, bounds: Bounds = DEFAULT_BOUNDS
 ) -> tuple[int | float, bool, RrWitness | None]:
     """min over S1 of max over scenarios of min over S2 within kappa of
-    c1(S1) + c2(S2); infeasible inner minimization yields infinity."""
+    c1(S1) + c2(S2); infeasible inner minimization yields infinity.
+
+    Every feasible set is priced once under c1 and once under c_lo by
+    half-universe lookup tables (``_set_costs``).  Recoveries are scanned
+    in increasing (c_lo(S2), S2) order, sorted on the single integer key
+    c_lo(S2) << n | S2, so the scan stops as soon as c1(S1) + c_lo(S2)
+    reaches the best recovery so far; c2(S2) is c_lo(S2) plus the gaps of
+    the at most gamma raised elements in S2.  First stages are taken in
+    enumeration order and a later one wins only by a strict improvement;
+    a first stage is skipped once c1(S1) plus the cheapest c_lo cannot
+    beat the best value."""
     if not is_lop(inst.kind):
         raise UnsupportedKindError(
             f"cost recoverable robustness needs an LOP kind, got {inst.kind.value}"
         )
     feas = enumerate_feasible(inst.kind, inst.instance, bounds)
-    scenarios = enumerate_scenarios(inst, bounds)
+    n = len(inst.c_lo)
+    raises = [
+        (raised, [(1 << i, inst.c_hi[i] - inst.c_lo[i])
+                  for i in range(n) if raised >> i & 1])
+        for raised, _ in enumerate_scenarios(inst, bounds)
+    ]
     best: int | float = INFEASIBLE
     best_witness = None
-    lo_costs = [(_masked_cost(inst.c_lo, s2), s2) for s2 in feas]
-    lo_costs.sort()
-    lo_floor = lo_costs[0][0] if lo_costs else 0
-    for s1 in feas:
-        c1v = _masked_cost(inst.c1, s1)
+    # element i weighs (c_lo[i] << n) + 2^i, so a set's price is its sort
+    # key c_lo(S2) << n | S2, the (c_lo(S2), S2) order in one integer
+    order = sorted(
+        _set_costs([(c << n) + (1 << i) for i, c in enumerate(inst.c_lo)], feas)
+    )
+    lo_floor = order[0] >> n if order else 0
+    full = (1 << n) - 1
+    for s1, c1v in zip(feas, _set_costs(inst.c1, feas)):
         if c1v + lo_floor >= best:
             continue
         worst: int | float = 0
         recov = {}
-        for raised, c2 in scenarios:
+        for raised, gaps in raises:
             inner: int | float = INFEASIBLE
             inner_s2 = None
-            for lo, s2 in lo_costs:
-                if c1v + lo >= inner:
+            for key in order:
+                val = c1v + (key >> n)
+                if val >= inner:
                     break  # raising costs cannot beat this bound
+                s2 = key & full
                 if distance(inst.measure, s1, s2) > inst.kappa:
                     continue
-                val = c1v + _masked_cost(c2, s2)
+                for bit, gap in gaps:
+                    if s2 & bit:
+                        val += gap
                 if val < inner:
                     inner = val
                     inner_s2 = s2
@@ -217,25 +267,16 @@ def eval_cost_rr(
 def solve_eae_sat(cnf: CnfInstance, x_vars, y_vars, z_vars) -> bool:
     """Truth of: exists X-assignment, for all Y-assignments, exists
     Z-assignment satisfying the formula."""
+    n = cnf.n_vars
     masks = cnf.clause_masks()
     xs, ys, zs = list(x_vars), list(y_vars), list(z_vars)
-
-    def lit_mask(var_bits, variables):
-        m = 0
-        for pos, v in enumerate(variables):
-            if var_bits >> pos & 1:
-                m |= 1 << v
-            else:
-                m |= 1 << (cnf.n_vars + v)
-        return m
-
     for ax in range(1 << len(xs)):
-        mx = lit_mask(ax, xs)
+        mx = _lit_mask(n, ax, xs)
         good = True
         for ay in range(1 << len(ys)):
-            my = mx | lit_mask(ay, ys)
+            my = mx | _lit_mask(n, ay, ys)
             if not any(
-                all((my | lit_mask(az, zs)) & cm for cm in masks)
+                all((my | _lit_mask(n, az, zs)) & cm for cm in masks)
                 for az in range(1 << len(zs))
             ):
                 good = False
@@ -257,24 +298,14 @@ def solve_radjsat(
     n = cnf.n_vars
     masks = cnf.clause_masks()
     xs, ys, zs = list(inst.x_vars), list(inst.y_vars), list(inst.z_vars)
-
-    def lit_mask(bits, variables):
-        m = 0
-        for pos, v in enumerate(variables):
-            if bits >> pos & 1:
-                m |= 1 << v
-            else:
-                m |= 1 << (n + v)
-        return m
-
     yz_assignments = [
-        lit_mask(ay, ys) | lit_mask(az, zs)
+        _lit_mask(n, ay, ys) | _lit_mask(n, az, zs)
         for ay in range(1 << len(ys))
         for az in range(1 << len(zs))
     ]
     blockers = list(_subsets_upto(ys, inst.gamma))
     for ax in range(1 << len(xs)):
-        mx = lit_mask(ax, xs)
+        mx = _lit_mask(n, ax, xs)
         good = True
         for blocked in blockers:
             blocked_mask = 0

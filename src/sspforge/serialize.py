@@ -7,6 +7,7 @@ diff cleanly and round-trips are byte-stable.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .core import DistanceMeasure, FormatError, indices_of, mask_of
 from .problems import (
@@ -39,6 +40,18 @@ from .reductions.artifact import ReductionArtifact
 from .rr import CombRrInstance, CostRrInstance, RAdjSatInstance
 
 SCHEMA_VERSION = 1
+
+
+@contextmanager
+def _reading(what):
+    """Turn a missing key or a value of the wrong shape in a ``what``
+    document into a FormatError that names it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"bad {what} document: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad {what} document: {exc}") from exc
 
 
 def _pairs(seq):
@@ -200,12 +213,9 @@ def instance_to_doc(kind: ProblemKind, inst) -> dict:
 
 
 def instance_from_doc(doc: dict):
-    try:
+    with _reading("instance"):
         kind = ProblemKind(doc["kind"])
-        inst = instance_from_payload(kind, doc["payload"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad instance document: {exc}") from exc
-    return kind, inst
+        return kind, instance_from_payload(kind, doc["payload"])
 
 
 def artifact_to_doc(a: ReductionArtifact) -> dict:
@@ -226,7 +236,7 @@ def artifact_to_doc(a: ReductionArtifact) -> dict:
 
 
 def artifact_from_doc(doc: dict) -> ReductionArtifact:
-    try:
+    with _reading("artifact"):
         src_kind, src = instance_from_doc(doc["source"])
         tgt_kind, tgt = instance_from_doc(doc["target"])
         beta = doc.get("beta")
@@ -252,8 +262,6 @@ def artifact_from_doc(doc: dict) -> ReductionArtifact:
             u_on=mask_of(doc.get("u_on", [])),
             u_off=mask_of(doc.get("u_off", [])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad artifact document: {exc}") from exc
 
 
 def comb_rr_to_doc(inst: CombRrInstance) -> dict:
@@ -270,15 +278,16 @@ def comb_rr_to_doc(inst: CombRrInstance) -> dict:
 
 
 def comb_rr_from_doc(doc: dict) -> CombRrInstance:
-    kind = ProblemKind(doc["kind"])
-    return CombRrInstance(
-        kind=kind,
-        instance=instance_from_payload(kind, doc["payload"]),
-        blockable=mask_of(doc["blockable"]),
-        gamma=doc["gamma"],
-        kappa=doc["kappa"],
-        measure=DistanceMeasure(doc["measure"]),
-    )
+    with _reading("comb-rr"):
+        kind = ProblemKind(doc["kind"])
+        return CombRrInstance(
+            kind=kind,
+            instance=instance_from_payload(kind, doc["payload"]),
+            blockable=mask_of(doc["blockable"]),
+            gamma=doc["gamma"],
+            kappa=doc["kappa"],
+            measure=DistanceMeasure(doc["measure"]),
+        )
 
 
 def cost_rr_to_doc(inst: CostRrInstance) -> dict:
@@ -298,18 +307,19 @@ def cost_rr_to_doc(inst: CostRrInstance) -> dict:
 
 
 def cost_rr_from_doc(doc: dict) -> CostRrInstance:
-    kind = ProblemKind(doc["kind"])
-    return CostRrInstance(
-        kind=kind,
-        instance=instance_from_payload(kind, doc["payload"]),
-        c1=tuple(doc["c1"]),
-        c_lo=tuple(doc["c_lo"]),
-        c_hi=tuple(doc["c_hi"]),
-        t_rr=doc["t_rr"],
-        gamma=doc["gamma"],
-        kappa=doc["kappa"],
-        measure=DistanceMeasure(doc["measure"]),
-    )
+    with _reading("cost-rr"):
+        kind = ProblemKind(doc["kind"])
+        return CostRrInstance(
+            kind=kind,
+            instance=instance_from_payload(kind, doc["payload"]),
+            c1=tuple(doc["c1"]),
+            c_lo=tuple(doc["c_lo"]),
+            c_hi=tuple(doc["c_hi"]),
+            t_rr=doc["t_rr"],
+            gamma=doc["gamma"],
+            kappa=doc["kappa"],
+            measure=DistanceMeasure(doc["measure"]),
+        )
 
 
 def radjsat_to_doc(inst: RAdjSatInstance) -> dict:
@@ -325,10 +335,18 @@ def radjsat_to_doc(inst: RAdjSatInstance) -> dict:
 
 
 def radjsat_from_doc(doc: dict) -> RAdjSatInstance:
-    cnf = instance_from_payload(ProblemKind.THREE_SAT, doc["cnf"])
-    return RAdjSatInstance(
-        cnf, tuple(doc["x"]), tuple(doc["y"]), tuple(doc["z"]), doc["gamma"]
-    )
+    with _reading("radjsat"):
+        cnf = instance_from_payload(ProblemKind.THREE_SAT, doc["cnf"])
+        return RAdjSatInstance(
+            cnf, tuple(doc["x"]), tuple(doc["y"]), tuple(doc["z"]), doc["gamma"]
+        )
+
+
+def eae_sat_from_doc(doc: dict):
+    """The formula and the X, Y, Z variable tuples of an eae-sat document."""
+    with _reading("eae-sat"):
+        cnf = instance_from_payload(ProblemKind.THREE_SAT, doc["cnf"])
+        return cnf, tuple(doc["x"]), tuple(doc["y"]), tuple(doc["z"])
 
 
 def dumps(doc: dict) -> str:

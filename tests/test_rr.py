@@ -6,18 +6,23 @@ from sspforge.core import (
     Bounds,
     CapacityError,
     DistanceMeasure,
+    FormatError,
     UnsupportedKindError,
+    distance,
     mask_of,
 )
 from sspforge.gen import random_comb_rr, random_radjsat
 from sspforge.problems import (
     CnfInstance,
     ProblemKind,
+    SubsetSumInstance,
     VertexCoverInstance,
     enumerate_feasible,
     lop_cost,
+    universe_size,
 )
 from sspforge.rr import (
+    INFEASIBLE,
     CombRrInstance,
     CostRrInstance,
     RAdjSatInstance,
@@ -337,3 +342,124 @@ def test_comb_rr_first_stage_may_touch_blockables():
     ans, wit = eval_comb_rr(comb)
     assert ans
     assert wit.s1 & comb.blockable
+
+
+def _masked_cost(costs, mask):
+    total = 0
+    i = 0
+    while mask:
+        if mask & 1:
+            total += costs[i]
+        mask >>= 1
+        i += 1
+    return total
+
+
+def _eval_cost_rr_by_loop(inst):
+    """The cost-RR evaluator before table pricing: a bit loop per set and
+    per scenario cost vector, recoveries sorted as (c_lo, S2) pairs."""
+    feas = enumerate_feasible(inst.kind, inst.instance)
+    scenarios = enumerate_scenarios(inst)
+    best = INFEASIBLE
+    best_witness = None
+    lo_costs = [(_masked_cost(inst.c_lo, s2), s2) for s2 in feas]
+    lo_costs.sort()
+    lo_floor = lo_costs[0][0] if lo_costs else 0
+    for s1 in feas:
+        c1v = _masked_cost(inst.c1, s1)
+        if c1v + lo_floor >= best:
+            continue
+        worst = 0
+        recov = {}
+        for raised, c2 in scenarios:
+            inner = INFEASIBLE
+            inner_s2 = None
+            for lo, s2 in lo_costs:
+                if c1v + lo >= inner:
+                    break
+                if distance(inst.measure, s1, s2) > inst.kappa:
+                    continue
+                val = c1v + _masked_cost(c2, s2)
+                if val < inner:
+                    inner = val
+                    inner_s2 = s2
+            if inner > worst:
+                worst = inner
+                if worst >= best:
+                    break
+            recov[raised] = inner_s2
+        if worst < best:
+            best = worst
+            best_witness = (s1, worst, recov)
+    return best, best <= inst.t_rr, best_witness
+
+
+def _assert_cost_rr_equals_loop(inst):
+    value, ok, wit = eval_cost_rr(inst)
+    want = _eval_cost_rr_by_loop(inst)
+    got = (value, ok, wit and (wit.s1, wit.objective, wit.recoveries))
+    assert got == want, inst
+
+
+def test_cost_rr_equals_loop_on_subsetsum_pipelines():
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(40):
+        game = random_radjsat(rng, max_part=1, max_clauses=3, max_gamma=2)
+        for measure in (ADD, DEL, HAM):
+            comb = radjsat_to_comb_rr(game, "3sat-subsetsum", measure)
+            if universe_size(comb.instance) > 16:
+                continue
+            _assert_cost_rr_equals_loop(comb_to_cost_rr(comb))
+            checked += 1
+    assert checked == 30
+
+
+def test_cost_rr_equals_loop_on_comb_simulations():
+    rng = random.Random(37)
+    kinds = set()
+    for _ in range(400):
+        comb = random_comb_rr(rng, max_universe=8)
+        kinds.add(comb.kind)
+        _assert_cost_rr_equals_loop(comb_to_cost_rr(comb))
+    assert len(kinds) == 8  # every LOP kind random_comb_rr draws
+
+
+def test_cost_rr_equals_loop_on_general_costs():
+    rng = random.Random(41)
+    for _ in range(1500):
+        comb = random_comb_rr(rng, max_universe=8)
+        n = universe_size(comb.instance)
+        c1 = tuple(rng.randint(-3, 5) for _ in range(n))
+        c_lo = tuple(rng.randint(-3, 5) for _ in range(n))
+        c_hi = tuple(lo + rng.choice((0, 0, 1, 4)) for lo in c_lo)
+        inst = CostRrInstance(
+            comb.kind, comb.instance, c1, c_lo, c_hi,
+            rng.randint(-2, 12), rng.randint(0, 3), rng.randint(0, n),
+            rng.choice((ADD, DEL, HAM)),
+        )
+        _assert_cost_rr_equals_loop(inst)
+
+
+@pytest.mark.parametrize("field", ["gamma", "kappa"])
+def test_negative_budgets_are_format_errors(field):
+    import dataclasses
+
+    comb = CombRrInstance(ProblemKind.VERTEX_COVER, K3, mask_of([0]), 1, 2, HAM)
+    with pytest.raises(FormatError, match=field):
+        dataclasses.replace(comb, **{field: -1})
+    cost = comb_to_cost_rr(comb)
+    with pytest.raises(FormatError, match=field):
+        dataclasses.replace(cost, **{field: -1})
+    if field == "gamma":
+        game = RAdjSatInstance(CnfInstance(3, ((0, 1, 2),)), (0,), (1,), (2,), 1)
+        with pytest.raises(FormatError, match=field):
+            dataclasses.replace(game, gamma=-1)
+
+
+def test_cost_rr_rejects_non_integer_costs():
+    inst = SubsetSumInstance((2, 3), 5)
+    with pytest.raises(FormatError, match="integers"):
+        CostRrInstance(
+            ProblemKind.SUBSET_SUM, inst, (2, 3), (2, 3), (2.5, 3), 10, 1, 0, HAM
+        )

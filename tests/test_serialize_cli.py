@@ -9,7 +9,7 @@ from sspforge.core import DistanceMeasure, mask_of
 from sspforge.gen import random_source_for_edge
 from sspforge.problems import CnfInstance, ProblemKind, VertexCoverInstance
 from sspforge.reductions import ALL_EDGES, build_blowup, build_preserving
-from sspforge.rr import CombRrInstance
+from sspforge.rr import CombRrInstance, RAdjSatInstance, comb_to_cost_rr
 
 HAM = DistanceMeasure.HAMMING
 PHI = CnfInstance(3, ((3, 4, 2),))
@@ -221,6 +221,69 @@ def test_cli_solve_nominal_and_games(tmp_path, capsys):
     c.write_text(serialize.dumps(serialize.cost_rr_to_doc(comb_to_cost_rr(comb))))
     assert main(["solve", str(c), "--problem", "cost-rr"]) == 0
     assert "answer: yes" in capsys.readouterr().out
+
+
+def _solve_doc(tmp_path, doc, problem):
+    p = tmp_path / f"{problem}.json"
+    p.write_text(json.dumps(doc))
+    return main(["solve", str(p), "--problem", problem])
+
+
+def _rr_docs():
+    cnf = CnfInstance(3, ((0, 1, 2),))
+    comb = CombRrInstance(
+        ProblemKind.VERTEX_COVER,
+        VertexCoverInstance(3, ((0, 1), (0, 2), (1, 2)), 2),
+        mask_of([0]), 1, 2, HAM,
+    )
+    return {
+        "comb-rr": serialize.comb_rr_to_doc(comb),
+        "cost-rr": serialize.cost_rr_to_doc(comb_to_cost_rr(comb)),
+        "radjsat": serialize.radjsat_to_doc(
+            RAdjSatInstance(cnf, (0,), (1,), (2,), 1)
+        ),
+        "eae-sat": {
+            "cnf": serialize.instance_payload(ProblemKind.THREE_SAT, cnf),
+            "x": [0], "y": [1], "z": [2],
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "problem, key",
+    [("comb-rr", "blockable"), ("cost-rr", "c_hi"), ("radjsat", "y"),
+     ("eae-sat", "z")],
+)
+def test_cli_solve_missing_key_is_format_error(tmp_path, capsys, problem, key):
+    doc = _rr_docs()[problem]
+    assert _solve_doc(tmp_path, doc, problem) == 0
+    capsys.readouterr()
+    del doc[key]
+    assert _solve_doc(tmp_path, doc, problem) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert "Traceback" not in err
+
+
+def test_cli_solve_subsetsum_without_target_is_format_error(tmp_path, capsys):
+    doc = _rr_docs()["cost-rr"]
+    doc["kind"] = "subsetsum"
+    doc["payload"] = {"values": [1, 2, 3]}
+    assert _solve_doc(tmp_path, doc, "cost-rr") == 2
+    assert "'target'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "problem, key",
+    [("comb-rr", "gamma"), ("comb-rr", "kappa"), ("cost-rr", "gamma"),
+     ("cost-rr", "kappa"), ("radjsat", "gamma")],
+)
+def test_cli_solve_negative_budget_is_format_error(tmp_path, capsys, problem, key):
+    doc = _rr_docs()[problem]
+    doc[key] = -1
+    assert _solve_doc(tmp_path, doc, problem) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
 
 
 def test_env_bounds(monkeypatch):
