@@ -119,13 +119,14 @@ def _subset_sums(costs):
 
 
 def _set_costs(costs, sets):
-    """Cost of every set in ``sets``: two tables of partial sums, over the
-    low and the high half of the universe, give c(S) = low[S & m] +
-    high[S >> half] with at most 2 * 2^ceil(n/2) table entries."""
+    """Costs of the sets in ``sets``, lazily in order: two tables of partial
+    sums, over the low and the high half of the universe, give
+    c(S) = low[S & m] + high[S >> half] with at most 2 * 2^ceil(n/2)
+    table entries."""
     half = len(costs) // 2
     low, high = _subset_sums(costs[:half]), _subset_sums(costs[half:])
     m = (1 << half) - 1
-    return [low[s & m] + high[s >> half] for s in sets]
+    return (low[s & m] + high[s >> half] for s in sets)
 
 
 def _lit_mask(n_vars, bits, variables):

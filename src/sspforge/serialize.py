@@ -7,7 +7,6 @@ diff cleanly and round-trips are byte-stable.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 
 from .core import DistanceMeasure, FormatError, indices_of, mask_of
 from .problems import (
@@ -42,16 +41,15 @@ from .rr import CombRrInstance, CostRrInstance, RAdjSatInstance
 SCHEMA_VERSION = 1
 
 
-@contextmanager
-def _reading(what):
-    """Turn a missing key or a value of the wrong shape in a ``what``
-    document into a FormatError that names it."""
-    try:
-        yield
-    except KeyError as exc:
-        raise FormatError(f"bad {what} document: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad {what} document: {exc}") from exc
+_DOC_ERRORS = (KeyError, TypeError, ValueError)
+
+
+def _doc_error(what: str, exc: Exception) -> FormatError:
+    """FormatError for a ``what`` document that lacks a key (naming it) or
+    holds a value of the wrong shape."""
+    if isinstance(exc, KeyError):
+        return FormatError(f"bad {what} document: missing key {exc}")
+    return FormatError(f"bad {what} document: {exc}")
 
 
 def _pairs(seq):
@@ -213,9 +211,11 @@ def instance_to_doc(kind: ProblemKind, inst) -> dict:
 
 
 def instance_from_doc(doc: dict):
-    with _reading("instance"):
+    try:
         kind = ProblemKind(doc["kind"])
         return kind, instance_from_payload(kind, doc["payload"])
+    except _DOC_ERRORS as exc:
+        raise _doc_error("instance", exc) from exc
 
 
 def artifact_to_doc(a: ReductionArtifact) -> dict:
@@ -236,7 +236,7 @@ def artifact_to_doc(a: ReductionArtifact) -> dict:
 
 
 def artifact_from_doc(doc: dict) -> ReductionArtifact:
-    with _reading("artifact"):
+    try:
         src_kind, src = instance_from_doc(doc["source"])
         tgt_kind, tgt = instance_from_doc(doc["target"])
         beta = doc.get("beta")
@@ -262,6 +262,8 @@ def artifact_from_doc(doc: dict) -> ReductionArtifact:
             u_on=mask_of(doc.get("u_on", [])),
             u_off=mask_of(doc.get("u_off", [])),
         )
+    except _DOC_ERRORS as exc:
+        raise _doc_error("artifact", exc) from exc
 
 
 def comb_rr_to_doc(inst: CombRrInstance) -> dict:
@@ -278,7 +280,7 @@ def comb_rr_to_doc(inst: CombRrInstance) -> dict:
 
 
 def comb_rr_from_doc(doc: dict) -> CombRrInstance:
-    with _reading("comb-rr"):
+    try:
         kind = ProblemKind(doc["kind"])
         return CombRrInstance(
             kind=kind,
@@ -288,6 +290,8 @@ def comb_rr_from_doc(doc: dict) -> CombRrInstance:
             kappa=doc["kappa"],
             measure=DistanceMeasure(doc["measure"]),
         )
+    except _DOC_ERRORS as exc:
+        raise _doc_error("comb-rr", exc) from exc
 
 
 def cost_rr_to_doc(inst: CostRrInstance) -> dict:
@@ -307,7 +311,7 @@ def cost_rr_to_doc(inst: CostRrInstance) -> dict:
 
 
 def cost_rr_from_doc(doc: dict) -> CostRrInstance:
-    with _reading("cost-rr"):
+    try:
         kind = ProblemKind(doc["kind"])
         return CostRrInstance(
             kind=kind,
@@ -320,6 +324,8 @@ def cost_rr_from_doc(doc: dict) -> CostRrInstance:
             kappa=doc["kappa"],
             measure=DistanceMeasure(doc["measure"]),
         )
+    except _DOC_ERRORS as exc:
+        raise _doc_error("cost-rr", exc) from exc
 
 
 def radjsat_to_doc(inst: RAdjSatInstance) -> dict:
@@ -335,18 +341,22 @@ def radjsat_to_doc(inst: RAdjSatInstance) -> dict:
 
 
 def radjsat_from_doc(doc: dict) -> RAdjSatInstance:
-    with _reading("radjsat"):
+    try:
         cnf = instance_from_payload(ProblemKind.THREE_SAT, doc["cnf"])
         return RAdjSatInstance(
             cnf, tuple(doc["x"]), tuple(doc["y"]), tuple(doc["z"]), doc["gamma"]
         )
+    except _DOC_ERRORS as exc:
+        raise _doc_error("radjsat", exc) from exc
 
 
 def eae_sat_from_doc(doc: dict):
     """The formula and the X, Y, Z variable tuples of an eae-sat document."""
-    with _reading("eae-sat"):
+    try:
         cnf = instance_from_payload(ProblemKind.THREE_SAT, doc["cnf"])
         return cnf, tuple(doc["x"]), tuple(doc["y"]), tuple(doc["z"])
+    except _DOC_ERRORS as exc:
+        raise _doc_error("eae-sat", exc) from exc
 
 
 def dumps(doc: dict) -> str:

@@ -21,6 +21,7 @@ from sspforge.problems import (
     lop_cost,
     universe_size,
 )
+from sspforge.problems.numbers import _masked_sum
 from sspforge.rr import (
     INFEASIBLE,
     CombRrInstance,
@@ -344,17 +345,6 @@ def test_comb_rr_first_stage_may_touch_blockables():
     assert wit.s1 & comb.blockable
 
 
-def _masked_cost(costs, mask):
-    total = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            total += costs[i]
-        mask >>= 1
-        i += 1
-    return total
-
-
 def _eval_cost_rr_by_loop(inst):
     """The cost-RR evaluator before table pricing: a bit loop per set and
     per scenario cost vector, recoveries sorted as (c_lo, S2) pairs."""
@@ -362,11 +352,11 @@ def _eval_cost_rr_by_loop(inst):
     scenarios = enumerate_scenarios(inst)
     best = INFEASIBLE
     best_witness = None
-    lo_costs = [(_masked_cost(inst.c_lo, s2), s2) for s2 in feas]
+    lo_costs = [(_masked_sum(inst.c_lo, s2), s2) for s2 in feas]
     lo_costs.sort()
     lo_floor = lo_costs[0][0] if lo_costs else 0
     for s1 in feas:
-        c1v = _masked_cost(inst.c1, s1)
+        c1v = _masked_sum(inst.c1, s1)
         if c1v + lo_floor >= best:
             continue
         worst = 0
@@ -379,7 +369,7 @@ def _eval_cost_rr_by_loop(inst):
                     break
                 if distance(inst.measure, s1, s2) > inst.kappa:
                     continue
-                val = c1v + _masked_cost(c2, s2)
+                val = c1v + _masked_sum(c2, s2)
                 if val < inner:
                     inner = val
                     inner_s2 = s2
