@@ -3,7 +3,6 @@ from .catalog import (
     clear_caches,
     enumerate_feasible,
     enumerate_solutions,
-    instance_type,
     is_lop,
     lop_cost,
     universe_labels,
@@ -64,7 +63,6 @@ __all__ = [
     "connected_undirected",
     "enumerate_solutions",
     "enumerate_feasible",
-    "instance_type",
     "is_lop",
     "lop_cost",
     "universe_labels",

@@ -12,28 +12,15 @@ import enum
 import functools
 
 from ..core import Bounds, CapacityError, DEFAULT_BOUNDS, UnsupportedKindError
-from .cnf import CnfInstance, enumerate_cnf_solutions
+from .cnf import enumerate_cnf_solutions
 from .covering import (
-    HittingSetInstance,
-    SetCoverInstance,
     hittingset_feasible,
     hittingset_solutions,
     setcover_feasible,
     setcover_solutions,
 )
-from .facility import (
-    FacilityLocationInstance,
-    PCenterInstance,
-    PMedianInstance,
-    facility_solutions,
-)
+from .facility import facility_solutions
 from .graphs import (
-    CliqueInstance,
-    DominatingSetInstance,
-    FeedbackArcSetInstance,
-    FeedbackVertexSetInstance,
-    IndependentSetInstance,
-    VertexCoverInstance,
     covers_upto,
     dominating_upto,
     feedback_arcsets_upto,
@@ -41,10 +28,6 @@ from .graphs import (
     independent_sets_atleast,
 )
 from .numbers import (
-    KnapsackInstance,
-    PartitionInstance,
-    SchedulingInstance,
-    SubsetSumInstance,
     knapsack_feasible,
     knapsack_solutions,
     partition_feasible,
@@ -55,18 +38,13 @@ from .numbers import (
     subsetsum_solutions,
 )
 from .paths import (
-    DirectedHamCycleInstance,
-    DirectedHamPathInstance,
-    DisjointPathsInstance,
-    TspInstance,
-    UndirectedHamCycleInstance,
     disjoint_path_systems,
     ham_cycles_directed,
     ham_cycles_undirected,
     ham_paths,
     tsp_tours,
 )
-from .steiner import SteinerTreeInstance, steiner_trees_upto
+from .steiner import steiner_trees_upto
 
 
 class ProblemKind(enum.Enum):
@@ -104,40 +82,8 @@ _PURE_SSP = {
     ProblemKind.P_MEDIAN,
 }
 
-_INSTANCE_TYPES = {
-    ProblemKind.VERTEX_COVER: VertexCoverInstance,
-    ProblemKind.INDEPENDENT_SET: IndependentSetInstance,
-    ProblemKind.CLIQUE: CliqueInstance,
-    ProblemKind.DOMINATING_SET: DominatingSetInstance,
-    ProblemKind.SET_COVER: SetCoverInstance,
-    ProblemKind.HITTING_SET: HittingSetInstance,
-    ProblemKind.FEEDBACK_VERTEX_SET: FeedbackVertexSetInstance,
-    ProblemKind.FEEDBACK_ARC_SET: FeedbackArcSetInstance,
-    ProblemKind.UFL: FacilityLocationInstance,
-    ProblemKind.P_CENTER: PCenterInstance,
-    ProblemKind.P_MEDIAN: PMedianInstance,
-    ProblemKind.SUBSET_SUM: SubsetSumInstance,
-    ProblemKind.KNAPSACK: KnapsackInstance,
-    ProblemKind.PARTITION: PartitionInstance,
-    ProblemKind.SCHEDULING: SchedulingInstance,
-    ProblemKind.DHAM_PATH: DirectedHamPathInstance,
-    ProblemKind.DHAM_CYCLE: DirectedHamCycleInstance,
-    ProblemKind.UHAM_CYCLE: UndirectedHamCycleInstance,
-    ProblemKind.TSP: TspInstance,
-    ProblemKind.STEINER_TREE: SteinerTreeInstance,
-}
-
-
 def is_lop(kind: ProblemKind) -> bool:
     return kind not in _PURE_SSP
-
-
-def instance_type(kind: ProblemKind):
-    if kind in (ProblemKind.SAT, ProblemKind.THREE_SAT):
-        return CnfInstance
-    if kind in (ProblemKind.TWO_DDP, ProblemKind.K_DDP):
-        return DisjointPathsInstance
-    return _INSTANCE_TYPES[kind]
 
 
 def universe_labels(inst) -> tuple[str, ...]:

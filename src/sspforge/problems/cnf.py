@@ -12,14 +12,6 @@ from dataclasses import dataclass
 from ..core import CapacityError, DomainError, FormatError
 
 
-def pos(i: int) -> int:
-    return i
-
-
-def neg_index(n: int, i: int) -> int:
-    return n + i
-
-
 @dataclass(frozen=True)
 class CnfInstance:
     n_vars: int
@@ -33,10 +25,6 @@ class CnfInstance:
                 if not 0 <= lit < 2 * self.n_vars:
                     raise FormatError(f"literal {lit} out of range")
 
-    @property
-    def n_literals(self) -> int:
-        return 2 * self.n_vars
-
     def universe_labels(self) -> tuple[str, ...]:
         names = [f"x{i+1}" for i in range(self.n_vars)]
         return tuple(names + ["~" + s for s in names])
@@ -49,9 +37,6 @@ class CnfInstance:
     def negate(self, lit: int) -> int:
         n = self.n_vars
         return lit + n if lit < n else lit - n
-
-    def var_of(self, lit: int) -> int:
-        return lit % self.n_vars
 
     def clause_masks(self) -> tuple[int, ...]:
         out = []

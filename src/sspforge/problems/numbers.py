@@ -9,9 +9,18 @@ bipartition is represented exactly once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ..core import CapacityError, DomainError, FormatError
+
+
+def subset_sums(values):
+    """sum(values[i] for i in S), indexed by the mask S."""
+    table = [0]
+    for v in values:
+        table += [t + v for t in table]
+    return table
 
 
 def _masked_sum(values, mask):
@@ -145,6 +154,27 @@ def _subset_dfs(values, accept, prune, cap) -> list[int]:
     return out
 
 
+def _sum_atleast(values, threshold, cap) -> list[int]:
+    """All masks over ``values`` whose sum reaches ``threshold``, sorted.
+
+    Two tables of subset sums, over the low h and the high n - h elements,
+    meet in the middle: for each high mask H, in mask order, the low masks
+    L with low[L] >= threshold - high[H] are a suffix of the low masks
+    sorted by sum, and H << h | L for those L in mask order continues the
+    sorted output.  The family is counted before it is built."""
+    h = len(values) // 2
+    low, high = subset_sums(values[:h]), subset_sums(values[h:])
+    by_sum = sorted(range(len(low)), key=low.__getitem__)
+    sums = [low[m] for m in by_sum]
+    starts = [bisect_left(sums, threshold - s) for s in high]
+    if len(high) * len(low) - sum(starts) > cap:
+        raise CapacityError("solution cap exceeded")
+    out: list[int] = []
+    for hi, start in enumerate(starts):
+        out += map((hi << h).__or__, sorted(by_sum[start:]))
+    return out
+
+
 def subsetsum_solutions(inst: SubsetSumInstance, cap) -> list[int]:
     M = inst.target
     return _subset_dfs(
@@ -156,13 +186,7 @@ def subsetsum_solutions(inst: SubsetSumInstance, cap) -> list[int]:
 
 
 def subsetsum_feasible(inst: SubsetSumInstance, cap) -> list[int]:
-    M = inst.target
-    return _subset_dfs(
-        inst.values,
-        accept=lambda cur: cur >= M,
-        prune=lambda cur, i, suf: cur + suf[i] < M,
-        cap=cap,
-    )
+    return _sum_atleast(inst.values, inst.target, cap)
 
 
 def knapsack_solutions(inst: KnapsackInstance, cap) -> list[int]:
@@ -177,13 +201,7 @@ def knapsack_solutions(inst: KnapsackInstance, cap) -> list[int]:
 
 
 def knapsack_feasible(inst: KnapsackInstance, cap) -> list[int]:
-    prices = tuple(p for p, _ in inst.items)
-    return _subset_dfs(
-        prices,
-        accept=lambda cur: cur >= inst.price_goal,
-        prune=lambda cur, i, suf: cur + suf[i] < inst.price_goal,
-        cap=cap,
-    )
+    return _sum_atleast(tuple(p for p, _ in inst.items), inst.price_goal, cap)
 
 
 def partition_solutions(inst: PartitionInstance, cap) -> list[int]:
@@ -201,14 +219,8 @@ def partition_solutions(inst: PartitionInstance, cap) -> list[int]:
 
 
 def partition_feasible(inst: PartitionInstance, cap) -> list[int]:
-    total = sum(inst.values)
-    head = inst.values[:-1]
-    return _subset_dfs(
-        head,
-        accept=lambda cur: 2 * cur >= total,
-        prune=lambda cur, i, suf: 2 * (cur + suf[i]) < total,
-        cap=cap,
-    )
+    # 2 * sum >= total
+    return _sum_atleast(inst.values[:-1], (sum(inst.values) + 1) // 2, cap)
 
 
 def scheduling_solutions(inst: SchedulingInstance, cap) -> list[int]:
@@ -224,12 +236,5 @@ def scheduling_solutions(inst: SchedulingInstance, cap) -> list[int]:
 
 
 def scheduling_feasible(inst: SchedulingInstance, cap) -> list[int]:
-    total = sum(inst.times)
-    T = inst.deadline
-    head = inst.times[:-1]
-    return _subset_dfs(
-        head,
-        accept=lambda cur: total - cur <= T,
-        prune=lambda cur, i, suf: cur + suf[i] < total - T,
-        cap=cap,
-    )
+    # the other machine's load, total - sum, is at most the deadline
+    return _sum_atleast(inst.times[:-1], sum(inst.times) - inst.deadline, cap)

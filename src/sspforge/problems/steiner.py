@@ -7,7 +7,11 @@ to junction: a run of degree-2 non-terminal vertices is one step, since the
 tree holds such a vertex only together with its whole run.  It prunes on
 the budget plus a lower bound built from disjoint balls around the
 unreached terminals, kept incremental through each terminal's distance to
-the partial tree.
+the partial tree.  Each walk node receives the bound its caller computed
+to admit it; a step that ends in the tree leaves every distance unchanged,
+so it is admitted on that bound without a new evaluation.  Branches grow
+from the cut of the tree, the edges with exactly one endpoint in it, kept
+as a bitmask and updated by one xor per added vertex.
 """
 
 from __future__ import annotations
@@ -167,30 +171,34 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
                 used |= eset
         return total
 
-    def extensions(tree_v, mask, cost, banned):
+    inc = [0] * n
+    for i, (u, v) in enumerate(edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+
+    def extensions(tree_v, mask, cost, cut, banned):
         # the caller emitted `mask`; grow it edge by edge, branching on the
         # smallest frontier edge (include vs ban) so every tree is created
-        # exactly once
-        pivot, grow = -1, -1
-        tv = tree_v
-        while tv:
-            x = (tv & -tv).bit_length() - 1
-            tv &= tv - 1
-            for i, y in adj[x]:
-                if banned >> i & 1 or mask >> i & 1 or tree_v >> y & 1:
-                    continue
-                if pivot < 0 or i < pivot:
-                    pivot, grow = i, y
-        if pivot < 0:
+        # exactly once.  `cut` holds the edges with exactly one endpoint in
+        # the tree, so the frontier is `cut & ~banned`
+        free = cut & ~banned
+        if not free:
             return
+        pivot = (free & -free).bit_length() - 1
         if cost + costs[pivot] <= budget:
             out.append(mask | 1 << pivot)
             if len(out) > cap:
                 raise CapacityError("solution cap exceeded")
+            u, v = edges[pivot]
+            grow = v if tree_v >> u & 1 else u
             extensions(
-                tree_v | 1 << grow, mask | 1 << pivot, cost + costs[pivot], banned
+                tree_v | 1 << grow,
+                mask | 1 << pivot,
+                cost + costs[pivot],
+                cut ^ inc[grow],
+                banned,
             )
-        extensions(tree_v, mask, cost, banned | 1 << pivot)
+        extensions(tree_v, mask, cost, cut, banned | 1 << pivot)
 
     # the attach walk stands only on terminals and vertices of degree other
     # than 2; a degree-2 non-terminal is in the tree only together with its
@@ -219,26 +227,37 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
             out.append(mask)
             if len(out) > cap:
                 raise CapacityError("solution cap exceeded")
-            extensions(tree_v, mask, cost, 0)
+            cut = 0
+            tv = tree_v
+            while tv:
+                low = tv & -tv
+                cut ^= inc[low.bit_length() - 1]
+                tv ^= low
+            extensions(tree_v, mask, cost, cut, 0)
             return
         near = list(map(min, near, dist[t]))
         pending = [j for j in order if near[j]]
 
-        def dfs(cur, pv, pmask, pcost, near):
+        def dfs(cur, pv, pmask, pcost, near, lb):
+            # lb = remaining_lb(near, pending), computed by the caller
             for y, vm, em, c in steps[cur]:
                 if pv >> y & 1:
                     continue
-                near_y = list(map(min, near, dist[y]))
-                if cost + pcost + c + remaining_lb(near_y, pending) > budget:
-                    continue
                 if tree_v >> y & 1:
-                    attach_next(
-                        tree_v | pv | vm, mask | pmask | em, cost + pcost + c, near_y
-                    )
-                else:
-                    dfs(y, pv | vm, pmask | em, pcost + c, near_y)
+                    # every tree vertex outside a chain was a path start or
+                    # a step end, so dist[y] is already folded into `near`:
+                    # min(near, dist[y]) == near, and its bound is lb
+                    if cost + pcost + c + lb <= budget:
+                        attach_next(
+                            tree_v | pv | vm, mask | pmask | em, cost + pcost + c, near
+                        )
+                    continue
+                near_y = list(map(min, near, dist[y]))
+                lb_y = remaining_lb(near_y, pending)
+                if cost + pcost + c + lb_y <= budget:
+                    dfs(y, pv | vm, pmask | em, pcost + c, near_y, lb_y)
 
-        dfs(t, 1 << t, 0, 0, near)
+        dfs(t, 1 << t, 0, 0, near, remaining_lb(near, pending))
         del dfs
 
     attach_next(1 << terminals[0], 0, 0, dist[terminals[0]])

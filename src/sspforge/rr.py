@@ -32,6 +32,7 @@ from .problems import (
     lop_cost,
     universe_size,
 )
+from .problems.numbers import subset_sums
 from .reductions import build_blowup
 
 INFEASIBLE = float("inf")
@@ -110,21 +111,13 @@ class RrWitness:
     objective: int | float | None = None
 
 
-def _subset_sums(costs):
-    """sum(costs[i] for i in S), indexed by the mask S."""
-    table = [0]
-    for c in costs:
-        table += [t + c for t in table]
-    return table
-
-
 def _set_costs(costs, sets):
     """Costs of the sets in ``sets``, lazily in order: two tables of partial
     sums, over the low and the high half of the universe, give
     c(S) = low[S & m] + high[S >> half] with at most 2 * 2^ceil(n/2)
     table entries."""
     half = len(costs) // 2
-    low, high = _subset_sums(costs[:half]), _subset_sums(costs[half:])
+    low, high = subset_sums(costs[:half]), subset_sums(costs[half:])
     m = (1 << half) - 1
     return (low[s & m] + high[s >> half] for s in sets)
 
@@ -235,7 +228,7 @@ def eval_cost_rr(
     for s1, c1v in zip(feas, _set_costs(inst.c1, feas)):
         if c1v + lo_floor >= best:
             continue
-        worst: int | float = 0
+        worst: int | float = -INFEASIBLE
         recov = {}
         for raised, gaps in raises:
             inner: int | float = INFEASIBLE

@@ -13,13 +13,25 @@ import pytest
 from sspforge.core import Bounds, CapacityError, DistanceMeasure
 from sspforge.gen import random_lb, random_source_for_edge
 from sspforge.problems import (
+    KnapsackInstance,
+    PartitionInstance,
     ProblemKind,
+    SchedulingInstance,
     SteinerTreeInstance,
+    SubsetSumInstance,
+    enumerate_feasible,
     enumerate_solutions,
+    lop_cost,
     universe_size,
     verify,
 )
 from sspforge.problems.graphs import covers_upto, independent_sets_atleast
+from sspforge.problems.numbers import (
+    knapsack_feasible,
+    partition_feasible,
+    scheduling_feasible,
+    subsetsum_feasible,
+)
 from sspforge.problems.paths import (
     disjoint_path_systems,
     ham_cycles_directed,
@@ -86,6 +98,110 @@ def test_weighted_steiner_equals_verify_filter():
         ) == powerset_filter(ProblemKind.STEINER_TREE, inst), inst
 
 
+def subdivided_steiner(rng):
+    """A weighted graph on at most 7 junctions whose edges are randomly
+    subdivided into runs of up to three edges, at most 16 edges in all,
+    so the search folds degree-2 runs; terminals may sit inside a run."""
+    n = rng.randint(3, 7)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    edges = []
+    for u, v in pairs[: rng.randint(2, min(len(pairs), 9))]:
+        runs = rng.choice((1, 1, 2, 3))
+        if len(edges) + runs > MAX_POWERSET:
+            break
+        for _ in range(runs - 1):
+            edges.append((u, n))
+            u, n = n, n + 1
+        edges.append((u, v))
+    costs = tuple(rng.randint(0, 3) for _ in edges)
+    terminals = tuple(rng.sample(range(n), rng.randint(1, min(n, 4))))
+    return n, tuple(edges), costs, terminals
+
+
+def test_subdivided_weighted_steiner_equals_verify_filter():
+    # at the feasible budget sum(costs), where the branch growth from the
+    # cut does nearly all the work, and at a random budget below it
+    rng = random.Random(13)
+    folded = 0
+    for _ in range(60):
+        n, edges, costs, terminals = subdivided_steiner(rng)
+        degree = [0] * n
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        folded += any(d == 2 and x not in terminals for x, d in enumerate(degree))
+        inst = SteinerTreeInstance(n, edges, costs, terminals, sum(costs))
+        trees = powerset_filter(ProblemKind.STEINER_TREE, inst)
+        assert steiner_trees_upto(inst, inst.k, CAP) == trees, inst
+        k = rng.randint(0, sum(costs))
+        assert steiner_trees_upto(inst, k, CAP) == [
+            m for m in trees if inst.cost(m) <= k
+        ], (inst, k)
+    assert folded > 40
+
+
+def threshold_instances(rng):
+    """(kind, instance, summed values, feasible lister, acceptance of a
+    value sum and the last element's bit) for each threshold kind."""
+    n = rng.randint(1, 12)
+    values = tuple(rng.randint(1, 9) for _ in range(n))
+    total = sum(values)
+    items = tuple((v, rng.randint(1, 5)) for v in values)
+    subsetsum = SubsetSumInstance(values, rng.randint(0, total + 1))
+    knapsack = KnapsackInstance(items, rng.randint(0, total + 1), rng.randint(1, 30))
+    scheduling = SchedulingInstance(values, rng.randint(0, total + 1))
+    return [
+        (
+            ProblemKind.SUBSET_SUM, subsetsum, values, subsetsum_feasible,
+            lambda s, last: s >= subsetsum.target,
+        ),
+        (
+            ProblemKind.KNAPSACK, knapsack, values, knapsack_feasible,
+            lambda s, last: s >= knapsack.price_goal,
+        ),
+        (
+            ProblemKind.PARTITION, PartitionInstance(values), values,
+            partition_feasible,
+            lambda s, last: not last and 2 * s >= total,
+        ),
+        (
+            ProblemKind.SCHEDULING, scheduling, values, scheduling_feasible,
+            lambda s, last: not last and total - s <= scheduling.deadline,
+        ),
+    ]
+
+
+def test_threshold_families_equal_powerset_filter():
+    # F(I) is every set whose value sum reaches the threshold (partition and
+    # scheduling keep the last element on the other side), and S(I) is the
+    # part of F(I) within the LOP cost envelope
+    rng = random.Random(17)
+    for _ in range(150):
+        for kind, inst, values, feasible, accepts in threshold_instances(rng):
+            n = len(values)
+            want = [
+                m
+                for m in range(1 << n)
+                if accepts(
+                    sum(v for i, v in enumerate(values) if m >> i & 1),
+                    m >> (n - 1) & 1,
+                )
+            ]
+            family = enumerate_feasible(kind, inst, BOUNDS)
+            assert family == want, (kind, inst)
+            cost, t = lop_cost(kind, inst)
+            within = [
+                m for m in family
+                if sum(c for i, c in enumerate(cost) if m >> i & 1) <= t
+            ]
+            assert within == powerset_filter(kind, inst), (kind, inst)
+            if want:
+                with pytest.raises(CapacityError):
+                    feasible(inst, len(want) - 1)
+            assert feasible(inst, len(want)) == want
+
+
 # ------------------------------------------------- large reduction targets
 
 # (edge, acceptance-corpus index): among the largest targets of each
@@ -146,11 +262,39 @@ def test_kernels_equal_reference_on_large_targets(edge, i):
         assert got == want
 
 
+# the largest 3sat-steinertree targets have one to nine minimum trees, but
+# with 16 or more terminals one unit of slack admits tens of thousands of
+# trees (65,566 at 64 edges), past what the reference lists in seconds;
+# so two more of the largest targets (besides index 10 in LARGE) are
+# compared at k, and the largest ones with 4 and 9 terminals, where slack
+# makes the walk take detours and the branches grow, at k, k + 1 and k + 2
+STEINER_AT_K = (3, 32)
+STEINER_WITH_SLACK = (7, 15, 35)
+
+
+@pytest.mark.parametrize(
+    "i,slack",
+    [(i, 0) for i in STEINER_AT_K]
+    + [(i, d) for i in STEINER_WITH_SLACK for d in (0, 1, 2)],
+)
+def test_steiner_equals_reference_with_budget_slack(i, slack):
+    t = large_target("3sat-steinertree", i)
+    want = ref_steiner_trees_upto(t, t.k + slack, CAP)
+    assert want
+    assert steiner_trees_upto(t, t.k + slack, CAP) == want
+
+
 def test_cap_is_enforced_by_the_new_kernels():
     t = large_target("3sat-2ddp", 11)
     with pytest.raises(CapacityError):
         disjoint_path_systems(t, 9)
     assert len(disjoint_path_systems(t, 10)) == 10
+    t = large_target("3sat-steinertree", 15)
+    for budget in (t.k, t.k + 1):  # the second overflows in branch growth
+        trees = steiner_trees_upto(t, budget, CAP)
+        with pytest.raises(CapacityError):
+            steiner_trees_upto(t, budget, len(trees) - 1)
+        assert steiner_trees_upto(t, budget, len(trees)) == trees
 
 
 # ------------------------------------------------- reference searches

@@ -359,7 +359,7 @@ def _eval_cost_rr_by_loop(inst):
         c1v = _masked_sum(inst.c1, s1)
         if c1v + lo_floor >= best:
             continue
-        worst = 0
+        worst = -INFEASIBLE
         recov = {}
         for raised, c2 in scenarios:
             inner = INFEASIBLE
@@ -429,6 +429,59 @@ def test_cost_rr_equals_loop_on_general_costs():
             rng.choice((ADD, DEL, HAM)),
         )
         _assert_cost_rr_equals_loop(inst)
+
+
+def _cost_rr_by_brute_force(inst):
+    """min over S1 of max over scenarios of min over S2 within kappa of
+    c1(S1) + c2(S2), with no pruning and no ordering."""
+    feas = enumerate_feasible(inst.kind, inst.instance)
+    return min(
+        (
+            max(
+                min(
+                    (
+                        _masked_sum(inst.c1, s1) + _masked_sum(c2, s2)
+                        for s2 in feas
+                        if distance(inst.measure, s1, s2) <= inst.kappa
+                    ),
+                    default=INFEASIBLE,
+                )
+                for _, c2 in enumerate_scenarios(inst)
+            )
+            for s1 in feas
+        ),
+        default=INFEASIBLE,
+    )
+
+
+def test_cost_rr_negative_worst_case_is_not_clipped_at_zero():
+    # the only feasible set is {0, 1}: c1 + c2 = -5 - 5 in every scenario
+    inst = CostRrInstance(
+        ProblemKind.SUBSET_SUM, SubsetSumInstance((2, 3), 5),
+        (-2, -3), (-2, -3), (-2, -3), 0, 0, 0, HAM,
+    )
+    value, ok, wit = eval_cost_rr(inst)
+    assert value == _cost_rr_by_brute_force(inst) == -10
+    assert ok and wit.s1 == mask_of([0, 1]) and wit.objective == -10
+
+
+def test_cost_rr_equals_brute_force_on_negative_costs():
+    rng = random.Random(43)
+    below_zero = 0
+    for _ in range(300):
+        comb = random_comb_rr(rng, max_universe=6)
+        n = universe_size(comb.instance)
+        c1 = tuple(rng.randint(-5, 2) for _ in range(n))
+        c_lo = tuple(rng.randint(-5, 2) for _ in range(n))
+        c_hi = tuple(lo + rng.choice((0, 1, 3)) for lo in c_lo)
+        inst = CostRrInstance(
+            comb.kind, comb.instance, c1, c_lo, c_hi, 0,
+            rng.randint(0, 2), rng.randint(0, n), rng.choice((ADD, DEL, HAM)),
+        )
+        want = _cost_rr_by_brute_force(inst)
+        assert eval_cost_rr(inst)[0] == want, inst
+        below_zero += want < 0
+    assert below_zero > 100
 
 
 @pytest.mark.parametrize("field", ["gamma", "kappa"])
