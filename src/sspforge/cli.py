@@ -174,6 +174,8 @@ def cmd_check(args) -> int:
                 "passed": v.passed,
                 "reason": v.reason,
                 "counterexample": [indices_of(c) for c in v.counterexample],
+                "source_solutions": v.source_solutions,
+                "target_solutions": v.target_solutions,
             }
             for name, v in results
         },

@@ -257,7 +257,12 @@ def covers_upto(n, edges, k, cap) -> list[int]:
         if forced.bit_count() <= budget:
             rec(chosen | forced, banned | 1 << x, budget - forced.bit_count())
 
-    rec(0, 0, k)
+    # the search recurses through its own closure cell; emptying the cell
+    # frees it now instead of at a later cyclic collection
+    try:
+        rec(0, 0, k)
+    finally:
+        del rec
     out.sort()
     return out
 
@@ -318,7 +323,10 @@ def dominating_upto(inst: DominatingSetInstance, k, cap) -> list[int]:
             banned_local |= 1 << w
         return
 
-    rec(0, 0, full if n else 0, k)
+    try:
+        rec(0, 0, full if n else 0, k)
+    finally:
+        del rec
     out.sort()
     return out
 
@@ -350,12 +358,15 @@ def _find_cycle_arcs(n, arcs, removed_mask) -> list[int] | None:
         path.pop()
         return None
 
-    for s in range(n):
-        if color[s] == 0:
-            res = dfs(s)
-            if res is not None:
-                return res
-    return None
+    try:
+        for s in range(n):
+            if color[s] == 0:
+                res = dfs(s)
+                if res is not None:
+                    return res
+        return None
+    finally:
+        del dfs
 
 
 def feedback_arcsets_upto(inst: FeedbackArcSetInstance, k, cap) -> list[int]:
@@ -383,7 +394,10 @@ def feedback_arcsets_upto(inst: FeedbackArcSetInstance, k, cap) -> list[int]:
             rec(removed | 1 << idx, banned_local, budget - 1)
             banned_local |= 1 << idx
 
-    rec(0, 0, k)
+    try:
+        rec(0, 0, k)
+    finally:
+        del rec
     out.sort()
     return out
 

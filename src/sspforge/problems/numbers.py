@@ -149,7 +149,13 @@ def _subset_dfs(values, accept, prune, cap) -> list[int]:
         rec(i + 1, cur, mask)
         rec(i + 1, cur + values[i], mask | 1 << i)
 
-    rec(0, 0, 0)
+    # rec recurses through its own closure cell and holds prune and accept;
+    # emptying the cell frees them now instead of at a later cyclic
+    # collection
+    try:
+        rec(0, 0, 0)
+    finally:
+        del rec
     out.sort()
     return out
 

@@ -291,7 +291,12 @@ def ham_paths(inst: DirectedHamPathInstance, cap) -> list[int]:
             if not visited >> v & 1:
                 dfs(v, visited | vm, arcmask | am)
 
-    dfs(inst.s, 1 << inst.s, 0)
+    # the search recurses through its own closure cell; emptying the cell
+    # frees it now instead of at a later cyclic collection
+    try:
+        dfs(inst.s, 1 << inst.s, 0)
+    finally:
+        del dfs
     out.sort()
     return out
 
@@ -314,7 +319,10 @@ def ham_cycles_directed(inst: DirectedHamCycleInstance, cap) -> list[int]:
             elif not visited >> v & 1:
                 dfs(v, visited | vm, arcmask | am)
 
-    dfs(0, 1, 0)
+    try:
+        dfs(0, 1, 0)
+    finally:
+        del dfs
     out.sort()
     return out
 
@@ -339,7 +347,10 @@ def ham_cycles_undirected(inst: UndirectedHamCycleInstance, cap) -> list[int]:
             if not visited >> v & 1:
                 dfs(v, visited | 1 << v, edgemask | 1 << i)
 
-    dfs(0, 1, 0)
+    try:
+        dfs(0, 1, 0)
+    finally:
+        del dfs
     return sorted(found)
 
 
@@ -398,8 +409,14 @@ def disjoint_path_systems(inst: DisjointPathsInstance, cap) -> list[int]:
                 if not (usedv2 | blocked) >> v & 1:
                     dfs(v, usedv2 | vm, am | sam)
 
-        dfs(s, usedv | 1 << s, arcmask)
+        try:
+            dfs(s, usedv | 1 << s, arcmask)
+        finally:
+            del dfs
 
-    route(0, 0, 0)
+    try:
+        route(0, 0, 0)
+    finally:
+        del route
     out.sort()
     return out

@@ -257,12 +257,16 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
                 if cost + pcost + c + lb_y <= budget:
                     dfs(y, pv | vm, pmask | em, pcost + c, near_y, lb_y)
 
-        dfs(t, 1 << t, 0, 0, near, remaining_lb(near, pending))
-        del dfs
+        try:
+            dfs(t, 1 << t, 0, 0, near, remaining_lb(near, pending))
+        finally:
+            del dfs
 
-    attach_next(1 << terminals[0], 0, 0, dist[terminals[0]])
     # the searches recurse through their own closure cells; emptying the
     # cells frees the tables now instead of at a later cyclic collection
-    del attach_next, extensions
+    try:
+        attach_next(1 << terminals[0], 0, 0, dist[terminals[0]])
+    finally:
+        del attach_next, extensions
     out.sort()
     return out

@@ -1,12 +1,23 @@
 """JSON documents for instances and artifacts, plus DIMACS CNF.
 
 Documents are canonical (sorted keys, fixed indentation) so golden files
-diff cleanly and round-trips are byte-stable.
+diff cleanly and round-trips are byte-stable.  ``dumps`` writes them
+byte-equal to ``json.dumps(doc, sort_keys=True, indent=2)`` plus a final
+newline, but without the stdlib's pure-Python encoder, which ``json``
+falls back to whenever an indent is set: a small recursive writer joins
+each container's items once, and writes lists of ints, of strings and
+of non-empty int rows with C-level joins and no Python call per element.
+Readers check what the checkers rely on (integer payload fields, element
+indices inside their universes, a known artifact kind, a non-negative
+blow-up factor for each distance measure) and raise ``FormatError``
+otherwise.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 from .core import DistanceMeasure, FormatError, indices_of, mask_of
 from .problems import (
@@ -34,14 +45,17 @@ from .problems import (
     UndirectedHamCycleInstance,
     VertexCoverInstance,
     universe_labels,
+    universe_size,
 )
-from .reductions.artifact import ReductionArtifact
+from .reductions.artifact import BLOWUP, PRESERVING, SSP, ReductionArtifact
 from .rr import CombRrInstance, CostRrInstance, RAdjSatInstance
 
 SCHEMA_VERSION = 1
 
 
 _DOC_ERRORS = (KeyError, TypeError, ValueError)
+_ARTIFACT_KINDS = (SSP, BLOWUP, PRESERVING)
+_MEASURE_NAMES = frozenset(m.value for m in DistanceMeasure)
 
 
 def _doc_error(what: str, exc: Exception) -> FormatError:
@@ -130,7 +144,28 @@ def instance_payload(kind: ProblemKind, inst) -> dict:
     raise FormatError(f"cannot serialize kind {kind}")
 
 
+def _check_payload(kind: ProblemKind, p) -> None:
+    """Every payload field is an integer, a list of integers or a list of
+    integer rows; checked by C-level passes over each list."""
+    if type(p) is not dict:
+        raise FormatError(f"bad {kind.value} payload: not an object")
+    for key, v in p.items():
+        if type(v) is int:
+            continue
+        if type(v) is list:
+            types = set(map(type, v))
+            if types <= {int} or (
+                types == {list} and set(map(type, chain.from_iterable(v))) <= {int}
+            ):
+                continue
+        raise FormatError(
+            f"bad {kind.value} payload: {key!r} must be an integer, a list of "
+            "integers or a list of integer rows"
+        )
+
+
 def instance_from_payload(kind: ProblemKind, p: dict):
+    _check_payload(kind, p)
     k = kind
 
     def pairs(key):
@@ -235,32 +270,64 @@ def artifact_to_doc(a: ReductionArtifact) -> dict:
     }
 
 
+def _indices(key: str, v, size: int) -> list[int]:
+    """``v``, the artifact field ``key``, if it is a list of element
+    indices below ``size``; checked by C-level passes over the list."""
+    if (
+        type(v) is not list
+        or not set(map(type, v)) <= {int}
+        or not all(map(range(size).__contains__, v))
+    ):
+        raise FormatError(
+            f"bad artifact document: {key!r} must list element indices below {size}"
+        )
+    return v
+
+
 def artifact_from_doc(doc: dict) -> ReductionArtifact:
     try:
         src_kind, src = instance_from_doc(doc["source"])
         tgt_kind, tgt = instance_from_doc(doc["target"])
+        n_src, n_tgt = universe_size(src), universe_size(tgt)
+        f = _indices("f", doc["f"], n_tgt)
+        if len(f) != n_src:
+            raise FormatError(
+                f"bad artifact document: 'f' must hold {n_src} indices, "
+                f"one per source element, not {len(f)}"
+            )
+        kind = doc["kind"]
+        if kind not in _ARTIFACT_KINDS:
+            raise FormatError(
+                f"bad artifact document: unknown kind {kind!r}, "
+                f"expected one of {', '.join(_ARTIFACT_KINDS)}"
+            )
         beta = doc.get("beta")
         if beta is None:
             beta_t = None
-        else:
-            order = (
-                DistanceMeasure.KAPPA_ADDITION,
-                DistanceMeasure.KAPPA_DELETION,
-                DistanceMeasure.HAMMING,
+        elif (
+            type(beta) is not dict
+            or beta.keys() != _MEASURE_NAMES
+            or not set(map(type, beta.values())) <= {int}
+            or min(beta.values()) < 0
+        ):
+            raise FormatError(
+                "bad artifact document: 'beta' must map each of "
+                f"{', '.join(sorted(_MEASURE_NAMES))} to a non-negative integer"
             )
-            beta_t = tuple((m, beta[m.value]) for m in order if m.value in beta)
+        else:
+            beta_t = tuple((m, beta[m.value]) for m in DistanceMeasure)
         return ReductionArtifact(
             edge=doc["edge"],
-            kind=doc["kind"],
+            kind=kind,
             source_kind=src_kind,
             source=src,
             target_kind=tgt_kind,
             target=tgt,
-            f=tuple(doc["f"]),
-            l_b=mask_of(doc.get("l_b", [])),
+            f=tuple(f),
+            l_b=mask_of(_indices("l_b", doc.get("l_b", []), n_src)),
             beta=beta_t,
-            u_on=mask_of(doc.get("u_on", [])),
-            u_off=mask_of(doc.get("u_off", [])),
+            u_on=mask_of(_indices("u_on", doc.get("u_on", []), n_tgt)),
+            u_off=mask_of(_indices("u_off", doc.get("u_off", []), n_tgt)),
         )
     except _DOC_ERRORS as exc:
         raise _doc_error("artifact", exc) from exc
@@ -359,8 +426,74 @@ def eae_sat_from_doc(doc: dict):
         raise _doc_error("eae-sat", exc) from exc
 
 
+# the scalar writers json itself uses
+_str = encode_basestring_ascii
+_int = int.__repr__
+
+
+def _value(x, nl: str) -> str:
+    """``x`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it,
+    for a value that starts after ``nl``, the newline plus indent of its
+    own line."""
+    t = type(x)
+    if t is str:
+        return _str(x)
+    if t is int:
+        return _int(x)
+    if t is list:
+        return _list(x, nl)
+    if t is dict:
+        return _dict(x, nl)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if t is float:
+        # repr, or NaN / Infinity / -Infinity, as json writes floats
+        return json.dumps(x)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _dict(x: dict, nl: str) -> str:
+    if not x:
+        return "{}"
+    inner = nl + "  "
+    # _str raises TypeError on a key that is not a string
+    items = [_str(k) + ": " + _value(x[k], inner) for k in sorted(x)]
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
+
+
+def _list(x: list, nl: str) -> str:
+    if not x:
+        return "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    types = set(map(type, x))
+    if types == {int}:
+        body = sep.join(map(_int, x))
+    elif types == {str}:
+        body = sep.join(map(_str, x))
+    elif (
+        types == {list}
+        and all(x)
+        and set(map(type, chain.from_iterable(x))) == {int}
+    ):
+        # non-empty int rows: every row's ints in one join, the rows in
+        # another, with no Python call per element
+        deeper = inner + "  "
+        rows = map(("," + deeper).join, map(map, repeat(_int), x))
+        body = "[" + deeper + (inner + "]" + sep + "[" + deeper).join(rows) + inner + "]"
+    else:
+        body = sep.join([_value(v, inner) for v in x])
+    return "[" + inner + body + nl + "]"
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+    without the stdlib's pure-Python indent encoder."""
+    return _value(doc, "\n") + "\n"
 
 
 def parse_dimacs(text: str) -> CnfInstance:

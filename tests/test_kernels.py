@@ -6,6 +6,7 @@ exactly what the plain searches they replaced listed on large reduction
 targets.  The plain searches are kept below as the reference.
 """
 
+import gc
 import random
 
 import pytest
@@ -19,8 +20,10 @@ from sspforge.problems import (
     SchedulingInstance,
     SteinerTreeInstance,
     SubsetSumInstance,
+    clear_caches,
     enumerate_feasible,
     enumerate_solutions,
+    is_lop,
     lop_cost,
     universe_size,
     verify,
@@ -77,6 +80,36 @@ def test_enumeration_equals_verify_filter_on_every_kind():
         assert enumerate_solutions(kind, inst, BOUNDS) == powerset_filter(
             kind, inst
         ), (kind, inst)
+
+
+def test_kernels_leave_no_cyclic_garbage():
+    """A search's recursive closures must not outlive the call: with the
+    cycle collector off, the largest small corpus instance of every kind,
+    enumerated once (and its feasible family once, for LOP kinds), and
+    once more with a solution cap it overflows, leaves nothing for
+    ``gc.collect`` to free."""
+    largest = {}
+    for kind, inst in small_instances():
+        if universe_size(inst) >= universe_size(largest.get(kind, inst)):
+            largest[kind] = inst
+    assert set(largest) == set(ProblemKind)
+    gc.collect()
+    gc.disable()
+    try:
+        for kind, inst in largest.items():
+            clear_caches()
+            count = len(enumerate_solutions(kind, inst, BOUNDS))
+            if is_lop(kind):
+                assert enumerate_feasible(kind, inst, BOUNDS) is not None
+            assert gc.collect() == 0, kind
+            if count:
+                clear_caches()
+                capped = Bounds(BOUNDS.max_universe, count - 1, BOUNDS.max_vertices)
+                with pytest.raises(CapacityError):
+                    enumerate_solutions(kind, inst, capped)
+                assert gc.collect() == 0, (kind, "capped")
+    finally:
+        gc.enable()
 
 
 def test_weighted_steiner_equals_verify_filter():

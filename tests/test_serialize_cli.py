@@ -6,10 +6,31 @@ import pytest
 from sspforge import serialize
 from sspforge.cli import main
 from sspforge.core import DistanceMeasure, mask_of
-from sspforge.gen import random_source_for_edge
-from sspforge.problems import CnfInstance, ProblemKind, VertexCoverInstance
-from sspforge.reductions import ALL_EDGES, build_blowup, build_preserving
-from sspforge.rr import CombRrInstance, RAdjSatInstance, comb_to_cost_rr
+from sspforge.gen import (
+    random_comb_rr,
+    random_lb,
+    random_radjsat,
+    random_source_for_edge,
+)
+from sspforge.problems import (
+    CnfInstance,
+    ProblemKind,
+    VertexCoverInstance,
+    is_lop,
+)
+from sspforge.reductions import (
+    ALL_EDGES,
+    BLOWUP_EDGES,
+    build_blowup,
+    build_preserving,
+    check_artifact,
+)
+from sspforge.rr import (
+    CombRrInstance,
+    RAdjSatInstance,
+    comb_to_cost_rr,
+    radjsat_to_comb_rr,
+)
 
 HAM = DistanceMeasure.HAMMING
 PHI = CnfInstance(3, ((3, 4, 2),))
@@ -29,6 +50,118 @@ def test_artifact_roundtrip(edge):
     again = serialize.artifact_from_doc(json.loads(serialize.dumps(doc)))
     assert again == art
     assert serialize.dumps(serialize.artifact_to_doc(again)) == serialize.dumps(doc)
+
+
+def _json_dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _edge_artifacts(seed):
+    rng = random.Random(repr(("writer", seed)))
+    arts = []
+    for edge in ALL_EDGES:
+        src = random_source_for_edge(edge, rng)
+        if edge in BLOWUP_EDGES:
+            measure = rng.choice(list(DistanceMeasure))
+            arts.append(build_blowup(edge, src, random_lb(rng, src), measure))
+        else:
+            params = {"k": rng.randint(2, 4)} if edge == "2ddp-kddp" else None
+            arts.append(build_preserving(edge, src, params))
+    return arts
+
+
+def test_dumps_equals_json_on_instance_and_artifact_documents():
+    kinds = set()
+    for seed in range(3):
+        for art in _edge_artifacts(seed):
+            doc = serialize.artifact_to_doc(art)
+            assert serialize.dumps(doc) == _json_dumps(doc), art.edge
+            for kind, inst in ((art.source_kind, art.source),
+                               (art.target_kind, art.target)):
+                doc = serialize.instance_to_doc(kind, inst)
+                assert serialize.dumps(doc) == _json_dumps(doc), kind
+                kinds.add(kind)
+    assert kinds == set(ProblemKind)
+
+
+def test_dumps_equals_json_on_rr_documents():
+    rng = random.Random(7)
+    docs = []
+    for _ in range(20):
+        comb = random_comb_rr(rng)
+        docs.append(serialize.comb_rr_to_doc(comb))
+        if is_lop(comb.kind):
+            docs.append(serialize.cost_rr_to_doc(comb_to_cost_rr(comb)))
+        game = random_radjsat(rng, max_part=1, max_clauses=2, max_gamma=1)
+        docs.append(serialize.radjsat_to_doc(game))
+        pipe = radjsat_to_comb_rr(game, "3sat-subsetsum", HAM)
+        docs.append(serialize.cost_rr_to_doc(comb_to_cost_rr(pipe)))
+    assert {doc["type"] for doc in docs} == {"comb-rr", "cost-rr", "radjsat"}
+    for doc in docs:
+        assert serialize.dumps(doc) == _json_dumps(doc)
+
+
+def test_dumps_equals_json_on_check_and_fuzz_reports(tmp_path):
+    art = tmp_path / "a.json"
+    art.write_text(serialize.dumps(serialize.artifact_to_doc(
+        build_blowup("3sat-vc", PHI, mask_of([2, 5]), HAM)
+    )))
+    check = tmp_path / "check.json"
+    assert main(["check", str(art), "--report", str(check)]) == 0
+    fuzz = tmp_path / "fuzz.json"
+    assert main(["fuzz", "--edges", "3sat-is,vc-sc", "--count", "2",
+                 "--report", str(fuzz)]) == 0
+    for path in (check, fuzz):
+        text = path.read_text()
+        assert text == _json_dumps(json.loads(text))
+
+
+def test_dumps_rejects_values_no_document_holds():
+    for bad in ({1: 2}, {"a": (1, 2)}, {"a": [object()]}, {"a": {"b": {3}}}):
+        with pytest.raises(TypeError):
+            serialize.dumps(bad)
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    # text with escapes, controls and astral characters, as keys too
+    _text = st.text(
+        st.characters(blacklist_categories=("Cs",))
+        | st.sampled_from('"\\/\b\f\n\r\t\x00\x7f\u2028\U0001f600'),
+        max_size=8,
+    )
+    _scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats()
+        | _text
+    )
+    # the writer's list shapes: ints, strings, int rows (some empty), and
+    # near misses with bools among the ints
+    _lists = (
+        st.lists(st.integers(), max_size=6)
+        | st.lists(_text, max_size=6)
+        | st.lists(st.lists(st.integers(), max_size=3), max_size=4)
+        | st.lists(st.lists(st.integers() | st.booleans(), min_size=1, max_size=3),
+                   max_size=4)
+        | st.lists(st.integers() | st.booleans(), max_size=6)
+    )
+    _values = st.recursive(
+        _scalars | _lists,
+        lambda inner: st.lists(inner, max_size=5)
+        | st.dictionaries(_text, inner, max_size=5),
+        max_leaves=10,
+    )
+
+    @given(doc=st.dictionaries(_text, _values, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_dumps_equals_json_on_random_trees(doc):
+        assert serialize.dumps(doc) == _json_dumps(doc)
+except ImportError:  # pragma: no cover - hypothesis is a test extra
+    pass
 
 
 def test_instance_roundtrip_all_kinds():
@@ -126,6 +259,101 @@ def test_cli_check_detects_tampering(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(serialize.dumps(doc))
     assert main(["check", str(p)]) == 1
+
+
+def _preserving_doc():
+    art = build_preserving("vc-sc", VertexCoverInstance(3, ((0, 1), (1, 2)), 1))
+    return serialize.artifact_to_doc(art)
+
+
+def _blowup_doc():
+    return serialize.artifact_to_doc(build_blowup("3sat-vc", PHI, 0, HAM))
+
+
+def _set_payload_k(doc):
+    doc["target"]["payload"]["k"] = "x"
+
+
+@pytest.mark.parametrize(
+    "base, change, key",
+    [
+        (_preserving_doc, {"f": "ab"}, "'f'"),
+        (_preserving_doc, {"f": [99]}, "'f'"),
+        (_preserving_doc, _set_payload_k, "payload"),
+        (_preserving_doc, {"l_b": [-1]}, "'l_b'"),
+        (_preserving_doc, {"l_b": [99]}, "'l_b'"),
+        (_preserving_doc, {"kind": 5}, "kind"),
+        (_blowup_doc, {"beta": {"hamming": "x", "kappa_addition": 2,
+                                "kappa_deletion": 2}}, "'beta'"),
+        (_preserving_doc, {"f": [True, 1, 2]}, "'f'"),
+        (_preserving_doc, {"f": [0, 1]}, "'f'"),
+        (_preserving_doc, {"u_on": [3]}, "'u_on'"),  # one past the last
+        (_preserving_doc, {"u_off": ["x"]}, "'u_off'"),
+        (_blowup_doc, {"beta": {"hamming": 2}}, "'beta'"),
+        (_blowup_doc, {"beta": {"hamming": -1, "kappa_addition": 2,
+                                "kappa_deletion": 2}}, "'beta'"),
+    ],
+    ids=["f-str", "f-99", "payload-k-str", "l_b-neg", "l_b-99", "kind-5",
+         "beta-str", "f-bool", "f-short", "u_on-3", "u_off-str",
+         "beta-partial", "beta-neg"],
+)
+def test_cli_check_malformed_artifact_is_format_error(tmp_path, capsys, base,
+                                                      change, key):
+    doc = base()
+    p = tmp_path / "a.json"
+    p.write_text(serialize.dumps(doc))
+    assert main(["check", str(p)]) == 0
+    capsys.readouterr()
+    if callable(change):
+        change(doc)
+    else:
+        doc.update(change)
+    p.write_text(json.dumps(doc))
+    assert main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edge, key",
+    [("vc-pcenter", "service"), ("vc-pmedian", "service"),
+     ("vc-ufl", "open_costs"), ("uhamcycle-tsp", "weights")],
+)
+def test_cli_check_non_integer_payload_element_is_format_error(
+    tmp_path, capsys, edge, key
+):
+    src = random_source_for_edge(edge, random.Random(edge))
+    doc = serialize.artifact_to_doc(build_preserving(edge, src))
+    field = doc["target"]["payload"][key]
+    if type(field[0]) is list:
+        field[0][0] = "x"
+    else:
+        field[0] = "x"
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps(doc))
+    assert main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert "Traceback" not in err
+
+
+def test_cli_check_report_keeps_solution_counts(tmp_path, capsys):
+    art = build_blowup("3sat-vc", PHI, mask_of([2, 5]), HAM)
+    p = tmp_path / "a.json"
+    p.write_text(serialize.dumps(serialize.artifact_to_doc(art)))
+    r = tmp_path / "r.json"
+    assert main(["check", str(p), "--report", str(r)]) == 0
+    verdicts = json.loads(r.read_text())["verdicts"]
+    want = dict(check_artifact(art))
+    assert set(verdicts) == set(want)
+    for name, v in want.items():
+        assert verdicts[name]["source_solutions"] == v.source_solutions
+        assert verdicts[name]["target_solutions"] == v.target_solutions
+    assert verdicts["ssp"]["source_solutions"] > 0
+    assert verdicts["ssp"]["target_solutions"] > 0
+    assert main(["report", str(r)]) == 0
+    assert '"target_solutions": ' in capsys.readouterr().out
 
 
 def test_cli_check_capacity_exit(tmp_path):
