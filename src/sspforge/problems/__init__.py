@@ -1,4 +1,5 @@
 from .catalog import (
+    KIND_SPECS,
     ProblemKind,
     clear_caches,
     enumerate_feasible,
@@ -37,6 +38,7 @@ from .paths import (
 from .steiner import SteinerTreeInstance
 
 __all__ = [
+    "KIND_SPECS",
     "ProblemKind",
     "CnfInstance",
     "VertexCoverInstance",

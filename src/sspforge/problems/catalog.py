@@ -1,50 +1,23 @@
 """Problem-kind registry: verifiers, enumerators, and LOP envelopes.
 
-``enumerate_solutions`` realizes the solution family S(I) exactly at desk
-scale; ``enumerate_feasible`` realizes F(I) for LOP kinds, ignoring the
-cost threshold.  Results are cached per instance since the checkers ask
-for the same families repeatedly.
+Each kind is declared once, by its ``KindSpec`` entry in ``KIND_SPECS``:
+the instance class, the enumerator of the solution family S(I) and the
+capacity guard it runs behind, and, for the LOP kinds, the enumerator of
+F(I) (which ignores the cost threshold) with its own guard and the
+element-cost envelope.  ``enumerate_solutions`` and ``enumerate_feasible``
+realize the families exactly at desk scale.  Results are cached per
+instance since the checkers ask for the same families repeatedly.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+from operator import attrgetter
+from typing import Any, Callable, Iterable, NamedTuple
 
 from ..core import Bounds, CapacityError, DEFAULT_BOUNDS, UnsupportedKindError
-from .cnf import enumerate_cnf_solutions
-from .covering import (
-    hittingset_feasible,
-    hittingset_solutions,
-    setcover_feasible,
-    setcover_solutions,
-)
-from .facility import facility_solutions
-from .graphs import (
-    covers_upto,
-    dominating_upto,
-    feedback_arcsets_upto,
-    feedback_vertexsets_upto,
-    independent_sets_atleast,
-)
-from .numbers import (
-    knapsack_feasible,
-    knapsack_solutions,
-    partition_feasible,
-    partition_solutions,
-    scheduling_feasible,
-    scheduling_solutions,
-    subsetsum_feasible,
-    subsetsum_solutions,
-)
-from .paths import (
-    disjoint_path_systems,
-    ham_cycles_directed,
-    ham_cycles_undirected,
-    ham_paths,
-    tsp_tours,
-)
-from .steiner import steiner_trees_upto
+from . import cnf, covering, facility, graphs, numbers, paths, steiner
 
 
 class ProblemKind(enum.Enum):
@@ -74,16 +47,237 @@ class ProblemKind(enum.Enum):
     STEINER_TREE = "steinertree"
 
 
-_PURE_SSP = {
-    ProblemKind.SAT,
-    ProblemKind.THREE_SAT,
-    ProblemKind.UFL,
-    ProblemKind.P_CENTER,
-    ProblemKind.P_MEDIAN,
+def _size(inst, field: str) -> int:
+    """The instance's ``field``, or its length if it is a tuple."""
+    v = getattr(inst, field)
+    return v if type(v) is int else len(v)
+
+
+class Guard(NamedTuple):
+    """A capacity guard: the size of the instance's ``field`` may not
+    exceed ``limit(bounds)``.  ``message`` is formatted with ``size`` and
+    ``limit``."""
+
+    field: str
+    limit: Callable[[Bounds], int]
+    message: str
+
+    def check(self, inst, bounds: Bounds) -> None:
+        size, limit = _size(inst, self.field), self.limit(bounds)
+        if size > limit:
+            raise CapacityError(self.message.format(size=size, limit=limit))
+
+
+def _powerset(field: str) -> Guard:
+    return Guard(
+        field,
+        attrgetter("max_universe"),
+        "universe of size {size} exceeds the powerset bound {limit}",
+    )
+
+
+def _structural(field: str) -> Guard:
+    return Guard(
+        field, attrgetter("max_vertices"), "{size} vertices exceed the structural bound"
+    )
+
+
+class Enumerator(NamedTuple):
+    """A family enumerator ``run(inst, cap)``, called once ``guard`` passes."""
+
+    guard: Guard
+    run: Callable[[Any, int], Iterable[int]]
+
+
+class KindSpec(NamedTuple):
+    """Everything kind-specific about one problem kind."""
+
+    cls: type
+    solutions: Enumerator
+    # F(I), ignoring the cost threshold; None for the pure-SSP kinds.  It is
+    # ``solutions`` itself where all costs are zero, so F(I) = S(I).
+    feasible: Enumerator | None = None
+    # the envelope: element costs d and threshold t of an instance
+    cost: Callable[[Any], tuple[tuple[int, ...], int]] | None = None
+    # the clause width every instance must have
+    width: int | None = None
+
+
+def _zero_cost(cls, run, field: str) -> KindSpec:
+    """A route kind: enumerated behind its vertex count, with zero costs on
+    its ``field`` elements against threshold 0, so F(I) = S(I)."""
+    e = Enumerator(_structural("n"), run)
+    return KindSpec(cls, e, e, lambda inst: ((0,) * _size(inst, field), 0))
+
+
+_CNF = Enumerator(
+    # enumeration walks assignments (2^n), not literal subsets, so the
+    # bound applies to the variable count
+    Guard(
+        "n_vars",
+        lambda bounds: max(bounds.max_universe // 2, 16),
+        "{size} variables exceed the assignment bound",
+    ),
+    cnf.enumerate_cnf_solutions,
+)
+_FACILITY = Enumerator(_powerset("n_facilities"), facility.facility_solutions)
+_TSP_VERTICES = Guard("n", lambda bounds: 10, "TSP enumeration limited to 10 vertices")
+
+# in the enumerators and envelopes, ``i`` is the instance and ``cap`` the
+# solution cap
+KIND_SPECS: dict[ProblemKind, KindSpec] = {
+    ProblemKind.SAT: KindSpec(cnf.CnfInstance, _CNF),
+    ProblemKind.THREE_SAT: KindSpec(cnf.CnfInstance, _CNF, width=3),
+    ProblemKind.VERTEX_COVER: KindSpec(
+        graphs.VertexCoverInstance,
+        Enumerator(
+            _structural("n"), lambda i, cap: graphs.covers_upto(i.n, i.edges, i.k, cap)
+        ),
+        Enumerator(
+            _powerset("n"), lambda i, cap: graphs.covers_upto(i.n, i.edges, i.n, cap)
+        ),
+        lambda i: ((1,) * i.n, i.k),
+    ),
+    ProblemKind.INDEPENDENT_SET: KindSpec(
+        graphs.IndependentSetInstance,
+        Enumerator(
+            _structural("n"),
+            lambda i, cap: graphs.independent_sets_atleast(i.n, i.edges, i.k, cap),
+        ),
+        Enumerator(
+            _powerset("n"),
+            lambda i, cap: graphs.independent_sets_atleast(i.n, i.edges, 0, cap),
+        ),
+        lambda i: ((-1,) * i.n, -i.k),
+    ),
+    ProblemKind.CLIQUE: KindSpec(
+        graphs.CliqueInstance,
+        Enumerator(
+            _structural("n"),
+            lambda i, cap: graphs.independent_sets_atleast(
+                i.n, i.complement_edges(), i.k, cap
+            ),
+        ),
+        Enumerator(
+            _powerset("n"),
+            lambda i, cap: graphs.independent_sets_atleast(
+                i.n, i.complement_edges(), 0, cap
+            ),
+        ),
+        lambda i: ((-1,) * i.n, -i.k),
+    ),
+    ProblemKind.DOMINATING_SET: KindSpec(
+        graphs.DominatingSetInstance,
+        Enumerator(
+            _structural("n"), lambda i, cap: graphs.dominating_upto(i, i.k, cap)
+        ),
+        Enumerator(
+            _powerset("n"), lambda i, cap: graphs.dominating_upto(i, i.n, cap)
+        ),
+        lambda i: ((1,) * i.n, i.k),
+    ),
+    ProblemKind.SET_COVER: KindSpec(
+        covering.SetCoverInstance,
+        Enumerator(_powerset("subsets"), covering.setcover_solutions),
+        Enumerator(_powerset("subsets"), covering.setcover_feasible),
+        lambda i: ((1,) * len(i.subsets), i.k),
+    ),
+    ProblemKind.HITTING_SET: KindSpec(
+        covering.HittingSetInstance,
+        Enumerator(_powerset("ground_size"), covering.hittingset_solutions),
+        Enumerator(_powerset("ground_size"), covering.hittingset_feasible),
+        lambda i: ((1,) * i.ground_size, i.k),
+    ),
+    ProblemKind.FEEDBACK_VERTEX_SET: KindSpec(
+        graphs.FeedbackVertexSetInstance,
+        Enumerator(
+            _powerset("n"), lambda i, cap: graphs.feedback_vertexsets_upto(i, i.k, cap)
+        ),
+        Enumerator(
+            _powerset("n"), lambda i, cap: graphs.feedback_vertexsets_upto(i, i.n, cap)
+        ),
+        lambda i: ((1,) * i.n, i.k),
+    ),
+    ProblemKind.FEEDBACK_ARC_SET: KindSpec(
+        graphs.FeedbackArcSetInstance,
+        Enumerator(
+            _structural("arcs"),
+            lambda i, cap: graphs.feedback_arcsets_upto(i, i.k, cap),
+        ),
+        Enumerator(
+            _powerset("arcs"),
+            lambda i, cap: graphs.feedback_arcsets_upto(i, len(i.arcs), cap),
+        ),
+        lambda i: ((1,) * len(i.arcs), i.k),
+    ),
+    ProblemKind.UFL: KindSpec(facility.FacilityLocationInstance, _FACILITY),
+    ProblemKind.P_CENTER: KindSpec(facility.PCenterInstance, _FACILITY),
+    ProblemKind.P_MEDIAN: KindSpec(facility.PMedianInstance, _FACILITY),
+    ProblemKind.SUBSET_SUM: KindSpec(
+        numbers.SubsetSumInstance,
+        Enumerator(_structural("values"), numbers.subsetsum_solutions),
+        Enumerator(_powerset("values"), numbers.subsetsum_feasible),
+        lambda i: (i.values, i.target),
+    ),
+    ProblemKind.KNAPSACK: KindSpec(
+        numbers.KnapsackInstance,
+        Enumerator(_structural("items"), numbers.knapsack_solutions),
+        Enumerator(_powerset("items"), numbers.knapsack_feasible),
+        lambda i: (tuple(w for _, w in i.items), i.weight_cap),
+    ),
+    ProblemKind.PARTITION: KindSpec(
+        numbers.PartitionInstance,
+        Enumerator(_structural("values"), numbers.partition_solutions),
+        Enumerator(_powerset("values"), numbers.partition_feasible),
+        lambda i: (i.values, sum(i.values) // 2),
+    ),
+    ProblemKind.SCHEDULING: KindSpec(
+        numbers.SchedulingInstance,
+        Enumerator(_structural("times"), numbers.scheduling_solutions),
+        Enumerator(_powerset("times"), numbers.scheduling_feasible),
+        lambda i: (i.times, i.deadline),
+    ),
+    ProblemKind.DHAM_PATH: _zero_cost(
+        paths.DirectedHamPathInstance, paths.ham_paths, "arcs"
+    ),
+    ProblemKind.DHAM_CYCLE: _zero_cost(
+        paths.DirectedHamCycleInstance, paths.ham_cycles_directed, "arcs"
+    ),
+    ProblemKind.UHAM_CYCLE: _zero_cost(
+        paths.UndirectedHamCycleInstance, paths.ham_cycles_undirected, "edges"
+    ),
+    ProblemKind.TSP: KindSpec(
+        paths.TspInstance,
+        Enumerator(
+            _TSP_VERTICES,
+            lambda i, cap: (m for m in paths.tsp_tours(i, cap) if i.weight(m) <= i.k),
+        ),
+        Enumerator(_TSP_VERTICES, paths.tsp_tours),
+        lambda i: (i.weights, i.k),
+    ),
+    ProblemKind.TWO_DDP: _zero_cost(
+        paths.DisjointPathsInstance, paths.disjoint_path_systems, "arcs"
+    ),
+    ProblemKind.K_DDP: _zero_cost(
+        paths.DisjointPathsInstance, paths.disjoint_path_systems, "arcs"
+    ),
+    ProblemKind.STEINER_TREE: KindSpec(
+        steiner.SteinerTreeInstance,
+        Enumerator(
+            _structural("edges"),
+            lambda i, cap: steiner.steiner_trees_upto(i, i.k, cap),
+        ),
+        Enumerator(
+            _powerset("edges"),
+            lambda i, cap: steiner.steiner_trees_upto(i, sum(i.costs), cap),
+        ),
+        lambda i: (i.costs, i.k),
+    ),
 }
 
+
 def is_lop(kind: ProblemKind) -> bool:
-    return kind not in _PURE_SSP
+    return KIND_SPECS[kind].feasible is not None
 
 
 def universe_labels(inst) -> tuple[str, ...]:
@@ -95,97 +289,19 @@ def universe_size(inst) -> int:
 
 
 def verify(kind: ProblemKind, inst, mask: int) -> bool:
-    if kind is ProblemKind.THREE_SAT:
-        inst.require_width(3)
+    width = KIND_SPECS[kind].width
+    if width:
+        inst.require_width(width)
     return inst.verify(mask)
-
-
-def _guard_universe(size, bounds):
-    if size > bounds.max_universe:
-        raise CapacityError(
-            f"universe of size {size} exceeds the powerset bound {bounds.max_universe}"
-        )
-
-
-def _guard_vertices(n, bounds):
-    if n > bounds.max_vertices:
-        raise CapacityError(f"{n} vertices exceed the structural bound")
 
 
 @functools.lru_cache(maxsize=4096)
 def _solutions_cached(kind: ProblemKind, inst, bounds: Bounds) -> tuple[int, ...]:
-    cap = bounds.max_solutions
-    if kind in (ProblemKind.SAT, ProblemKind.THREE_SAT):
-        # enumeration walks assignments (2^n), not literal subsets, so the
-        # bound applies to the variable count
-        if inst.n_vars > max(bounds.max_universe // 2, 16):
-            raise CapacityError(
-                f"{inst.n_vars} variables exceed the assignment bound"
-            )
-        if kind is ProblemKind.THREE_SAT:
-            inst.require_width(3)
-        return tuple(enumerate_cnf_solutions(inst, cap))
-    if kind is ProblemKind.VERTEX_COVER:
-        _guard_vertices(inst.n, bounds)
-        return tuple(covers_upto(inst.n, inst.edges, inst.k, cap))
-    if kind is ProblemKind.INDEPENDENT_SET:
-        _guard_vertices(inst.n, bounds)
-        return tuple(independent_sets_atleast(inst.n, inst.edges, inst.k, cap))
-    if kind is ProblemKind.CLIQUE:
-        _guard_vertices(inst.n, bounds)
-        return tuple(
-            independent_sets_atleast(inst.n, inst.complement_edges(), inst.k, cap)
-        )
-    if kind is ProblemKind.DOMINATING_SET:
-        _guard_vertices(inst.n, bounds)
-        return tuple(dominating_upto(inst, inst.k, cap))
-    if kind is ProblemKind.SET_COVER:
-        _guard_universe(len(inst.subsets), bounds)
-        return tuple(setcover_solutions(inst, cap))
-    if kind is ProblemKind.HITTING_SET:
-        _guard_universe(inst.ground_size, bounds)
-        return tuple(hittingset_solutions(inst, cap))
-    if kind is ProblemKind.FEEDBACK_VERTEX_SET:
-        _guard_universe(inst.n, bounds)
-        return tuple(feedback_vertexsets_upto(inst, inst.k, cap))
-    if kind is ProblemKind.FEEDBACK_ARC_SET:
-        _guard_vertices(len(inst.arcs), bounds)
-        return tuple(feedback_arcsets_upto(inst, inst.k, cap))
-    if kind in (ProblemKind.UFL, ProblemKind.P_CENTER, ProblemKind.P_MEDIAN):
-        _guard_universe(inst.n_facilities, bounds)
-        return tuple(facility_solutions(inst, cap))
-    if kind is ProblemKind.SUBSET_SUM:
-        _guard_vertices(len(inst.values), bounds)
-        return tuple(subsetsum_solutions(inst, cap))
-    if kind is ProblemKind.KNAPSACK:
-        _guard_vertices(len(inst.items), bounds)
-        return tuple(knapsack_solutions(inst, cap))
-    if kind is ProblemKind.PARTITION:
-        _guard_vertices(len(inst.values), bounds)
-        return tuple(partition_solutions(inst, cap))
-    if kind is ProblemKind.SCHEDULING:
-        _guard_vertices(len(inst.times), bounds)
-        return tuple(scheduling_solutions(inst, cap))
-    if kind is ProblemKind.DHAM_PATH:
-        _guard_vertices(inst.n, bounds)
-        return tuple(ham_paths(inst, cap))
-    if kind is ProblemKind.DHAM_CYCLE:
-        _guard_vertices(inst.n, bounds)
-        return tuple(ham_cycles_directed(inst, cap))
-    if kind is ProblemKind.UHAM_CYCLE:
-        _guard_vertices(inst.n, bounds)
-        return tuple(ham_cycles_undirected(inst, cap))
-    if kind is ProblemKind.TSP:
-        if inst.n > 10:
-            raise CapacityError("TSP enumeration limited to 10 vertices")
-        return tuple(m for m in tsp_tours(inst, cap) if inst.weight(m) <= inst.k)
-    if kind in (ProblemKind.TWO_DDP, ProblemKind.K_DDP):
-        _guard_vertices(inst.n, bounds)
-        return tuple(disjoint_path_systems(inst, cap))
-    if kind is ProblemKind.STEINER_TREE:
-        _guard_vertices(len(inst.edges), bounds)
-        return tuple(steiner_trees_upto(inst, inst.k, cap))
-    raise UnsupportedKindError(f"no enumerator for {kind}")
+    spec = KIND_SPECS[kind]
+    spec.solutions.guard.check(inst, bounds)
+    if spec.width:
+        inst.require_width(spec.width)
+    return tuple(spec.solutions.run(inst, bounds.max_solutions))
 
 
 def enumerate_solutions(kind: ProblemKind, inst, bounds: Bounds = DEFAULT_BOUNDS):
@@ -194,63 +310,13 @@ def enumerate_solutions(kind: ProblemKind, inst, bounds: Bounds = DEFAULT_BOUNDS
 
 @functools.lru_cache(maxsize=4096)
 def _feasible_cached(kind: ProblemKind, inst, bounds: Bounds) -> tuple[int, ...]:
-    if not is_lop(kind):
+    spec = KIND_SPECS[kind]
+    if spec.feasible is None:
         raise UnsupportedKindError(f"{kind.value} has no feasible-set structure")
-    cap = bounds.max_solutions
-    if kind is ProblemKind.VERTEX_COVER:
-        _guard_universe(inst.n, bounds)
-        return tuple(covers_upto(inst.n, inst.edges, inst.n, cap))
-    if kind is ProblemKind.INDEPENDENT_SET:
-        _guard_universe(inst.n, bounds)
-        return tuple(independent_sets_atleast(inst.n, inst.edges, 0, cap))
-    if kind is ProblemKind.CLIQUE:
-        _guard_universe(inst.n, bounds)
-        return tuple(
-            independent_sets_atleast(inst.n, inst.complement_edges(), 0, cap)
-        )
-    if kind is ProblemKind.DOMINATING_SET:
-        _guard_universe(inst.n, bounds)
-        return tuple(dominating_upto(inst, inst.n, cap))
-    if kind is ProblemKind.SET_COVER:
-        _guard_universe(len(inst.subsets), bounds)
-        return tuple(setcover_feasible(inst, cap))
-    if kind is ProblemKind.HITTING_SET:
-        _guard_universe(inst.ground_size, bounds)
-        return tuple(hittingset_feasible(inst, cap))
-    if kind is ProblemKind.FEEDBACK_VERTEX_SET:
-        _guard_universe(inst.n, bounds)
-        return tuple(feedback_vertexsets_upto(inst, inst.n, cap))
-    if kind is ProblemKind.FEEDBACK_ARC_SET:
-        _guard_universe(len(inst.arcs), bounds)
-        return tuple(feedback_arcsets_upto(inst, len(inst.arcs), cap))
-    if kind is ProblemKind.SUBSET_SUM:
-        _guard_universe(len(inst.values), bounds)
-        return tuple(subsetsum_feasible(inst, cap))
-    if kind is ProblemKind.KNAPSACK:
-        _guard_universe(len(inst.items), bounds)
-        return tuple(knapsack_feasible(inst, cap))
-    if kind is ProblemKind.PARTITION:
-        _guard_universe(len(inst.values), bounds)
-        return tuple(partition_feasible(inst, cap))
-    if kind is ProblemKind.SCHEDULING:
-        _guard_universe(len(inst.times), bounds)
-        return tuple(scheduling_feasible(inst, cap))
-    if kind is ProblemKind.TSP:
-        if inst.n > 10:
-            raise CapacityError("TSP enumeration limited to 10 vertices")
-        return tuple(tsp_tours(inst, cap))
-    if kind is ProblemKind.STEINER_TREE:
-        _guard_universe(len(inst.edges), bounds)
-        return tuple(steiner_trees_upto(inst, sum(inst.costs), cap))
-    if kind in (
-        ProblemKind.DHAM_PATH,
-        ProblemKind.DHAM_CYCLE,
-        ProblemKind.UHAM_CYCLE,
-        ProblemKind.TWO_DDP,
-        ProblemKind.K_DDP,
-    ):
+    if spec.feasible is spec.solutions:
         return _solutions_cached(kind, inst, bounds)
-    raise UnsupportedKindError(f"no feasibility enumerator for {kind}")
+    spec.feasible.guard.check(inst, bounds)
+    return tuple(spec.feasible.run(inst, bounds.max_solutions))
 
 
 def enumerate_feasible(kind: ProblemKind, inst, bounds: Bounds = DEFAULT_BOUNDS):
@@ -259,42 +325,10 @@ def enumerate_feasible(kind: ProblemKind, inst, bounds: Bounds = DEFAULT_BOUNDS)
 
 def lop_cost(kind: ProblemKind, inst) -> tuple[tuple[int, ...], int]:
     """Element costs d and threshold t with S(I) = {F in F(I) : d(F) <= t}."""
-    if not is_lop(kind):
+    cost = KIND_SPECS[kind].cost
+    if cost is None:
         raise UnsupportedKindError(f"{kind.value} has no cost structure")
-    if kind in (
-        ProblemKind.VERTEX_COVER,
-        ProblemKind.DOMINATING_SET,
-    ):
-        return (1,) * inst.n, inst.k
-    if kind is ProblemKind.SET_COVER:
-        return (1,) * len(inst.subsets), inst.k
-    if kind is ProblemKind.HITTING_SET:
-        return (1,) * inst.ground_size, inst.k
-    if kind is ProblemKind.FEEDBACK_VERTEX_SET:
-        return (1,) * inst.n, inst.k
-    if kind is ProblemKind.FEEDBACK_ARC_SET:
-        return (1,) * len(inst.arcs), inst.k
-    if kind in (ProblemKind.INDEPENDENT_SET, ProblemKind.CLIQUE):
-        return (-1,) * inst.n, -inst.k
-    if kind is ProblemKind.SUBSET_SUM:
-        return inst.values, inst.target
-    if kind is ProblemKind.KNAPSACK:
-        return tuple(w for _, w in inst.items), inst.weight_cap
-    if kind is ProblemKind.PARTITION:
-        return inst.values, sum(inst.values) // 2
-    if kind is ProblemKind.SCHEDULING:
-        return inst.times, inst.deadline
-    if kind is ProblemKind.TSP:
-        return inst.weights, inst.k
-    if kind is ProblemKind.STEINER_TREE:
-        return inst.costs, inst.k
-    if kind is ProblemKind.DHAM_PATH:
-        return (0,) * len(inst.arcs), 0
-    if kind in (ProblemKind.DHAM_CYCLE, ProblemKind.TWO_DDP, ProblemKind.K_DDP):
-        return (0,) * len(inst.arcs), 0
-    if kind is ProblemKind.UHAM_CYCLE:
-        return (0,) * len(inst.edges), 0
-    raise UnsupportedKindError(f"no cost structure for {kind}")
+    return cost(inst)
 
 
 def clear_caches():

@@ -17,6 +17,8 @@ import sys
 from dataclasses import dataclass
 
 from ..core import CapacityError, DomainError, FormatError, mask_of
+from .graphs import _check_edges
+from .numbers import _masked_sum
 
 # path searches recurse once per junction or visited vertex on the path,
 # and reduction targets carry hundreds of them
@@ -114,6 +116,9 @@ class UndirectedHamCycleInstance:
     n: int
     edges: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        _check_edges(self.n, self.edges)
+
     def universe_labels(self):
         return _edge_labels(self.edges)
 
@@ -180,14 +185,7 @@ class TspInstance:
         return m
 
     def weight(self, mask: int) -> int:
-        total = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                total += self.weights[i]
-            mask >>= 1
-            i += 1
-        return total
+        return _masked_sum(self.weights, mask)
 
     def is_tour(self, mask: int) -> bool:
         inst = UndirectedHamCycleInstance(self.n, self.edge_order())
@@ -207,6 +205,9 @@ class DisjointPathsInstance:
 
     def __post_init__(self):
         _check_arcs(self.n, self.arcs)
+        for p in self.pairs:
+            if len(p) != 2 or not all(0 <= x < self.n for x in p):
+                raise FormatError(f"bad terminal pair {p}")
         terms = [x for p in self.pairs for x in p]
         if len(set(terms)) != len(terms):
             raise FormatError("terminal vertices must be distinct")

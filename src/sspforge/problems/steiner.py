@@ -20,6 +20,8 @@ import heapq
 from dataclasses import dataclass
 
 from ..core import CapacityError, DomainError, FormatError
+from .graphs import _check_edges
+from .numbers import _masked_sum
 
 
 @dataclass(frozen=True)
@@ -35,14 +37,9 @@ class SteinerTreeInstance:
             raise FormatError("costs must align with edges")
         if not self.terminals:
             raise FormatError("need at least one terminal")
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
-                raise FormatError(f"bad edge ({u},{v})")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise FormatError(f"duplicate edge ({u},{v})")
-            seen.add(key)
+        if not all(0 <= t < self.n for t in self.terminals):
+            raise FormatError(f"terminal out of range in {self.terminals}")
+        _check_edges(self.n, self.edges)
         if any(c < 0 for c in self.costs):
             raise FormatError("negative edge cost")
 
@@ -50,14 +47,7 @@ class SteinerTreeInstance:
         return tuple(f"e{i}:{u}-{v}" for i, (u, v) in enumerate(self.edges))
 
     def cost(self, mask: int) -> int:
-        total = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                total += self.costs[i]
-            mask >>= 1
-            i += 1
-        return total
+        return _masked_sum(self.costs, mask)
 
     def is_terminal_tree(self, mask: int) -> bool:
         """True iff mask is a tree (connected forest) whose span contains

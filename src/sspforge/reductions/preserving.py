@@ -7,8 +7,11 @@ elements (u_off); the embedded source universe makes up the rest.
 
 from __future__ import annotations
 
+import functools
+
 from ..core import PreconditionError
 from ..problems import (
+    KIND_SPECS,
     CliqueInstance,
     DisjointPathsInstance,
     DirectedHamCycleInstance,
@@ -21,8 +24,6 @@ from ..problems import (
     IndependentSetInstance,
     KnapsackInstance,
     PartitionInstance,
-    PCenterInstance,
-    PMedianInstance,
     ProblemKind,
     SchedulingInstance,
     SetCoverInstance,
@@ -33,26 +34,6 @@ from ..problems import (
     connected_undirected,
 )
 from .artifact import PRESERVING, ReductionArtifact
-
-PRESERVING_EDGES = (
-    "vc-ds",
-    "vc-sc",
-    "vc-hs",
-    "vc-fvs",
-    "vc-fas",
-    "vc-ufl",
-    "vc-pcenter",
-    "vc-pmedian",
-    "is-clique",
-    "subsetsum-knapsack",
-    "subsetsum-partition",
-    "partition-scheduling",
-    "dhampath-dhamcycle",
-    "dhamcycle-uhamcycle",
-    "uhamcycle-tsp",
-    "2ddp-kddp",
-)
-
 
 def _artifact(edge, src_kind, src, tgt_kind, tgt, f, u_on=0, u_off=0):
     return ReductionArtifact(
@@ -153,22 +134,18 @@ def _vc_fas(src: VertexCoverInstance):
     )
 
 
-def _vc_facility(src: VertexCoverInstance, flavor: str):
+def _vc_facility(src: VertexCoverInstance, kind: ProblemKind):
     n, m = src.n, len(src.edges)
     service = tuple(
         tuple(0 if v in e else n + 1 for e in src.edges) for v in range(n)
     )
-    if flavor == "ufl":
+    if kind is ProblemKind.UFL:
         tgt = FacilityLocationInstance(n, m, (1,) * n, service, src.k)
-        kind = ProblemKind.UFL
-    elif flavor == "pcenter":
-        tgt = PCenterInstance(n, m, service, src.k, 0)
-        kind = ProblemKind.P_CENTER
     else:
-        tgt = PMedianInstance(n, m, service, src.k, 0)
-        kind = ProblemKind.P_MEDIAN
+        # p-center and p-median: p = k facilities, threshold 0
+        tgt = KIND_SPECS[kind].cls(n, m, service, src.k, 0)
     return _artifact(
-        f"vc-{flavor}", ProblemKind.VERTEX_COVER, src, kind, tgt, range(n)
+        f"vc-{kind.value}", ProblemKind.VERTEX_COVER, src, kind, tgt, range(n)
     )
 
 
@@ -269,7 +246,7 @@ def _uhc_tsp(src: UndirectedHamCycleInstance):
     )
 
 
-def _ddp_kddp(src: DisjointPathsInstance, k: int):
+def _ddp_kddp(src: DisjointPathsInstance, k: int = 3):
     if k < 2:
         raise PreconditionError("k-disjoint-path needs k >= 2")
     if len(src.pairs) != 2:
@@ -292,38 +269,32 @@ def _ddp_kddp(src: DisjointPathsInstance, k: int):
     )
 
 
+_BUILDERS = {
+    "vc-ds": _vc_ds,
+    "vc-sc": _vc_sc,
+    "vc-hs": _vc_hs,
+    "vc-fvs": _vc_fvs,
+    "vc-fas": _vc_fas,
+    "vc-ufl": functools.partial(_vc_facility, kind=ProblemKind.UFL),
+    "vc-pcenter": functools.partial(_vc_facility, kind=ProblemKind.P_CENTER),
+    "vc-pmedian": functools.partial(_vc_facility, kind=ProblemKind.P_MEDIAN),
+    "is-clique": _is_clique,
+    "subsetsum-knapsack": _ss_knapsack,
+    "subsetsum-partition": _ss_partition,
+    "partition-scheduling": _partition_scheduling,
+    "dhampath-dhamcycle": _dhp_dhc,
+    "dhamcycle-uhamcycle": _dhc_uhc,
+    "uhamcycle-tsp": _uhc_tsp,
+    "2ddp-kddp": _ddp_kddp,
+}
+PRESERVING_EDGES = tuple(_BUILDERS)
+
+
 def build_preserving(edge: str, source, params: dict | None = None):
-    params = params or {}
-    if edge == "vc-ds":
-        return _vc_ds(source)
-    if edge == "vc-sc":
-        return _vc_sc(source)
-    if edge == "vc-hs":
-        return _vc_hs(source)
-    if edge == "vc-fvs":
-        return _vc_fvs(source)
-    if edge == "vc-fas":
-        return _vc_fas(source)
-    if edge == "vc-ufl":
-        return _vc_facility(source, "ufl")
-    if edge == "vc-pcenter":
-        return _vc_facility(source, "pcenter")
-    if edge == "vc-pmedian":
-        return _vc_facility(source, "pmedian")
-    if edge == "is-clique":
-        return _is_clique(source)
-    if edge == "subsetsum-knapsack":
-        return _ss_knapsack(source)
-    if edge == "subsetsum-partition":
-        return _ss_partition(source)
-    if edge == "partition-scheduling":
-        return _partition_scheduling(source)
-    if edge == "dhampath-dhamcycle":
-        return _dhp_dhc(source)
-    if edge == "dhamcycle-uhamcycle":
-        return _dhc_uhc(source)
-    if edge == "uhamcycle-tsp":
-        return _uhc_tsp(source)
-    if edge == "2ddp-kddp":
-        return _ddp_kddp(source, params.get("k", 3))
-    raise PreconditionError(f"unknown preserving edge {edge}")
+    """The artifact of ``edge`` on ``source``; ``params`` are keyword
+    arguments of the edge's builder (2ddp-kddp takes ``k``, default 3)."""
+    try:
+        build = _BUILDERS[edge]
+    except KeyError:
+        raise PreconditionError(f"unknown preserving edge {edge}") from None
+    return build(source, **(params or {}))

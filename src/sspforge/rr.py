@@ -39,7 +39,7 @@ INFEASIBLE = float("inf")
 
 
 def _check_budget(name, value):
-    if not isinstance(value, int) or value < 0:
+    if type(value) is not int or value < 0:
         raise FormatError(f"{name} must be a non-negative integer, got {value!r}")
 
 
@@ -75,8 +75,10 @@ class CostRrInstance:
         n = universe_size(self.instance)
         if not len(self.c1) == len(self.c_lo) == len(self.c_hi) == n:
             raise FormatError("cost vectors must match the universe")
-        if not all(isinstance(c, int) for c in self.c1 + self.c_lo + self.c_hi):
+        if not all(type(c) is int for c in self.c1 + self.c_lo + self.c_hi):
             raise FormatError("costs must be integers")
+        if type(self.t_rr) is not int:
+            raise FormatError(f"t_rr must be an integer, got {self.t_rr!r}")
         if any(lo > hi for lo, hi in zip(self.c_lo, self.c_hi)):
             raise FormatError("lower costs must not exceed upper costs")
         _check_budget("gamma", self.gamma)

@@ -1,5 +1,8 @@
 """JSON documents for instances and artifacts, plus DIMACS CNF.
 
+An instance's payload is its dataclass fields by name, tuples written as
+lists; the kind table gives the class to read it back into.
+
 Documents are canonical (sorted keys, fixed indentation) so golden files
 diff cleanly and round-trips are byte-stable.  ``dumps`` writes them
 byte-equal to ``json.dumps(doc, sort_keys=True, indent=2)`` plus a final
@@ -15,35 +18,17 @@ otherwise.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from .core import DistanceMeasure, FormatError, indices_of, mask_of
 from .problems import (
+    KIND_SPECS,
     CnfInstance,
-    CliqueInstance,
-    DirectedHamCycleInstance,
-    DirectedHamPathInstance,
-    DisjointPathsInstance,
-    DominatingSetInstance,
-    FacilityLocationInstance,
-    FeedbackArcSetInstance,
-    FeedbackVertexSetInstance,
-    HittingSetInstance,
-    IndependentSetInstance,
-    KnapsackInstance,
-    PartitionInstance,
-    PCenterInstance,
-    PMedianInstance,
     ProblemKind,
-    SchedulingInstance,
-    SetCoverInstance,
-    SteinerTreeInstance,
-    SubsetSumInstance,
-    TspInstance,
-    UndirectedHamCycleInstance,
-    VertexCoverInstance,
     universe_labels,
     universe_size,
 )
@@ -66,82 +51,28 @@ def _doc_error(what: str, exc: Exception) -> FormatError:
     return FormatError(f"bad {what} document: {exc}")
 
 
-def _pairs(seq):
-    return [[int(a), int(b)] for a, b in seq]
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, int], ...]:
+    """The payload of an instance of ``cls``: each dataclass field's name
+    and depth, read off its annotation: 0 for ``int``, 1 for a tuple of
+    integers and 2 for a tuple of integer rows."""
+    return tuple(
+        (f.name, str(f.type).count("tuple[")) for f in dataclasses.fields(cls)
+    )
+
+
+# payload value to field value, and back, by depth
+_READ = (int, tuple, lambda rows: tuple(map(tuple, rows)))
+_WRITE = (int, list, lambda rows: list(map(list, rows)))
+_SHAPES = ("an integer", "a list of integers", "a list of integer rows")
 
 
 def instance_payload(kind: ProblemKind, inst) -> dict:
-    k = kind
-    if k in (ProblemKind.SAT, ProblemKind.THREE_SAT):
-        return {"n_vars": inst.n_vars, "clauses": [list(c) for c in inst.clauses]}
-    if k in (
-        ProblemKind.VERTEX_COVER,
-        ProblemKind.INDEPENDENT_SET,
-        ProblemKind.CLIQUE,
-        ProblemKind.DOMINATING_SET,
-    ):
-        return {"n": inst.n, "edges": _pairs(inst.edges), "k": inst.k}
-    if k in (ProblemKind.FEEDBACK_VERTEX_SET, ProblemKind.FEEDBACK_ARC_SET):
-        return {"n": inst.n, "arcs": _pairs(inst.arcs), "k": inst.k}
-    if k is ProblemKind.DHAM_PATH:
-        return {"n": inst.n, "arcs": _pairs(inst.arcs), "s": inst.s, "t": inst.t}
-    if k is ProblemKind.DHAM_CYCLE:
-        return {"n": inst.n, "arcs": _pairs(inst.arcs)}
-    if k is ProblemKind.UHAM_CYCLE:
-        return {"n": inst.n, "edges": _pairs(inst.edges)}
-    if k is ProblemKind.TSP:
-        return {"n": inst.n, "weights": list(inst.weights), "k": inst.k}
-    if k in (ProblemKind.TWO_DDP, ProblemKind.K_DDP):
-        return {"n": inst.n, "arcs": _pairs(inst.arcs), "pairs": _pairs(inst.pairs)}
-    if k is ProblemKind.STEINER_TREE:
-        return {
-            "n": inst.n,
-            "edges": _pairs(inst.edges),
-            "costs": list(inst.costs),
-            "terminals": list(inst.terminals),
-            "k": inst.k,
-        }
-    if k is ProblemKind.SUBSET_SUM:
-        return {"values": list(inst.values), "target": inst.target}
-    if k is ProblemKind.KNAPSACK:
-        return {
-            "items": _pairs(inst.items),
-            "price_goal": inst.price_goal,
-            "weight_cap": inst.weight_cap,
-        }
-    if k is ProblemKind.PARTITION:
-        return {"values": list(inst.values)}
-    if k is ProblemKind.SCHEDULING:
-        return {"times": list(inst.times), "deadline": inst.deadline}
-    if k is ProblemKind.SET_COVER:
-        return {
-            "ground_size": inst.ground_size,
-            "subsets": [list(s) for s in inst.subsets],
-            "k": inst.k,
-        }
-    if k is ProblemKind.HITTING_SET:
-        return {
-            "ground_size": inst.ground_size,
-            "subsets": [list(s) for s in inst.subsets],
-            "k": inst.k,
-        }
-    if k is ProblemKind.UFL:
-        return {
-            "n_facilities": inst.n_facilities,
-            "n_clients": inst.n_clients,
-            "open_costs": list(inst.open_costs),
-            "service": [list(r) for r in inst.service],
-            "k": inst.k,
-        }
-    if k in (ProblemKind.P_CENTER, ProblemKind.P_MEDIAN):
-        return {
-            "n_facilities": inst.n_facilities,
-            "n_clients": inst.n_clients,
-            "service": [list(r) for r in inst.service],
-            "p": inst.p,
-            "k": inst.k,
-        }
-    raise FormatError(f"cannot serialize kind {kind}")
+    """The instance's dataclass fields by name, tuples written as lists."""
+    return {
+        name: _WRITE[depth](getattr(inst, name))
+        for name, depth in _fields(KIND_SPECS[kind].cls)
+    }
 
 
 def _check_payload(kind: ProblemKind, p) -> None:
@@ -165,75 +96,22 @@ def _check_payload(kind: ProblemKind, p) -> None:
 
 
 def instance_from_payload(kind: ProblemKind, p: dict):
+    """The instance whose fields are the payload's values under the field
+    names, lists read back as tuples; other keys are ignored."""
     _check_payload(kind, p)
-    k = kind
-
-    def pairs(key):
-        return tuple((int(a), int(b)) for a, b in p[key])
-
-    if k in (ProblemKind.SAT, ProblemKind.THREE_SAT):
-        return CnfInstance(p["n_vars"], tuple(tuple(c) for c in p["clauses"]))
-    if k is ProblemKind.VERTEX_COVER:
-        return VertexCoverInstance(p["n"], pairs("edges"), p["k"])
-    if k is ProblemKind.INDEPENDENT_SET:
-        return IndependentSetInstance(p["n"], pairs("edges"), p["k"])
-    if k is ProblemKind.CLIQUE:
-        return CliqueInstance(p["n"], pairs("edges"), p["k"])
-    if k is ProblemKind.DOMINATING_SET:
-        return DominatingSetInstance(p["n"], pairs("edges"), p["k"])
-    if k is ProblemKind.FEEDBACK_VERTEX_SET:
-        return FeedbackVertexSetInstance(p["n"], pairs("arcs"), p["k"])
-    if k is ProblemKind.FEEDBACK_ARC_SET:
-        return FeedbackArcSetInstance(p["n"], pairs("arcs"), p["k"])
-    if k is ProblemKind.DHAM_PATH:
-        return DirectedHamPathInstance(p["n"], pairs("arcs"), p["s"], p["t"])
-    if k is ProblemKind.DHAM_CYCLE:
-        return DirectedHamCycleInstance(p["n"], pairs("arcs"))
-    if k is ProblemKind.UHAM_CYCLE:
-        return UndirectedHamCycleInstance(p["n"], pairs("edges"))
-    if k is ProblemKind.TSP:
-        return TspInstance(p["n"], tuple(p["weights"]), p["k"])
-    if k in (ProblemKind.TWO_DDP, ProblemKind.K_DDP):
-        return DisjointPathsInstance(p["n"], pairs("arcs"), pairs("pairs"))
-    if k is ProblemKind.STEINER_TREE:
-        return SteinerTreeInstance(
-            p["n"], pairs("edges"), tuple(p["costs"]), tuple(p["terminals"]), p["k"]
-        )
-    if k is ProblemKind.SUBSET_SUM:
-        return SubsetSumInstance(tuple(p["values"]), p["target"])
-    if k is ProblemKind.KNAPSACK:
-        return KnapsackInstance(pairs("items"), p["price_goal"], p["weight_cap"])
-    if k is ProblemKind.PARTITION:
-        return PartitionInstance(tuple(p["values"]))
-    if k is ProblemKind.SCHEDULING:
-        return SchedulingInstance(tuple(p["times"]), p["deadline"])
-    if k is ProblemKind.SET_COVER:
-        return SetCoverInstance(
-            p["ground_size"], tuple(tuple(s) for s in p["subsets"]), p["k"]
-        )
-    if k is ProblemKind.HITTING_SET:
-        return HittingSetInstance(
-            p["ground_size"], tuple(tuple(s) for s in p["subsets"]), p["k"]
-        )
-    if k is ProblemKind.UFL:
-        return FacilityLocationInstance(
-            p["n_facilities"],
-            p["n_clients"],
-            tuple(p["open_costs"]),
-            tuple(tuple(r) for r in p["service"]),
-            p["k"],
-        )
-    if k is ProblemKind.P_CENTER:
-        return PCenterInstance(
-            p["n_facilities"], p["n_clients"],
-            tuple(tuple(r) for r in p["service"]), p["p"], p["k"],
-        )
-    if k is ProblemKind.P_MEDIAN:
-        return PMedianInstance(
-            p["n_facilities"], p["n_clients"],
-            tuple(tuple(r) for r in p["service"]), p["p"], p["k"],
-        )
-    raise FormatError(f"cannot deserialize kind {kind}")
+    cls = KIND_SPECS[kind].cls
+    args = []
+    for name, depth in _fields(cls):
+        v = p[name]
+        # _check_payload leaves an int or a list of all ints or all rows;
+        # an empty list fits either depth
+        got = 0 if type(v) is int else (type(v[0]) is list) + 1 if v else depth
+        if got != depth:
+            raise FormatError(
+                f"bad {kind.value} payload: {name!r} must be {_SHAPES[depth]}"
+            )
+        args.append(_READ[depth](v))
+    return cls(*args)
 
 
 def instance_to_doc(kind: ProblemKind, inst) -> dict:

@@ -111,6 +111,33 @@ def test_capacity_error():
         enumerate_solutions(K.THREE_SAT, big, Bounds(max_universe=24))
 
 
+def test_capacity_guards_keep_their_bound_size_and_message():
+    """Each family has its own guard: vertex-cover solutions answer to
+    ``max_vertices`` but its feasible sets to ``max_universe``, TSP to a
+    fixed 10 vertices, and CNF enumeration to max(max_universe // 2, 16)
+    variables."""
+    vc = VertexCoverInstance(3, ((0, 1),), 1)
+    few_vertices = Bounds(max_universe=24, max_vertices=2)
+    small_universe = Bounds(max_universe=2, max_vertices=100)
+    with pytest.raises(CapacityError, match="^3 vertices exceed the structural bound$"):
+        enumerate_solutions(K.VERTEX_COVER, vc, few_vertices)
+    assert enumerate_feasible(K.VERTEX_COVER, vc, few_vertices)
+    assert enumerate_solutions(K.VERTEX_COVER, vc, small_universe)
+    with pytest.raises(
+        CapacityError, match="^universe of size 3 exceeds the powerset bound 2$"
+    ):
+        enumerate_feasible(K.VERTEX_COVER, vc, small_universe)
+    tsp = TspInstance(11, (1,) * 55, 11)
+    for enumerate_family in (enumerate_solutions, enumerate_feasible):
+        with pytest.raises(CapacityError, match="^TSP enumeration limited to 10"):
+            enumerate_family(K.TSP, tsp, Bounds(max_universe=100, max_vertices=100))
+    cnf = CnfInstance(17, ((0, 1, 2),))
+    with pytest.raises(
+        CapacityError, match="^17 variables exceed the assignment bound$"
+    ):
+        enumerate_solutions(K.SAT, cnf, Bounds(max_universe=32))
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_lop_identity(seed):
     """S(I) must equal the feasible sets within the cost threshold."""

@@ -13,6 +13,7 @@ from sspforge.gen import (
     random_source_for_edge,
 )
 from sspforge.problems import (
+    KIND_SPECS,
     CnfInstance,
     ProblemKind,
     VertexCoverInstance,
@@ -31,6 +32,7 @@ from sspforge.rr import (
     comb_to_cost_rr,
     radjsat_to_comb_rr,
 )
+from test_kernels import small_instances
 
 HAM = DistanceMeasure.HAMMING
 PHI = CnfInstance(3, ((3, 4, 2),))
@@ -177,6 +179,15 @@ def test_instance_roundtrip_all_kinds():
             if type(inst2) is type(src):
                 assert inst2 == src
                 break
+    # every kind, targets included, through JSON and back
+    assert set(KIND_SPECS) == set(ProblemKind)
+    instances = small_instances()
+    assert {kind for kind, _ in instances} == set(ProblemKind)
+    for kind, inst in instances:
+        text = serialize.dumps(serialize.instance_to_doc(kind, inst))
+        k2, inst2 = serialize.instance_from_doc(json.loads(text))
+        assert (k2, inst2) == (kind, inst)
+        assert serialize.dumps(serialize.instance_to_doc(k2, inst2)) == text
 
 
 def test_dimacs_roundtrip():
@@ -510,6 +521,43 @@ def test_cli_solve_negative_budget_is_format_error(tmp_path, capsys, problem, ke
     doc = _rr_docs()[problem]
     doc[key] = -1
     assert _solve_doc(tmp_path, doc, problem) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("uhamcycle", {"n": 3, "edges": [[0, 1], [1, 2], [2, 9]]}),
+        ("uhamcycle", {"n": 3, "edges": [[0, 1], [1, 2], [0, 0]]}),
+        ("uhamcycle", {"n": 3, "edges": [[0, 1], [1, 2], [2, 0], [1, 0]]}),
+        ("uhamcycle", {"n": 3, "edges": [[0, 1, 2], [1, 2], [2, 0]]}),
+        ("2ddp", {"n": 5, "arcs": [[0, 1], [2, 3]], "pairs": [[0, 1, 4], [2, 3]]}),
+        ("2ddp", {"n": 4, "arcs": [[0, 1], [2, 3]], "pairs": [[0, 9], [2, 3]]}),
+        ("vc", {"n": 3, "edges": [[0, 1]], "k": [1]}),
+        ("steinertree",
+         {"n": 2, "edges": [[0, 1]], "costs": [1], "terminals": 0, "k": 1}),
+        ("steinertree",
+         {"n": 2, "edges": [[0, 1]], "costs": [1], "terminals": [0, 9], "k": 1}),
+    ],
+    ids=["uhc-range", "uhc-loop", "uhc-duplicate", "uhc-3-entry", "2ddp-3-entry",
+         "2ddp-range", "vc-k-list", "steiner-terminals-int", "steiner-terminal-range"],
+)
+def test_cli_solve_malformed_instance_is_format_error(tmp_path, capsys, kind, payload):
+    doc = {"schema_version": 1, "kind": kind, "payload": payload}
+    assert _solve_doc(tmp_path, doc, "nominal") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("t_rr", "x"), ("t_rr", None), ("t_rr", 1.5), ("t_rr", True), ("gamma", True)],
+)
+def test_cli_solve_cost_rr_non_integer_is_format_error(tmp_path, capsys, key, value):
+    doc = _rr_docs()["cost-rr"]
+    doc[key] = value
+    assert _solve_doc(tmp_path, doc, "cost-rr") == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
 
