@@ -74,6 +74,12 @@ def indices_of(mask: int) -> list[int]:
     return out
 
 
+def check_count(name: str, value: int) -> None:
+    """A vertex, variable, element or facility count may not be negative."""
+    if value < 0:
+        raise FormatError(f"{name} must be non-negative, got {value}")
+
+
 def check_within(mask: int, universe_size: int) -> None:
     if mask < 0 or mask >> universe_size:
         raise DomainError(

@@ -4,6 +4,7 @@ from .catalog import (
     clear_caches,
     enumerate_feasible,
     enumerate_solutions,
+    feasible_keys,
     is_lop,
     lop_cost,
     universe_labels,
@@ -65,6 +66,7 @@ __all__ = [
     "connected_undirected",
     "enumerate_solutions",
     "enumerate_feasible",
+    "feasible_keys",
     "is_lop",
     "lop_cost",
     "universe_labels",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 from operator import attrgetter
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from ..core import Bounds, CapacityError, DEFAULT_BOUNDS, UnsupportedKindError
 from . import cnf, covering, facility, graphs, numbers, paths, steiner
@@ -101,6 +101,10 @@ class KindSpec(NamedTuple):
     cost: Callable[[Any], tuple[tuple[int, ...], int]] | None = None
     # the clause width every instance must have
     width: int | None = None
+    # for the threshold kinds, F(I) as the sets whose weight sum reaches a
+    # threshold: (weights, threshold) of an instance; elements past the
+    # weights never lie in F(I)
+    threshold: Callable[[Any], tuple[tuple[int, ...], int]] | None = None
 
 
 def _zero_cost(cls, run, field: str) -> KindSpec:
@@ -108,6 +112,20 @@ def _zero_cost(cls, run, field: str) -> KindSpec:
     its ``field`` elements against threshold 0, so F(I) = S(I)."""
     e = Enumerator(_structural("n"), run)
     return KindSpec(cls, e, e, lambda inst: ((0,) * _size(inst, field), 0))
+
+
+def _threshold_kind(cls, solutions, field: str, threshold, cost) -> KindSpec:
+    """A number kind over its ``field`` elements whose F(I) is the sets
+    whose weight sum reaches a threshold, as ``threshold`` gives them."""
+    return KindSpec(
+        cls,
+        Enumerator(_structural(field), solutions),
+        Enumerator(
+            _powerset(field), lambda i, cap: numbers.sum_atleast(*threshold(i), cap)
+        ),
+        cost,
+        threshold=threshold,
+    )
 
 
 _CNF = Enumerator(
@@ -213,28 +231,32 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
     ProblemKind.UFL: KindSpec(facility.FacilityLocationInstance, _FACILITY),
     ProblemKind.P_CENTER: KindSpec(facility.PCenterInstance, _FACILITY),
     ProblemKind.P_MEDIAN: KindSpec(facility.PMedianInstance, _FACILITY),
-    ProblemKind.SUBSET_SUM: KindSpec(
+    ProblemKind.SUBSET_SUM: _threshold_kind(
         numbers.SubsetSumInstance,
-        Enumerator(_structural("values"), numbers.subsetsum_solutions),
-        Enumerator(_powerset("values"), numbers.subsetsum_feasible),
+        numbers.subsetsum_solutions,
+        "values",
+        numbers.subsetsum_threshold,
         lambda i: (i.values, i.target),
     ),
-    ProblemKind.KNAPSACK: KindSpec(
+    ProblemKind.KNAPSACK: _threshold_kind(
         numbers.KnapsackInstance,
-        Enumerator(_structural("items"), numbers.knapsack_solutions),
-        Enumerator(_powerset("items"), numbers.knapsack_feasible),
+        numbers.knapsack_solutions,
+        "items",
+        numbers.knapsack_threshold,
         lambda i: (tuple(w for _, w in i.items), i.weight_cap),
     ),
-    ProblemKind.PARTITION: KindSpec(
+    ProblemKind.PARTITION: _threshold_kind(
         numbers.PartitionInstance,
-        Enumerator(_structural("values"), numbers.partition_solutions),
-        Enumerator(_powerset("values"), numbers.partition_feasible),
+        numbers.partition_solutions,
+        "values",
+        numbers.partition_threshold,
         lambda i: (i.values, sum(i.values) // 2),
     ),
-    ProblemKind.SCHEDULING: KindSpec(
+    ProblemKind.SCHEDULING: _threshold_kind(
         numbers.SchedulingInstance,
-        Enumerator(_structural("times"), numbers.scheduling_solutions),
-        Enumerator(_powerset("times"), numbers.scheduling_feasible),
+        numbers.scheduling_solutions,
+        "times",
+        numbers.scheduling_threshold,
         lambda i: (i.times, i.deadline),
     ),
     ProblemKind.DHAM_PATH: _zero_cost(
@@ -321,6 +343,25 @@ def _feasible_cached(kind: ProblemKind, inst, bounds: Bounds) -> tuple[int, ...]
 
 def enumerate_feasible(kind: ProblemKind, inst, bounds: Bounds = DEFAULT_BOUNDS):
     return list(_feasible_cached(kind, inst, bounds))
+
+
+def feasible_keys(
+    kind: ProblemKind, inst, costs: tuple[int, ...], bounds: Bounds = DEFAULT_BOUNDS
+) -> Iterator[int] | None:
+    """F(I) as the keys c(S) << n | S, n = len(costs), in increasing order,
+    streamed from half tables without listing F(I); None unless ``kind`` is
+    a threshold kind and ``costs`` equal its weights where F(I) can hold an
+    element.  Raises what ``enumerate_feasible`` raises, at the call."""
+    spec = KIND_SPECS[kind]
+    if spec.threshold is None:
+        return None
+    weights, threshold = spec.threshold(inst)
+    if costs[: len(weights)] != weights:
+        return None
+    spec.feasible.guard.check(inst, bounds)
+    return numbers.sum_atleast_keys(
+        weights, threshold, len(costs), bounds.max_solutions
+    )
 
 
 def lop_cost(kind: ProblemKind, inst) -> tuple[tuple[int, ...], int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import CapacityError, DomainError, FormatError
+from ..core import CapacityError, DomainError, FormatError, check_count
 
 
 @dataclass(frozen=True)
@@ -18,6 +18,7 @@ class CnfInstance:
     clauses: tuple[tuple[int, ...], ...]  # literal indices into the universe
 
     def __post_init__(self):
+        check_count("n_vars", self.n_vars)
         for c in self.clauses:
             if not c:
                 raise FormatError("empty clause")

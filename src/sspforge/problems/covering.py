@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..core import CapacityError, DomainError, FormatError
+from ..core import CapacityError, DomainError, FormatError, check_count
 
 
 @dataclass(frozen=True)
@@ -15,6 +15,7 @@ class SetCoverInstance:
     k: int
 
     def __post_init__(self):
+        check_count("ground_size", self.ground_size)
         for s in self.subsets:
             for x in s:
                 if not 0 <= x < self.ground_size:
@@ -52,6 +53,7 @@ class HittingSetInstance:
     k: int
 
     def __post_init__(self):
+        check_count("ground_size", self.ground_size)
         for s in self.subsets:
             for x in s:
                 if not 0 <= x < self.ground_size:

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import CapacityError, DomainError, FormatError
+from ..core import CapacityError, DomainError, FormatError, check_count
 
 _INF = float("inf")
 
 
 def _check_matrix(n_fac, n_clients, service):
+    check_count("n_facilities", n_fac)
+    check_count("n_clients", n_clients)
     if len(service) != n_fac:
         raise FormatError("service matrix must have one row per facility")
     for row in service:

@@ -15,10 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..core import CapacityError, DomainError, FormatError, indices_of
+from ..core import CapacityError, DomainError, FormatError, check_count, indices_of
 
 
 def _check_edges(n, edges, directed=False):
+    check_count("n", n)
     seen = set()
     for e in edges:
         u, v = e

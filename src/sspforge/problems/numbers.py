@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
+from typing import Iterator
 
 from ..core import CapacityError, DomainError, FormatError
 
@@ -160,14 +162,14 @@ def _subset_dfs(values, accept, prune, cap) -> list[int]:
     return out
 
 
-def _sum_atleast(values, threshold, cap) -> list[int]:
-    """All masks over ``values`` whose sum reaches ``threshold``, sorted.
+def _half_tables(values, threshold, cap):
+    """Meet in the middle over the low h and the high n - h values: two
+    tables of subset sums, the low masks sorted by (sum, mask) with their
+    sums, and for each high mask H the position in that order from which
+    the low masks L give low[L] + high[H] >= threshold.  The family is
+    counted against ``cap`` before anything is built from it.
 
-    Two tables of subset sums, over the low h and the high n - h elements,
-    meet in the middle: for each high mask H, in mask order, the low masks
-    L with low[L] >= threshold - high[H] are a suffix of the low masks
-    sorted by sum, and H << h | L for those L in mask order continues the
-    sorted output.  The family is counted before it is built."""
+    Returns (h, high sums, sorted low masks, their sums, start positions)."""
     h = len(values) // 2
     low, high = subset_sums(values[:h]), subset_sums(values[h:])
     by_sum = sorted(range(len(low)), key=low.__getitem__)
@@ -175,10 +177,74 @@ def _sum_atleast(values, threshold, cap) -> list[int]:
     starts = [bisect_left(sums, threshold - s) for s in high]
     if len(high) * len(low) - sum(starts) > cap:
         raise CapacityError("solution cap exceeded")
+    return h, high, by_sum, sums, starts
+
+
+def sum_atleast(values, threshold, cap) -> list[int]:
+    """All masks over ``values`` whose sum reaches ``threshold``, sorted.
+
+    For each high mask H, in mask order, the low masks from H's start
+    position on, in mask order, continue the sorted output as H << h | L."""
+    h, _, by_sum, _, starts = _half_tables(values, threshold, cap)
     out: list[int] = []
     for hi, start in enumerate(starts):
         out += map((hi << h).__or__, sorted(by_sum[start:]))
     return out
+
+
+def sum_atleast_keys(values, threshold, shift, cap) -> Iterator[int]:
+    """The masks S over ``values`` whose sum reaches ``threshold``, as the
+    keys sum(S) << shift | S in increasing order, that is in (sum, mask)
+    order; ``shift`` is at least len(values).
+
+    The checks of ``sum_atleast`` run at the call; the keys come lazily.
+    Each high mask H owns one run of keys, its low masks in (sum, mask)
+    order from H's start position on, and a heap over the runs' heads
+    merges them (Horowitz and Sahni, JACM 1974): the k cheapest keys cost
+    the two half tables plus k heap steps over at most 2^ceil(n/2) runs,
+    and the rest of the family is never built."""
+    h, high, by_sum, sums, starts = _half_tables(values, threshold, cap)
+    low_keys = [(s << shift) + m for s, m in zip(sums, by_sum)]
+    # the key of H << h | L is H's base, (high[H] << shift) + (H << h),
+    # plus L's low key; a heap entry is (key, position of L, base)
+    heads = []
+    for hi, (s, start) in enumerate(zip(high, starts)):
+        if start < len(low_keys):
+            base = (s << shift) + (hi << h)
+            heads.append((base + low_keys[start], start, base))
+    return _merge_runs(heads, low_keys)
+
+
+def _merge_runs(heap, low_keys):
+    heapify(heap)
+    end = len(low_keys)
+    while heap:
+        key, pos, base = heap[0]
+        yield key
+        pos += 1
+        if pos < end:
+            heapreplace(heap, (base + low_keys[pos], pos, base))
+        else:
+            heappop(heap)
+
+
+def subsetsum_threshold(inst: SubsetSumInstance):
+    return inst.values, inst.target
+
+
+def knapsack_threshold(inst: KnapsackInstance):
+    return tuple(p for p, _ in inst.items), inst.price_goal
+
+
+def partition_threshold(inst: PartitionInstance):
+    # 2 * sum >= total, with the last element on the other side
+    return inst.values[:-1], (sum(inst.values) + 1) // 2
+
+
+def scheduling_threshold(inst: SchedulingInstance):
+    # the other machine's load, total - sum, is at most the deadline; the
+    # last job runs there
+    return inst.times[:-1], sum(inst.times) - inst.deadline
 
 
 def subsetsum_solutions(inst: SubsetSumInstance, cap) -> list[int]:
@@ -191,10 +257,6 @@ def subsetsum_solutions(inst: SubsetSumInstance, cap) -> list[int]:
     )
 
 
-def subsetsum_feasible(inst: SubsetSumInstance, cap) -> list[int]:
-    return _sum_atleast(inst.values, inst.target, cap)
-
-
 def knapsack_solutions(inst: KnapsackInstance, cap) -> list[int]:
     prices = tuple(p for p, _ in inst.items)
     sols = _subset_dfs(
@@ -204,10 +266,6 @@ def knapsack_solutions(inst: KnapsackInstance, cap) -> list[int]:
         cap=cap,
     )
     return [m for m in sols if inst.weight(m) <= inst.weight_cap]
-
-
-def knapsack_feasible(inst: KnapsackInstance, cap) -> list[int]:
-    return _sum_atleast(tuple(p for p, _ in inst.items), inst.price_goal, cap)
 
 
 def partition_solutions(inst: PartitionInstance, cap) -> list[int]:
@@ -224,11 +282,6 @@ def partition_solutions(inst: PartitionInstance, cap) -> list[int]:
     )
 
 
-def partition_feasible(inst: PartitionInstance, cap) -> list[int]:
-    # 2 * sum >= total
-    return _sum_atleast(inst.values[:-1], (sum(inst.values) + 1) // 2, cap)
-
-
 def scheduling_solutions(inst: SchedulingInstance, cap) -> list[int]:
     total = sum(inst.times)
     T = inst.deadline
@@ -239,8 +292,3 @@ def scheduling_solutions(inst: SchedulingInstance, cap) -> list[int]:
         prune=lambda cur, i, suf: cur > T or cur + suf[i] < total - T,
         cap=cap,
     )
-
-
-def scheduling_feasible(inst: SchedulingInstance, cap) -> list[int]:
-    # the other machine's load, total - sum, is at most the deadline
-    return _sum_atleast(inst.times[:-1], sum(inst.times) - inst.deadline, cap)

@@ -16,7 +16,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 
-from ..core import CapacityError, DomainError, FormatError, mask_of
+from ..core import CapacityError, DomainError, FormatError, check_count, mask_of
 from .graphs import _check_edges
 from .numbers import _masked_sum
 
@@ -34,6 +34,7 @@ def _edge_labels(edges):
 
 
 def _check_arcs(n, arcs):
+    check_count("n", n)
     seen = set()
     for u, v in arcs:
         if not (0 <= u < n and 0 <= v < n) or u == v:
@@ -163,6 +164,7 @@ class TspInstance:
     k: int
 
     def __post_init__(self):
+        check_count("n", self.n)
         if len(self.weights) != self.n * (self.n - 1) // 2:
             raise FormatError("weight list does not match a complete graph")
 

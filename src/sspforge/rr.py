@@ -2,9 +2,9 @@
 evaluators for the combinatorial and cost formulations, the adjustable-SAT
 game solver, and the two hardness-pipeline constructions.
 
-Evaluators are plain exhaustive quantifier searches over the enumerated
-solution and feasible families; witnesses are deterministic (the
-lexicographically least first-stage solution wins).
+Evaluators are exact quantifier searches over the solution and feasible
+families; witnesses are deterministic (the least first-stage mask among
+the optimal ones wins).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .problems import (
     ProblemKind,
     enumerate_feasible,
     enumerate_solutions,
+    feasible_keys,
     is_lop,
     lop_cost,
     universe_size,
@@ -192,26 +193,80 @@ def eval_comb_rr(
     return False, None
 
 
+class _Prefix:
+    """Keys c(S) << n | S of F(I) in increasing order: ``keys``, a plain
+    list, holds the keys read so far, and ``grow`` appends the next stretch
+    of the stream behind them, if there is one."""
+
+    __slots__ = ("keys", "_rest")
+
+    def __init__(self, keys, rest=None):
+        self.keys = keys
+        self._rest = rest
+
+    def grow(self) -> bool:
+        """Read about as many keys again as ``keys`` holds; False once the
+        stream has none left."""
+        if self._rest is None:
+            return False
+        before = len(self.keys)
+        self.keys += itertools.islice(self._rest, max(before, 16))
+        if len(self.keys) == before:
+            self._rest = None
+            return False
+        return True
+
+
+def _cost_orders(inst: CostRrInstance, bounds: Bounds) -> tuple[_Prefix, _Prefix]:
+    """F(I) in increasing (c_lo(S), S) order for the recoveries and in
+    increasing (c1(S), S) order for the first stages, each as keys
+    c(S) << n | S.  A threshold family priced by its own weights in both
+    stages is streamed from half tables (``feasible_keys``); otherwise F(I)
+    is listed and sorted, and its two orders are one when c1 = c_lo."""
+    if inst.c1 == inst.c_lo:
+        stream = feasible_keys(inst.kind, inst.instance, inst.c_lo, bounds)
+        if stream is not None:
+            order = _Prefix([], stream)
+            return order, order
+    feas = enumerate_feasible(inst.kind, inst.instance, bounds)
+    n = len(inst.c_lo)
+
+    def order(costs):
+        # element i weighs (c << n) + 2^i, so a set's price is its key
+        return _Prefix(
+            sorted(_set_costs([(c << n) + (1 << i) for i, c in enumerate(costs)], feas))
+        )
+
+    lo = order(inst.c_lo)
+    return lo, lo if inst.c1 == inst.c_lo else order(inst.c1)
+
+
 def eval_cost_rr(
     inst: CostRrInstance, bounds: Bounds = DEFAULT_BOUNDS
 ) -> tuple[int | float, bool, RrWitness | None]:
     """min over S1 of max over scenarios of min over S2 within kappa of
     c1(S1) + c2(S2); infeasible inner minimization yields infinity.
 
-    Every feasible set is priced once under c1 and once under c_lo by
-    half-universe lookup tables (``_set_costs``).  Recoveries are scanned
-    in increasing (c_lo(S2), S2) order, sorted on the single integer key
-    c_lo(S2) << n | S2, so the scan stops as soon as c1(S1) + c_lo(S2)
-    reaches the best recovery so far; c2(S2) is c_lo(S2) plus the gaps of
-    the at most gamma raised elements in S2.  First stages are taken in
-    enumeration order and a later one wins only by a strict improvement;
-    a first stage is skipped once c1(S1) plus the cheapest c_lo cannot
-    beat the best value."""
+    F(I) is read in two orders (``_cost_orders``): recoveries in increasing
+    (c_lo(S2), S2) order and first stages in increasing (c1(S1), S1)
+    order.  For a threshold family priced by its own weights (subset sum,
+    knapsack, partition, scheduling, with c1 = c_lo) both are one stream
+    merged from half tables, read only as far as the search gets; any
+    other kind or cost vector lists F(I) and sorts it.
+
+    A recovery scan stops as soon as c1(S1) + c_lo(S2) reaches the best
+    recovery so far; c2(S2) is c_lo(S2) plus the gaps of the at most gamma
+    raised elements in S2.  The first-stage walk stops once c1(S1) plus the
+    cheapest c_lo exceeds the best value, since no later first stage can
+    reach it.  A first stage whose worst case ties the best value wins if
+    its mask is smaller, so the witness is the least mask among the
+    optimal first stages, as in a walk in mask order; an infinite worst
+    case is never a witness."""
     if not is_lop(inst.kind):
         raise UnsupportedKindError(
             f"cost recoverable robustness needs an LOP kind, got {inst.kind.value}"
         )
-    feas = enumerate_feasible(inst.kind, inst.instance, bounds)
+    lo, first = _cost_orders(inst, bounds)
     n = len(inst.c_lo)
     raises = [
         (raised, [(1 << i, inst.c_hi[i] - inst.c_lo[i])
@@ -219,42 +274,53 @@ def eval_cost_rr(
         for raised, _ in enumerate_scenarios(inst, bounds)
     ]
     best: int | float = INFEASIBLE
+    best_s1 = -1
     best_witness = None
-    # element i weighs (c_lo[i] << n) + 2^i, so a set's price is its sort
-    # key c_lo(S2) << n | S2, the (c_lo(S2), S2) order in one integer
-    order = sorted(
-        _set_costs([(c << n) + (1 << i) for i, c in enumerate(inst.c_lo)], feas)
-    )
-    lo_floor = order[0] >> n if order else 0
+    if not lo.keys:
+        lo.grow()
+    lo_keys, stages = lo.keys, first.keys
+    lo_floor = lo_keys[0] >> n if lo_keys else 0
     full = (1 << n) - 1
-    for s1, c1v in zip(feas, _set_costs(inst.c1, feas)):
-        if c1v + lo_floor >= best:
-            continue
+    i = 0
+    while i < len(stages) or first.grow():
+        c1v, s1 = stages[i] >> n, stages[i] & full
+        i += 1
+        if c1v + lo_floor > best:
+            break  # no later first stage is cheaper
+        if c1v + lo_floor == best and s1 > best_s1:
+            continue  # at most a tie, which the smaller mask holds
         worst: int | float = -INFEASIBLE
         recov = {}
         for raised, gaps in raises:
             inner: int | float = INFEASIBLE
             inner_s2 = None
-            for key in order:
-                val = c1v + (key >> n)
-                if val >= inner:
-                    break  # raising costs cannot beat this bound
-                s2 = key & full
-                if distance(inst.measure, s1, s2) > inst.kappa:
-                    continue
-                for bit, gap in gaps:
-                    if s2 & bit:
-                        val += gap
-                if val < inner:
-                    inner = val
-                    inner_s2 = s2
+            start = 0
+            while True:
+                for key in (lo_keys[start:] if start else lo_keys):
+                    val = c1v + (key >> n)
+                    if val >= inner:
+                        break  # raising costs cannot beat this bound
+                    s2 = key & full
+                    if distance(inst.measure, s1, s2) > inst.kappa:
+                        continue
+                    for bit, gap in gaps:
+                        if s2 & bit:
+                            val += gap
+                    if val < inner:
+                        inner = val
+                        inner_s2 = s2
+                else:
+                    start = len(lo_keys)
+                    if lo.grow():
+                        continue  # scan on through the keys just read
+                break
             if inner > worst:
                 worst = inner
-                if worst >= best:
+                if worst > best or worst == best and s1 > best_s1:
                     break
             recov[raised] = inner_s2
-        if worst < best:
-            best = worst
+        if worst < best or worst == best and s1 < best_s1:
+            best, best_s1 = worst, s1
             best_witness = RrWitness(s1=s1, recoveries=recov, objective=worst)
     ok = best <= inst.t_rr
     return best, ok, best_witness

@@ -14,6 +14,7 @@ import pytest
 from sspforge.core import Bounds, CapacityError, DistanceMeasure
 from sspforge.gen import random_lb, random_source_for_edge
 from sspforge.problems import (
+    KIND_SPECS,
     KnapsackInstance,
     PartitionInstance,
     ProblemKind,
@@ -23,18 +24,13 @@ from sspforge.problems import (
     clear_caches,
     enumerate_feasible,
     enumerate_solutions,
+    feasible_keys,
     is_lop,
     lop_cost,
     universe_size,
     verify,
 )
 from sspforge.problems.graphs import covers_upto, independent_sets_atleast
-from sspforge.problems.numbers import (
-    knapsack_feasible,
-    partition_feasible,
-    scheduling_feasible,
-    subsetsum_feasible,
-)
 from sspforge.problems.paths import (
     disjoint_path_systems,
     ham_cycles_directed,
@@ -175,8 +171,8 @@ def test_subdivided_weighted_steiner_equals_verify_filter():
 
 
 def threshold_instances(rng):
-    """(kind, instance, summed values, feasible lister, acceptance of a
-    value sum and the last element's bit) for each threshold kind."""
+    """(kind, instance, summed values, acceptance of a value sum and the
+    last element's bit) for each threshold kind."""
     n = rng.randint(1, 12)
     values = tuple(rng.randint(1, 9) for _ in range(n))
     total = sum(values)
@@ -186,20 +182,19 @@ def threshold_instances(rng):
     scheduling = SchedulingInstance(values, rng.randint(0, total + 1))
     return [
         (
-            ProblemKind.SUBSET_SUM, subsetsum, values, subsetsum_feasible,
+            ProblemKind.SUBSET_SUM, subsetsum, values,
             lambda s, last: s >= subsetsum.target,
         ),
         (
-            ProblemKind.KNAPSACK, knapsack, values, knapsack_feasible,
+            ProblemKind.KNAPSACK, knapsack, values,
             lambda s, last: s >= knapsack.price_goal,
         ),
         (
             ProblemKind.PARTITION, PartitionInstance(values), values,
-            partition_feasible,
             lambda s, last: not last and 2 * s >= total,
         ),
         (
-            ProblemKind.SCHEDULING, scheduling, values, scheduling_feasible,
+            ProblemKind.SCHEDULING, scheduling, values,
             lambda s, last: not last and total - s <= scheduling.deadline,
         ),
     ]
@@ -211,7 +206,7 @@ def test_threshold_families_equal_powerset_filter():
     # part of F(I) within the LOP cost envelope
     rng = random.Random(17)
     for _ in range(150):
-        for kind, inst, values, feasible, accepts in threshold_instances(rng):
+        for kind, inst, values, accepts in threshold_instances(rng):
             n = len(values)
             want = [
                 m
@@ -229,10 +224,99 @@ def test_threshold_families_equal_powerset_filter():
                 if sum(c for i, c in enumerate(cost) if m >> i & 1) <= t
             ]
             assert within == powerset_filter(kind, inst), (kind, inst)
+            feasible = KIND_SPECS[kind].feasible.run
             if want:
                 with pytest.raises(CapacityError):
                     feasible(inst, len(want) - 1)
             assert feasible(inst, len(want)) == want
+
+
+def stream_instances(rng):
+    """(kind, instance, costs equal to the threshold weights where F(I) can
+    hold an element) for each threshold kind, with repeated values, empty
+    universes and thresholds from below 0 to above the total."""
+    n = rng.randint(0, 10)
+    values = tuple(rng.choice((1, 2, 2, 3, 5, 8)) for _ in range(n))
+    total = sum(values)
+    out = [
+        (
+            ProblemKind.SUBSET_SUM,
+            SubsetSumInstance(values, rng.randint(-2, total + 2)),
+            values,
+        ),
+        (
+            ProblemKind.KNAPSACK,
+            KnapsackInstance(
+                tuple((v, rng.randint(1, 5)) for v in values),
+                rng.randint(-2, total + 2),
+                rng.randint(1, 20),
+            ),
+            values,
+        ),
+    ]
+    if n:
+        # the last element lies outside every set; its cost is free
+        last = (rng.randint(-3, 9),)
+        out += [
+            (ProblemKind.PARTITION, PartitionInstance(values), values[:-1] + last),
+            (
+                ProblemKind.SCHEDULING,
+                SchedulingInstance(values, rng.randint(-1, total + 1)),
+                values[:-1] + last,
+            ),
+        ]
+    return out
+
+
+def listed_keys(kind, inst, costs, bounds=BOUNDS):
+    n = len(costs)
+    return sorted(
+        (sum(c for i, c in enumerate(costs) if m >> i & 1) << n) | m
+        for m in enumerate_feasible(kind, inst, bounds)
+    )
+
+
+def test_threshold_key_stream_equals_sorted_listing():
+    rng = random.Random(19)
+    seen = {"tie": 0, "empty": 0, "threshold<=0": 0, "n<=1": 0}
+    for _ in range(250):
+        for kind, inst, costs in stream_instances(rng):
+            want = listed_keys(kind, inst, costs)
+            got = list(feasible_keys(kind, inst, costs, BOUNDS))
+            assert got == want, (kind, inst)
+            n = len(costs)
+            prices = [k >> n for k in want]
+            weights, threshold = KIND_SPECS[kind].threshold(inst)
+            seen["tie"] += len(set(prices)) < len(prices)
+            seen["empty"] += not want
+            seen["threshold<=0"] += threshold <= 0
+            seen["n<=1"] += n <= 1
+            # any other price on the support takes the listed path
+            if weights:
+                other = (costs[0] + 1,) + costs[1:]
+                assert feasible_keys(kind, inst, other, BOUNDS) is None
+    assert min(seen.values()) > 10, seen
+
+
+def test_threshold_key_stream_raises_what_the_listing_raises():
+    rng = random.Random(23)
+    raised = set()
+    for _ in range(80):
+        for kind, inst, costs in stream_instances(rng):
+            size = len(listed_keys(kind, inst, costs))
+            for bounds in (
+                Bounds(max_universe=len(costs) - 1, max_solutions=CAP),
+                Bounds(max_universe=24, max_solutions=size - 1),
+            ):
+                if len(costs) <= bounds.max_universe and size <= bounds.max_solutions:
+                    continue
+                with pytest.raises(CapacityError) as listed:
+                    enumerate_feasible(kind, inst, bounds)
+                with pytest.raises(CapacityError) as streamed:
+                    feasible_keys(kind, inst, costs, bounds)
+                assert str(streamed.value) == str(listed.value)
+                raised.add(str(listed.value).split()[0])
+    assert raised == {"universe", "solution"}
 
 
 # ------------------------------------------------- large reduction targets

@@ -14,10 +14,14 @@ from sspforge.core import (
 from sspforge.gen import random_comb_rr, random_radjsat
 from sspforge.problems import (
     CnfInstance,
+    KnapsackInstance,
+    PartitionInstance,
     ProblemKind,
+    SchedulingInstance,
     SubsetSumInstance,
     VertexCoverInstance,
     enumerate_feasible,
+    feasible_keys,
     lop_cost,
     universe_size,
 )
@@ -506,3 +510,83 @@ def test_cost_rr_rejects_non_integer_costs():
         CostRrInstance(
             ProblemKind.SUBSET_SUM, inst, (2, 3), (2, 3), (2.5, 3), 10, 1, 0, HAM
         )
+
+
+def _stream_path_instance(rng, kind):
+    """A cost-RR instance of a threshold kind priced by its own weights in
+    both stages, which eval_cost_rr reads as a stream."""
+    n = rng.randint(1, 9)
+    values = tuple(rng.choice((1, 2, 2, 3, 4, 7)) for _ in range(n))
+    total = sum(values)
+    if kind is ProblemKind.SUBSET_SUM:
+        inst = SubsetSumInstance(values, rng.randint(0, total))
+    elif kind is ProblemKind.KNAPSACK:
+        inst = KnapsackInstance(
+            tuple((v, v) for v in values), rng.randint(0, total), rng.randint(1, total)
+        )
+    elif kind is ProblemKind.PARTITION:
+        inst = PartitionInstance(values)
+    else:
+        inst = SchedulingInstance(values, rng.randint(total // 2, total))
+    c_lo = values
+    c_hi = tuple(lo + rng.choice((0, 1, 3, 2 * total + 1)) for lo in c_lo)
+    cost = CostRrInstance(
+        kind, inst, c_lo, c_lo, c_hi, rng.randint(0, 3 * total),
+        rng.randint(0, 3), rng.randint(0, n), rng.choice((ADD, DEL, HAM)),
+    )
+    assert feasible_keys(kind, inst, c_lo) is not None
+    return cost
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [ProblemKind.SUBSET_SUM, ProblemKind.KNAPSACK, ProblemKind.PARTITION,
+     ProblemKind.SCHEDULING],
+)
+def test_cost_rr_equals_loop_on_streamed_threshold_families(kind):
+    rng = random.Random(repr(("stream", kind.value)))
+    measures = set()
+    for _ in range(100):
+        inst = _stream_path_instance(rng, kind)
+        measures.add(inst.measure)
+        _assert_cost_rr_equals_loop(inst)
+    assert len(measures) == 3
+
+
+# (seed, draw, measure, checked by the loop) of 3sat-subsetsum pipelines
+# whose subset-sum target has 18 elements, past the 16 the benchmark's
+# rr-pipeline allows; the loop takes about a second on each, so it checks
+# one yes and one no instance
+LARGE_PIPELINES = (
+    (3, 6, ADD, True), (3, 17, DEL, True), (5, 1, DEL, False), (13, 0, ADD, False),
+)
+
+
+@pytest.mark.parametrize("seed, draw, measure, by_loop", LARGE_PIPELINES)
+def test_cost_rr_on_large_subsetsum_pipelines(seed, draw, measure, by_loop):
+    rng = random.Random(seed)
+    for _ in range(draw + 1):
+        game = random_radjsat(rng, max_part=1, max_clauses=3, max_gamma=2)
+    comb = radjsat_to_comb_rr(game, "3sat-subsetsum", measure)
+    assert universe_size(comb.instance) == 18
+    cost = comb_to_cost_rr(comb)
+    if by_loop:
+        _assert_cost_rr_equals_loop(cost)
+    assert eval_cost_rr(cost)[1] == solve_radjsat(game)[0]
+
+
+def test_cost_rr_family_cap_error_precedes_scenario_cap_error():
+    # both the feasible family and the scenario set exceed the cap of 50;
+    # the family is counted first, on the streamed path as on the listed
+    values = (5, 1, 5, 1, 6, 21, 5, 8, 19, 3, 2, 5)
+    hi = tuple(v + 1 for v in values)
+    bounds = Bounds(max_solutions=50)
+    for c1 in (values, hi):
+        inst = CostRrInstance(
+            ProblemKind.SUBSET_SUM, SubsetSumInstance(values, 19),
+            c1, values, hi, 100, 3, 8, HAM,
+        )
+        with pytest.raises(CapacityError, match="scenario count"):
+            enumerate_scenarios(inst, bounds)
+        with pytest.raises(CapacityError, match="solution cap exceeded"):
+            eval_cost_rr(inst, bounds)

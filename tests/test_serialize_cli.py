@@ -605,3 +605,62 @@ def test_bad_env_bounds_do_not_break_import():
 
 def test_cli_reduce_unknown_file(tmp_path):
     assert main(["reduce", str(tmp_path / "missing.cnf"), "--edge", "3sat-vc"]) == 2
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("vc", {"n": -3, "edges": [], "k": 1}),
+        ("fas", {"n": -1, "arcs": [], "k": 0}),
+        ("3sat", {"n_vars": -1, "clauses": []}),
+        ("tsp", {"n": -2, "weights": [1, 2, 3], "k": 5}),
+        ("dhamcycle", {"n": -1, "arcs": []}),
+        ("sc", {"ground_size": -1, "subsets": [], "k": 0}),
+        ("hs", {"ground_size": -2, "subsets": [], "k": 0}),
+        ("ufl", {"n_facilities": 0, "n_clients": -1, "open_costs": [],
+                 "service": [], "k": 5}),
+        ("pcenter", {"n_facilities": -1, "n_clients": 0, "service": [],
+                     "p": 1, "k": 0}),
+    ],
+    ids=["vc", "fas", "3sat", "tsp", "dhamcycle", "sc", "hs", "ufl-clients",
+         "pcenter-facilities"],
+)
+def test_cli_solve_negative_count_is_format_error(tmp_path, capsys, kind, payload):
+    doc = {"schema_version": 1, "kind": kind, "payload": payload}
+    assert _solve_doc(tmp_path, doc, "nominal") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be non-negative" in err
+    assert "Traceback" not in err
+
+
+# 3sat-subsetsum pipelines of 18 target elements and their cost-RR answers
+# (value, answer, first-stage lines); the first stages tie on c1 with other
+# exact subset sums, so the least mask among them is the witness
+COST_RR_PIPELINES = [
+    (
+        RAdjSatInstance(CnfInstance(3, ((5, 0, 2), (4, 5, 5))), (2,), (1,), (0,), 2),
+        DistanceMeasure.KAPPA_ADDITION,
+        [
+            "value: 2222222222288",
+            "answer: yes (threshold 2222222222288)",
+            "first-stage: [0, 4, 5, 10, 11, 12, 13, 15, 17]",
+        ],
+    ),
+    (
+        RAdjSatInstance(CnfInstance(3, ((4, 4, 2), (1, 2, 1))), (0,), (2,), (1,), 2),
+        DistanceMeasure.KAPPA_DELETION,
+        [
+            "value: 2222222222345",
+            "answer: no (threshold 2222222222288)",
+            "first-stage: [0, 1, 2, 6, 7, 8, 9, 14, 15, 17]",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("game, measure, lines", COST_RR_PIPELINES, ids=["yes", "no"])
+def test_cli_solve_cost_rr_pipeline_witness(tmp_path, capsys, game, measure, lines):
+    comb = radjsat_to_comb_rr(game, "3sat-subsetsum", measure)
+    doc = serialize.cost_rr_to_doc(comb_to_cost_rr(comb))
+    assert _solve_doc(tmp_path, doc, "cost-rr") == 0
+    assert capsys.readouterr().out.splitlines() == lines
