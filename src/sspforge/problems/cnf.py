@@ -63,22 +63,19 @@ class CnfInstance:
     def assignment_mask(self, true_vars: int) -> int:
         """Literal mask of the assignment encoded by a variable bitset."""
         n = self.n_vars
-        m = 0
-        for i in range(n):
-            if (true_vars >> i) & 1:
-                m |= 1 << i
-            else:
-                m |= 1 << (n + i)
-        return m
+        full = (1 << n) - 1
+        a = true_vars & full
+        return a | (full ^ a) << n
 
 
 def enumerate_cnf_solutions(inst: CnfInstance, max_solutions: int) -> list[int]:
     n = inst.n_vars
+    full = (1 << n) - 1
     masks = inst.clause_masks()
     out = []
     for a in range(1 << n):
-        m = inst.assignment_mask(a)
-        if all(m & cm for cm in masks):
+        m = a | (full ^ a) << n
+        if all(map(m.__and__, masks)):
             out.append(m)
             if len(out) > max_solutions:
                 raise CapacityError("solution cap exceeded")

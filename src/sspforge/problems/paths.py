@@ -5,9 +5,9 @@ Universes are the arc (edge) lists; solutions are arc masks.  The
 directed searches (Hamiltonian paths and cycles, disjoint path systems)
 walk simple paths from junction to junction: ``_chains`` folds every run
 of in- and out-degree-1 vertices into one step, so the long chains of the
-reduction gadgets cost one step each.  Before routing a later terminal
-pair, the path-system search checks over those steps that the pair can
-still be joined.  Undirected cycles and tours are enumerated directly.
+reduction gadgets cost one step each.  At every step, the path-system
+search checks over those steps that the current pair and every later pair
+can still be joined.  Undirected cycles and tours are enumerated directly.
 """
 
 from __future__ import annotations
@@ -374,52 +374,94 @@ def tsp_tours(inst: TspInstance, cap) -> list[int]:
 
 
 def disjoint_path_systems(inst: DisjointPathsInstance, cap) -> list[int]:
+    """Every path system, routing the pairs in order, each by a search over
+    the ``_chains`` steps.
+
+    A step is taken only if it can still lead to a solution (the bounded
+    backtracking rule of Read & Tarjan): the new head must still reach its
+    own target around the used vertices, and every later pair must still
+    be joinable.  Each test keeps a witness path, found by a depth-first
+    search.  A path stays a witness for any larger blocked set that misses
+    the junctions after its start, since a chain's inner vertices can only
+    be used together with its end.  So a later pair is searched again only
+    when a step's vertex mask meets its path, and a step onto the head's
+    next junction needs no search: the rest of the head's path leads on.
+    The tests cut only branches that hold no solution, so the search lists
+    the solutions in the order of the unpruned one and reaches the cap at
+    the same solution.
+    """
     pairs = inst.pairs
+    last = len(pairs) - 1
     terminals = set(x for p in pairs for x in p)
     steps = _chains(inst.n, inst.arcs, terminals)
     tmask = mask_of(terminals)
+    # a path may not touch another pair's terminal
+    blocked = [tmask & ~(1 << t) for _, t in pairs]
     out: list[int] = []
 
-    def reaches(s, t, blocked):
-        # can s still reach t through steps that end on no blocked vertex?
-        seen, stack = 1 << s, [s]
+    def route(s, t, avoid):
+        # a path from s to t through steps that end on no avoided vertex,
+        # as (next junction by junction, mask of the junctions after s),
+        # or None if there is none
+        seen, stack, parent = 1 << s, [s], {}
         while stack:
-            for v, _, _ in steps[stack.pop()]:
+            u = stack.pop()
+            for v, _, _ in steps[u]:
                 if v == t:
-                    return True
-                if not (blocked | seen) >> v & 1:
+                    ahead, mask = {u: t}, 1 << t
+                    while u != s:
+                        mask |= 1 << u
+                        ahead[parent[u]] = u
+                        u = parent[u]
+                    return ahead, mask
+                if not (avoid | seen) >> v & 1:
                     seen |= 1 << v
+                    parent[v] = u
                     stack.append(v)
-        return False
+        return None
 
-    def route(pi, usedv, arcmask):
-        if pi == len(pairs):
-            out.append(arcmask)
-            if len(out) > cap:
-                raise CapacityError("solution cap exceeded")
-            return
-        s, t = pairs[pi]
-        # a path may not touch another pair's terminal
-        blocked = tmask & ~(1 << t)
-        if pi and not reaches(s, t, usedv | blocked):
-            return
+    def dfs(pi, cur, usedv, arcmask, ahead, wits):
+        # ahead leads from cur to pair pi's target around usedv, and
+        # wits[i] is a path of pair pi + 1 + i around usedv
+        t = pairs[pi][1]
+        avoid = blocked[pi]
+        for v, vm, am in steps[cur]:
+            if (usedv | avoid) >> v & 1:
+                continue
+            used = usedv | vm
+            if v == t or ahead[cur] == v:
+                head = ahead
+            else:
+                w = route(v, t, used | avoid)
+                if w is None:
+                    continue
+                head = w[0]
+            kept = wits
+            for j, w in enumerate(wits, pi + 1):
+                if vm & w[1]:
+                    w = route(*pairs[j], used | blocked[j])
+                    if w is None:
+                        break
+                    if kept is wits:
+                        kept = list(wits)
+                    kept[j - pi - 1] = w
+            else:
+                if v != t:
+                    dfs(pi, v, used, arcmask | am, head, kept)
+                elif pi < last:
+                    s = pairs[pi + 1][0]
+                    dfs(pi + 1, s, used | 1 << s, arcmask | am, kept[0][0], kept[1:])
+                else:
+                    out.append(arcmask | am)
+                    if len(out) > cap:
+                        raise CapacityError("solution cap exceeded")
 
-        def dfs(cur, usedv2, am):
-            if cur == t:
-                route(pi + 1, usedv2, am)
-                return
-            for v, vm, sam in steps[cur]:
-                if not (usedv2 | blocked) >> v & 1:
-                    dfs(v, usedv2 | vm, am | sam)
-
-        try:
-            dfs(s, usedv | 1 << s, arcmask)
-        finally:
-            del dfs
-
+    wits = [route(s, t, blocked[j]) for j, (s, t) in enumerate(pairs)]
     try:
-        route(0, 0, 0)
+        if None not in wits:
+            s = pairs[0][0]
+            dfs(0, s, 1 << s, 0, wits[0][0], wits[1:])
     finally:
-        del route
+        del dfs
     out.sort()
     return out

@@ -3,9 +3,16 @@ import random
 
 import pytest
 
-from sspforge.core import DistanceMeasure, FormatError, PreconditionError, mask_of
+from sspforge.core import (
+    DistanceMeasure,
+    FormatError,
+    PreconditionError,
+    distance,
+    embed,
+    mask_of,
+)
 from sspforge.gen import random_cnf, random_lb
-from sspforge.problems import CnfInstance, ProblemKind
+from sspforge.problems import CnfInstance, ProblemKind, enumerate_solutions
 from sspforge.reductions import (
     BLOWUP_EDGES,
     build_blowup,
@@ -13,6 +20,7 @@ from sspforge.reductions import (
     check_ssp,
     published_beta,
 )
+from sspforge.reductions.artifact import CheckVerdict
 from sspforge import serialize
 
 ADD = DistanceMeasure.KAPPA_ADDITION
@@ -180,3 +188,64 @@ def test_blowup_edges_random_sources(edge):
             art = build_blowup(edge, src, lb, measure)
             assert check_ssp(art).passed, (edge, i, measure)
             assert check_blowup(art, measure).passed, (edge, i, measure)
+
+
+# ------------------------------------------------- grouped biconditional
+
+
+def ref_check_blowup(art, measure, beta):
+    """The plain pair loop: the first ordered pair (i <= j) whose agreement
+    on the blown literals disagrees with a distance at most beta."""
+    sols = enumerate_solutions(art.target_kind, art.target)
+    stats = dict(source_solutions=0, target_solutions=len(sols))
+    f_lb = embed(art.f, art.l_b)
+    for i, si in enumerate(sols):
+        for sj in sols[i:]:
+            agree = si & f_lb == sj & f_lb
+            d1, d2 = distance(measure, si, sj), distance(measure, sj, si)
+            if agree != (d1 <= beta) or agree != (d2 <= beta):
+                return CheckVerdict(
+                    False,
+                    reason=(
+                        f"pair with agreement={agree} at distances "
+                        f"({d1},{d2}) against beta={beta}"
+                    ),
+                    counterexample=(si, sj),
+                    **stats,
+                )
+    return CheckVerdict(True, **stats)
+
+
+# (edge, source, blown literals): several signature groups of several
+# solutions each, an empty family, a one-solution family, and the three
+# published-factor failures above
+GROUPED_CASES = (
+    ("3sat-vc", FIG_PHI, mask_of([2, 5])),
+    ("3sat-is", CnfInstance(2, ((0, 1, 2), (3, 2, 1))), mask_of([0, 2])),
+    ("3sat-vc", CnfInstance(1, ((0, 0, 0), (1, 1, 1))), 0),
+    ("sat-3sat", CnfInstance(1, ((0, 0, 0),)), mask_of([0, 1])),
+    ("sat-3sat", CnfInstance(3, ((4, 0, 1, 4), (3, 3, 4))), mask_of([0, 2, 3, 5])),
+    ("3sat-dhampath", CnfInstance(2, ((2, 1, 3),)), mask_of([0, 1, 2, 3])),
+    ("3sat-2ddp", CnfInstance(2, ((1, 2, 3),)), mask_of([0, 1, 2, 3])),
+)
+
+
+@pytest.mark.parametrize("measure", list(DistanceMeasure))
+def test_grouped_blowup_check_equals_pair_loop(measure):
+    sizes, failures = set(), set()
+    for edge, src, lb in GROUPED_CASES:
+        art = build_blowup(edge, src, lb, measure)
+        beta = art.beta_for(measure)
+        published = published_beta(edge, src, lb)[measure]
+        # within-group failures below beta, cross-group ones above it
+        for b in (beta, published, -1, 0, beta // 2, beta - 1, beta + 1, 10 * beta + 10):
+            got = check_blowup(art, measure, beta=b)
+            assert got == ref_check_blowup(art, measure, b), (edge, src, b)
+            if not got.passed:
+                failures.add(got.reason.split(" at ")[0])
+        size = len(enumerate_solutions(art.target_kind, art.target))
+        sizes.add(min(size, 2))
+        if edge in ("sat-3sat", "3sat-dhampath", "3sat-2ddp") and size > 1:
+            assert not check_blowup(art, measure, beta=published).passed
+    assert sizes == {0, 1, 2}
+    assert failures == {"pair with agreement=True", "pair with agreement=False"}

@@ -3,7 +3,9 @@
 Every kind's enumerator must list exactly the sets its verifier accepts
 on small universes, and the chain-step and bitset searches must list
 exactly what the plain searches they replaced listed on large reduction
-targets.  The plain searches are kept below as the reference.
+targets.  The plain searches are kept below as the reference, and so is
+the unpruned chain-step search for disjoint paths, which the pruned one
+must equal past the generator's size ceiling.
 """
 
 import gc
@@ -11,10 +13,11 @@ import random
 
 import pytest
 
-from sspforge.core import Bounds, CapacityError, DistanceMeasure
+from sspforge.core import Bounds, CapacityError, DistanceMeasure, mask_of
 from sspforge.gen import random_lb, random_source_for_edge
 from sspforge.problems import (
     KIND_SPECS,
+    CnfInstance,
     KnapsackInstance,
     PartitionInstance,
     ProblemKind,
@@ -32,6 +35,7 @@ from sspforge.problems import (
 )
 from sspforge.problems.graphs import covers_upto, independent_sets_atleast
 from sspforge.problems.paths import (
+    _chains,
     disjoint_path_systems,
     ham_cycles_directed,
     ham_paths,
@@ -401,11 +405,71 @@ def test_steiner_equals_reference_with_budget_slack(i, slack):
     assert steiner_trees_upto(t, t.k + slack, CAP) == want
 
 
+# ------------------------------------------------- the 2ddp size frontier
+
+
+def frontier_target(n_vars, n_clauses, draw):
+    """A 3sat-2ddp target whose source has exactly ``n_vars`` variables and
+    ``n_clauses`` 3-literal clauses, past the generator's ceiling of 2
+    variables and 1 clause."""
+    rng = random.Random(repr(("frontier", "3sat-2ddp", n_vars, n_clauses, draw)))
+    clauses = tuple(
+        tuple(rng.randrange(2 * n_vars) for _ in range(3)) for _ in range(n_clauses)
+    )
+    src = CnfInstance(n_vars, clauses)
+    return build_blowup("3sat-2ddp", src, random_lb(rng, src), DistanceMeasure.HAMMING).target
+
+
+# (variables, clauses, draw) where the chain-step search finishes in about
+# a second or less
+FRONTIER_EQUAL = ((2, 2, 0), (3, 2, 3))
+# (variables, clauses, draw): the number of systems the chain-step search
+# listed, measured once (5 s to 20 min each, too long for the suite)
+FRONTIER_COUNTS = {
+    (2, 2, 1): 10,
+    (2, 2, 2): 34,
+    (3, 2, 0): 20,
+    (3, 2, 1): 37,
+    (3, 3, 3): 90,
+}
+
+
+def frontier_id(key):
+    return "{}v{}c{}".format(*key)
+
+
+@pytest.mark.parametrize("key", FRONTIER_EQUAL, ids=frontier_id)
+def test_2ddp_frontier_equals_chain_search(key):
+    t = frontier_target(*key)
+    want = ref_chain_disjoint_path_systems(t, CAP)
+    assert want
+    assert disjoint_path_systems(t, CAP) == want
+    if key == FRONTIER_EQUAL[0]:
+        kddp = build_preserving("2ddp-kddp", t, {"k": 3}).target
+        want = ref_chain_disjoint_path_systems(kddp, CAP)
+        assert want
+        assert disjoint_path_systems(kddp, CAP) == want
+
+
+@pytest.mark.parametrize("key", sorted(FRONTIER_COUNTS), ids=frontier_id)
+def test_2ddp_frontier_counts(key):
+    t = frontier_target(*key)
+    systems = disjoint_path_systems(t, CAP)
+    assert len(systems) == FRONTIER_COUNTS[key]
+    assert systems == sorted(set(systems))
+    assert all(t.verify(m) for m in systems)
+
+
 def test_cap_is_enforced_by_the_new_kernels():
     t = large_target("3sat-2ddp", 11)
     with pytest.raises(CapacityError):
         disjoint_path_systems(t, 9)
     assert len(disjoint_path_systems(t, 10)) == 10
+    t = frontier_target(3, 2, 1)
+    systems = disjoint_path_systems(t, CAP)
+    with pytest.raises(CapacityError):
+        disjoint_path_systems(t, len(systems) - 1)
+    assert disjoint_path_systems(t, len(systems)) == systems
     t = large_target("3sat-steinertree", 15)
     for budget in (t.k, t.k + 1):  # the second overflows in branch growth
         trees = steiner_trees_upto(t, budget, CAP)
@@ -502,6 +566,53 @@ def ref_disjoint_path_systems(inst, cap):
                 if v in terminals and v != t:
                     continue
                 dfs(v, usedv2 | 1 << v, am | 1 << i)
+
+        dfs(s, usedv | 1 << s, arcmask)
+
+    route(0, 0, 0)
+    out.sort()
+    return out
+
+
+def ref_chain_disjoint_path_systems(inst, cap):
+    # the chain-step search the pruned one replaced: it routes each pair
+    # in full and tests only at the start of a later pair that the pair
+    # can still be joined
+    pairs = inst.pairs
+    terminals = set(x for p in pairs for x in p)
+    steps = _chains(inst.n, inst.arcs, terminals)
+    tmask = mask_of(terminals)
+    out = []
+
+    def reaches(s, t, blocked):
+        seen, stack = 1 << s, [s]
+        while stack:
+            for v, _, _ in steps[stack.pop()]:
+                if v == t:
+                    return True
+                if not (blocked | seen) >> v & 1:
+                    seen |= 1 << v
+                    stack.append(v)
+        return False
+
+    def route(pi, usedv, arcmask):
+        if pi == len(pairs):
+            out.append(arcmask)
+            if len(out) > cap:
+                raise CapacityError("solution cap exceeded")
+            return
+        s, t = pairs[pi]
+        blocked = tmask & ~(1 << t)
+        if pi and not reaches(s, t, usedv | blocked):
+            return
+
+        def dfs(cur, usedv2, am):
+            if cur == t:
+                route(pi + 1, usedv2, am)
+                return
+            for v, vm, sam in steps[cur]:
+                if not (usedv2 | blocked) >> v & 1:
+                    dfs(v, usedv2 | vm, am | sam)
 
         dfs(s, usedv | 1 << s, arcmask)
 
