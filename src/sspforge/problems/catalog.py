@@ -77,15 +77,28 @@ def _powerset(field: str) -> Guard:
 
 
 def _structural(field: str) -> Guard:
+    """``max_vertices`` on the instance's ``field``; the message names what
+    it counts: vertices for ``n``, otherwise the field itself."""
+    noun = "vertices" if field == "n" else field
     return Guard(
-        field, attrgetter("max_vertices"), "{size} vertices exceed the structural bound"
+        field, attrgetter("max_vertices"), f"{{size}} {noun} exceed the structural bound"
     )
+
+
+class Guards(NamedTuple):
+    """Several guards, checked in order; the first that fails raises."""
+
+    parts: tuple[Guard, ...]
+
+    def check(self, inst, bounds: Bounds) -> None:
+        for guard in self.parts:
+            guard.check(inst, bounds)
 
 
 class Enumerator(NamedTuple):
     """A family enumerator ``run(inst, cap)``, called once ``guard`` passes."""
 
-    guard: Guard
+    guard: Guard | Guards
     run: Callable[[Any, int], Iterable[int]]
 
 
@@ -140,6 +153,9 @@ _CNF = Enumerator(
 )
 _FACILITY = Enumerator(_powerset("n_facilities"), facility.facility_solutions)
 _TSP_VERTICES = Guard("n", lambda bounds: 10, "TSP enumeration limited to 10 vertices")
+# the Steiner kernel builds tables per vertex and terminal, so both of its
+# families also answer to the vertex count
+_STEINER_VERTICES = _structural("n")
 
 # in the enumerators and envelopes, ``i`` is the instance and ``cap`` the
 # solution cap
@@ -286,11 +302,11 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
     ProblemKind.STEINER_TREE: KindSpec(
         steiner.SteinerTreeInstance,
         Enumerator(
-            _structural("edges"),
+            Guards((_structural("edges"), _STEINER_VERTICES)),
             lambda i, cap: steiner.steiner_trees_upto(i, i.k, cap),
         ),
         Enumerator(
-            _powerset("edges"),
+            Guards((_powerset("edges"), _STEINER_VERTICES)),
             lambda i, cap: steiner.steiner_trees_upto(i, sum(i.costs), cap),
         ),
         lambda i: (i.costs, i.k),

@@ -6,12 +6,16 @@ grows optional non-terminal branches.  The attach walk moves from junction
 to junction: a run of degree-2 non-terminal vertices is one step, since the
 tree holds such a vertex only together with its whole run.  It prunes on
 the budget plus a lower bound built from disjoint balls around the
-unreached terminals, kept incremental through each terminal's distance to
-the partial tree.  Each walk node receives the bound its caller computed
-to admit it; a step that ends in the tree leaves every distance unchanged,
-so it is admitted on that bound without a new evaluation.  Branches grow
-from the cut of the tree, the edges with exactly one endpoint in it, kept
-as a bitmask and updated by one xor per added vertex.
+unreached terminals.  The bound depends only on the vector of each
+terminal's distance to the partial tree, and the walk meets the same few
+vectors many times, so each call interns them: every distinct vector gets
+a small id and its bound is computed once, and a step from vector a to
+vertex y is one int-keyed lookup of the child's id.  A step that ends in
+the tree leaves every distance unchanged and keeps its vector.  Each
+terminal's ball table is filled as Dijkstra settles the vertices.
+Branches grow from the cut of the tree, the edges with exactly one
+endpoint in it, kept as a bitmask and updated by one xor per added
+vertex.
 """
 
 from __future__ import annotations
@@ -101,6 +105,11 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
         adj[v].append((i, u))
     out: list[int] = []
 
+    inc = [0] * n
+    for i, (u, v) in enumerate(edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+
     # Lower bound on the cost still to add.  Let P be the partial tree (the
     # tree plus the path being walked) and x a terminal outside it.  The
     # final tree joins x to P by a path whose part within distance r of x,
@@ -110,29 +119,31 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
     # terminal claims the largest radius up to d(x, P) whose ball misses
     # the balls already claimed.
     inf = sum(costs) + 1
-    dist = [[inf] * len(terminals) for _ in range(n)]
+    cols = []
     balls = []
-    for j, x in enumerate(terminals):
-        dist[x][j] = 0
+    for x in terminals:
+        col = [inf] * n
+        col[x] = 0
         heap = [(0, x)]
+        # radius -> (edges with an endpoint closer than it, next smaller
+        # radius), filled as Dijkstra settles the vertices in distance order
+        ball, inside, prev = {}, 0, 0
         while heap:
             d, u = heapq.heappop(heap)
-            if d > dist[u][j]:
+            if d > col[u]:
                 continue
+            if d > prev:
+                ball[d] = (inside, prev)
+                prev = d
+            inside |= inc[u]
             for i, y in adj[u]:
-                if d + costs[i] < dist[y][j]:
-                    dist[y][j] = d + costs[i]
+                if d + costs[i] < col[y]:
+                    col[y] = d + costs[i]
                     heapq.heappush(heap, (d + costs[i], y))
-        # radius -> (edges with an endpoint closer than it, next smaller radius)
-        ball, inside, prev = {}, 0, 0
-        for r, u in sorted((dist[u][j], u) for u in range(n) if dist[u][j] < inf):
-            if r > prev:
-                ball[r] = (inside, prev)
-                prev = r
-            for i, _ in adj[u]:
-                inside |= 1 << i
+        cols.append(col)
         balls.append(ball)
-    dist = [tuple(row) for row in dist]
+    # dist[y][j]: the distance from terminal j to vertex y
+    dist = list(zip(*cols))
     # terminals close to another one claim first: their balls are small
     order = sorted(
         range(len(terminals)),
@@ -141,11 +152,11 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
         ),
     )
 
-    def remaining_lb(near, pending):
-        # near[j]: the distance from terminal j to P; pending: the
-        # terminals, in claiming order, not in the tree
+    def remaining_lb(near):
+        # near[j]: the distance from terminal j to P, 0 for the terminals
+        # in P, which need no more edges
         total = used = 0
-        for j in pending:
+        for j in order:
             r = near[j]
             if not r:
                 continue
@@ -161,10 +172,26 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
                 used |= eset
         return total
 
-    inc = [0] * n
-    for i, (u, v) in enumerate(edges):
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
+    # The bound depends on `near` alone, and a walk meets few distinct
+    # vectors many times over.  Each distinct vector gets an id, its bound
+    # is computed once, and the step from vector a to vertex y, whose
+    # vector is min(a, dist[y]), is kept under the key a * n + y.
+    near_ids = {}
+    near_of = []  # id -> vector
+    lb_of = []  # id -> remaining_lb(vector)
+    moves = {}
+
+    def intern(near):
+        a = near_ids.get(near)
+        if a is None:
+            a = near_ids[near] = len(near_of)
+            near_of.append(near)
+            lb_of.append(remaining_lb(near))
+        return a
+
+    def move(a, y):
+        b = moves[a * n + y] = intern(tuple(map(min, near_of[a], dist[y])))
+        return b
 
     def extensions(tree_v, mask, cost, cut, banned):
         # the caller emitted `mask`; grow it edge by edge, branching on the
@@ -210,10 +237,13 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
                 c += costs[i]
             steps[x].append((y, vm | 1 << y, em, c))
 
-    def attach_next(tree_v, mask, cost, near):
-        # callers check the bound while the next terminal is still out
-        t = next((x for x in terminals if not tree_v >> x & 1), None)
-        if t is None:
+    def attach_next(tree_v, mask, cost, a, i):
+        # a: the id of the terminals' distances to the tree; terminals[:i]
+        # are in the tree.  Callers check the bound while the next terminal
+        # is still out
+        while i < len(terminals) and tree_v >> terminals[i] & 1:
+            i += 1
+        if i == len(terminals):
             out.append(mask)
             if len(out) > cap:
                 raise CapacityError("solution cap exceeded")
@@ -225,37 +255,44 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
                 tv ^= low
             extensions(tree_v, mask, cost, cut, 0)
             return
-        near = list(map(min, near, dist[t]))
-        pending = [j for j in order if near[j]]
+        t = terminals[i]
+        b = moves.get(a * n + t)
+        if b is None:
+            b = move(a, t)
 
-        def dfs(cur, pv, pmask, pcost, near, lb):
-            # lb = remaining_lb(near, pending), computed by the caller
+        def dfs(cur, pv, pmask, pcost, a):
+            lb = lb_of[a]
             for y, vm, em, c in steps[cur]:
                 if pv >> y & 1:
                     continue
                 if tree_v >> y & 1:
                     # every tree vertex outside a chain was a path start or
-                    # a step end, so dist[y] is already folded into `near`:
-                    # min(near, dist[y]) == near, and its bound is lb
+                    # a step end, so dist[y] is already folded into the
+                    # distances: the step keeps vector a and its bound
                     if cost + pcost + c + lb <= budget:
                         attach_next(
-                            tree_v | pv | vm, mask | pmask | em, cost + pcost + c, near
+                            tree_v | pv | vm,
+                            mask | pmask | em,
+                            cost + pcost + c,
+                            a,
+                            i + 1,
                         )
                     continue
-                near_y = list(map(min, near, dist[y]))
-                lb_y = remaining_lb(near_y, pending)
-                if cost + pcost + c + lb_y <= budget:
-                    dfs(y, pv | vm, pmask | em, pcost + c, near_y, lb_y)
+                b = moves.get(a * n + y)
+                if b is None:
+                    b = move(a, y)
+                if cost + pcost + c + lb_of[b] <= budget:
+                    dfs(y, pv | vm, pmask | em, pcost + c, b)
 
         try:
-            dfs(t, 1 << t, 0, 0, near, remaining_lb(near, pending))
+            dfs(t, 1 << t, 0, 0, b)
         finally:
             del dfs
 
     # the searches recurse through their own closure cells; emptying the
     # cells frees the tables now instead of at a later cyclic collection
     try:
-        attach_next(1 << terminals[0], 0, 0, dist[terminals[0]])
+        attach_next(1 << terminals[0], 0, 0, intern(dist[terminals[0]]), 1)
     finally:
         del attach_next, extensions
     out.sort()

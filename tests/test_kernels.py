@@ -3,12 +3,14 @@
 Every kind's enumerator must list exactly the sets its verifier accepts
 on small universes, and the chain-step and bitset searches must list
 exactly what the plain searches they replaced listed on large reduction
-targets.  The plain searches are kept below as the reference, and so is
-the unpruned chain-step search for disjoint paths, which the pruned one
-must equal past the generator's size ceiling.
+targets.  The plain searches are kept below as the reference, and so are
+the unpruned chain-step search for disjoint paths and the Steiner walk
+that computed its bound afresh at every step, which the pruned search and
+the interned walk must equal past the generator's size ceilings.
 """
 
 import gc
+import heapq
 import random
 
 import pytest
@@ -408,16 +410,16 @@ def test_steiner_equals_reference_with_budget_slack(i, slack):
 # ------------------------------------------------- the 2ddp size frontier
 
 
-def frontier_target(n_vars, n_clauses, draw):
-    """A 3sat-2ddp target whose source has exactly ``n_vars`` variables and
-    ``n_clauses`` 3-literal clauses, past the generator's ceiling of 2
-    variables and 1 clause."""
-    rng = random.Random(repr(("frontier", "3sat-2ddp", n_vars, n_clauses, draw)))
+def frontier_target(n_vars, n_clauses, draw, edge="3sat-2ddp"):
+    """A target of ``edge`` whose source has exactly ``n_vars`` variables and
+    ``n_clauses`` 3-literal clauses, past the generator's ceiling (for
+    3sat-2ddp 2 variables and 1 clause)."""
+    rng = random.Random(repr(("frontier", edge, n_vars, n_clauses, draw)))
     clauses = tuple(
         tuple(rng.randrange(2 * n_vars) for _ in range(3)) for _ in range(n_clauses)
     )
     src = CnfInstance(n_vars, clauses)
-    return build_blowup("3sat-2ddp", src, random_lb(rng, src), DistanceMeasure.HAMMING).target
+    return build_blowup(edge, src, random_lb(rng, src), DistanceMeasure.HAMMING).target
 
 
 # (variables, clauses, draw) where the chain-step search finishes in about
@@ -460,6 +462,40 @@ def test_2ddp_frontier_counts(key):
     assert all(t.verify(m) for m in systems)
 
 
+# ------------------------------------------------- the Steiner size frontier
+
+
+def steiner_frontier_target(n_vars, n_clauses, draw):
+    """A 3sat-steinertree target one step past the generator's ceiling of
+    2 variables and 2 clauses."""
+    return frontier_target(n_vars, n_clauses, draw, "3sat-steinertree")
+
+
+# (variables, clauses, draw): trees at k, where the per-step-bound walk
+# lists them in about a second or less
+STEINER_FRONTIER_EQUAL = {(3, 2, 0): 6, (3, 2, 1): 10, (3, 2, 2): 4, (3, 3, 2): 17}
+# (variables, clauses, draw): trees at k, which both walks list; the
+# per-step-bound walk takes about 5 s, too long for the suite
+STEINER_FRONTIER_COUNTS = {(3, 3, 0): 23}
+
+
+@pytest.mark.parametrize("key", sorted(STEINER_FRONTIER_EQUAL), ids=frontier_id)
+def test_steiner_frontier_equals_per_step_bound_walk(key):
+    t = steiner_frontier_target(*key)
+    want = ref_ball_steiner_trees_upto(t, t.k, CAP)
+    assert len(want) == STEINER_FRONTIER_EQUAL[key]
+    assert steiner_trees_upto(t, t.k, CAP) == want
+
+
+@pytest.mark.parametrize("key", sorted(STEINER_FRONTIER_COUNTS), ids=frontier_id)
+def test_steiner_frontier_counts(key):
+    t = steiner_frontier_target(*key)
+    trees = steiner_trees_upto(t, t.k, CAP)
+    assert len(trees) == STEINER_FRONTIER_COUNTS[key]
+    assert trees == sorted(set(trees))
+    assert all(t.verify(m) for m in trees)
+
+
 def test_cap_is_enforced_by_the_new_kernels():
     t = large_target("3sat-2ddp", 11)
     with pytest.raises(CapacityError):
@@ -476,6 +512,11 @@ def test_cap_is_enforced_by_the_new_kernels():
         with pytest.raises(CapacityError):
             steiner_trees_upto(t, budget, len(trees) - 1)
         assert steiner_trees_upto(t, budget, len(trees)) == trees
+    t = steiner_frontier_target(3, 2, 0)
+    trees = steiner_trees_upto(t, t.k, CAP)
+    with pytest.raises(CapacityError):
+        steiner_trees_upto(t, t.k, len(trees) - 1)
+    assert steiner_trees_upto(t, t.k, len(trees)) == trees
 
 
 # ------------------------------------------------- reference searches
@@ -794,5 +835,181 @@ def ref_steiner_trees_upto(inst, budget, cap):
         dfs(t, 1 << t, 0, 0)
 
     attach_next(1 << terminals[0], 0, 0)
+    out.sort()
+    return out
+
+
+# The Steiner walk before its distance vectors were interned: the same
+# ball bound, evaluated afresh at every step off the tree, and the ball
+# tables built from a sorted (distance, vertex) list.  The interned walk
+# must list the same trees in the same order.
+def ref_ball_steiner_trees_upto(inst, budget, cap):
+    if budget < 0:
+        return []
+    n, edges, costs = inst.n, inst.edges, inst.costs
+    terminals = tuple(dict.fromkeys(inst.terminals))
+    adj = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        adj[u].append((i, v))
+        adj[v].append((i, u))
+    out = []
+
+    # Lower bound on the cost still to add.  Let P be the partial tree (the
+    # tree plus the path being walked) and x a terminal outside it.  The
+    # final tree joins x to P by a path whose part within distance r of x,
+    # for any r <= d(x, P), costs at least r and uses only edges with an
+    # endpoint closer than r to x, none of them in P.  Such balls around
+    # several terminals, taken with disjoint edge sets, add up.  Each
+    # terminal claims the largest radius up to d(x, P) whose ball misses
+    # the balls already claimed.
+    inf = sum(costs) + 1
+    dist = [[inf] * len(terminals) for _ in range(n)]
+    balls = []
+    for j, x in enumerate(terminals):
+        dist[x][j] = 0
+        heap = [(0, x)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u][j]:
+                continue
+            for i, y in adj[u]:
+                if d + costs[i] < dist[y][j]:
+                    dist[y][j] = d + costs[i]
+                    heapq.heappush(heap, (d + costs[i], y))
+        # radius -> (edges with an endpoint closer than it, next smaller radius)
+        ball, inside, prev = {}, 0, 0
+        for r, u in sorted((dist[u][j], u) for u in range(n) if dist[u][j] < inf):
+            if r > prev:
+                ball[r] = (inside, prev)
+                prev = r
+            for i, _ in adj[u]:
+                inside |= 1 << i
+        balls.append(ball)
+    dist = [tuple(row) for row in dist]
+    # terminals close to another one claim first: their balls are small
+    order = sorted(
+        range(len(terminals)),
+        key=lambda j: min(
+            (dist[y][j] for y in terminals if y != terminals[j]), default=inf
+        ),
+    )
+
+    def remaining_lb(near, pending):
+        # near[j]: the distance from terminal j to P; pending: the
+        # terminals, in claiming order, not in the tree
+        total = used = 0
+        for j in pending:
+            r = near[j]
+            if not r:
+                continue
+            if r == inf:
+                return inf  # unreachable: no tree completes this one
+            ball = balls[j]
+            eset, smaller = ball[r]
+            while eset & used and smaller:
+                r = smaller
+                eset, smaller = ball[r]
+            if not eset & used:
+                total += r
+                used |= eset
+        return total
+
+    inc = [0] * n
+    for i, (u, v) in enumerate(edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+
+    def extensions(tree_v, mask, cost, cut, banned):
+        # the caller emitted `mask`; grow it edge by edge, branching on the
+        # smallest frontier edge (include vs ban) so every tree is created
+        # exactly once.  `cut` holds the edges with exactly one endpoint in
+        # the tree, so the frontier is `cut & ~banned`
+        free = cut & ~banned
+        if not free:
+            return
+        pivot = (free & -free).bit_length() - 1
+        if cost + costs[pivot] <= budget:
+            out.append(mask | 1 << pivot)
+            if len(out) > cap:
+                raise CapacityError("solution cap exceeded")
+            u, v = edges[pivot]
+            grow = v if tree_v >> u & 1 else u
+            extensions(
+                tree_v | 1 << grow,
+                mask | 1 << pivot,
+                cost + costs[pivot],
+                cut ^ inc[grow],
+                banned,
+            )
+        extensions(tree_v, mask, cost, cut, banned | 1 << pivot)
+
+    # the attach walk stands only on terminals and vertices of degree other
+    # than 2; a degree-2 non-terminal is in the tree only together with its
+    # whole chain, so a walk that enters a chain always runs through it,
+    # and the distance to a chain's inside is at least that to its ends
+    inner = [len(adj[x]) == 2 for x in range(n)]
+    for x in terminals:
+        inner[x] = False
+    steps = [[] for _ in range(n)]
+    for x in range(n):
+        if inner[x]:
+            continue
+        for i, y in adj[x]:
+            vm, em, c = 0, 1 << i, costs[i]
+            while inner[y]:
+                vm |= 1 << y
+                i, y = next(e for e in adj[y] if e[0] != i)
+                em |= 1 << i
+                c += costs[i]
+            steps[x].append((y, vm | 1 << y, em, c))
+
+    def attach_next(tree_v, mask, cost, near):
+        # callers check the bound while the next terminal is still out
+        t = next((x for x in terminals if not tree_v >> x & 1), None)
+        if t is None:
+            out.append(mask)
+            if len(out) > cap:
+                raise CapacityError("solution cap exceeded")
+            cut = 0
+            tv = tree_v
+            while tv:
+                low = tv & -tv
+                cut ^= inc[low.bit_length() - 1]
+                tv ^= low
+            extensions(tree_v, mask, cost, cut, 0)
+            return
+        near = list(map(min, near, dist[t]))
+        pending = [j for j in order if near[j]]
+
+        def dfs(cur, pv, pmask, pcost, near, lb):
+            # lb = remaining_lb(near, pending), computed by the caller
+            for y, vm, em, c in steps[cur]:
+                if pv >> y & 1:
+                    continue
+                if tree_v >> y & 1:
+                    # every tree vertex outside a chain was a path start or
+                    # a step end, so dist[y] is already folded into `near`:
+                    # min(near, dist[y]) == near, and its bound is lb
+                    if cost + pcost + c + lb <= budget:
+                        attach_next(
+                            tree_v | pv | vm, mask | pmask | em, cost + pcost + c, near
+                        )
+                    continue
+                near_y = list(map(min, near, dist[y]))
+                lb_y = remaining_lb(near_y, pending)
+                if cost + pcost + c + lb_y <= budget:
+                    dfs(y, pv | vm, pmask | em, pcost + c, near_y, lb_y)
+
+        try:
+            dfs(t, 1 << t, 0, 0, near, remaining_lb(near, pending))
+        finally:
+            del dfs
+
+    # the searches recurse through their own closure cells; emptying the
+    # cells frees the tables now instead of at a later cyclic collection
+    try:
+        attach_next(1 << terminals[0], 0, 0, dist[terminals[0]])
+    finally:
+        del attach_next, extensions
     out.sort()
     return out

@@ -6,12 +6,14 @@ from sspforge.core import Bounds, CapacityError, UnsupportedKindError, mask_of
 from sspforge.problems import (
     CnfInstance,
     DominatingSetInstance,
+    FeedbackArcSetInstance,
     HittingSetInstance,
     KnapsackInstance,
     PartitionInstance,
     ProblemKind,
     SchedulingInstance,
     SetCoverInstance,
+    SteinerTreeInstance,
     SubsetSumInstance,
     TspInstance,
     VertexCoverInstance,
@@ -136,6 +138,27 @@ def test_capacity_guards_keep_their_bound_size_and_message():
         CapacityError, match="^17 variables exceed the assignment bound$"
     ):
         enumerate_solutions(K.SAT, cnf, Bounds(max_universe=32))
+
+
+def test_steiner_families_answer_to_the_vertex_count():
+    """The Steiner kernel builds tables per vertex, so a path of 3 edges in
+    a graph of 101 vertices is refused under a bound of 100 vertices by both
+    families; the structural guards name what they count."""
+    path = SteinerTreeInstance(101, ((0, 1), (1, 2), (2, 3)), (1, 1, 1), (0, 3), 3)
+    few_vertices = Bounds(max_universe=24, max_vertices=100)
+    for enumerate_family in (enumerate_solutions, enumerate_feasible):
+        with pytest.raises(
+            CapacityError, match="^101 vertices exceed the structural bound$"
+        ):
+            enumerate_family(K.STEINER_TREE, path, few_vertices)
+        assert enumerate_family(K.STEINER_TREE, path, Bounds(max_vertices=101)) == [
+            0b111
+        ]
+    with pytest.raises(CapacityError, match="^3 edges exceed the structural bound$"):
+        enumerate_solutions(K.STEINER_TREE, path, Bounds(max_vertices=2))
+    fas = FeedbackArcSetInstance(3, ((0, 1), (1, 2), (2, 0)), 1)
+    with pytest.raises(CapacityError, match="^3 arcs exceed the structural bound$"):
+        enumerate_solutions(K.FEEDBACK_ARC_SET, fas, Bounds(max_vertices=2))
 
 
 @pytest.mark.parametrize("seed", range(30))
