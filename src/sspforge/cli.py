@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 property failure, 2 parse/format error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import random
@@ -88,21 +89,31 @@ def _parse_lb(spec: str | None, cnf) -> int:
     n = cnf.n_vars
     for tok in spec.split(","):
         tok = tok.strip()
-        if tok.startswith("x"):
-            tok = tok[1:]
-        i = int(tok) - 1
+        digits = tok[1:] if tok.startswith("x") else tok
+        try:
+            i = int(digits) - 1
+        except ValueError:
+            raise FormatError(f"--lb: {tok!r} is not a variable like x1") from None
         if not 0 <= i < n:
             raise FormatError(f"blow-up variable x{i+1} out of range")
         mask |= (1 << i) | (1 << (n + i))
     return mask
 
 
+def _count_flag(args, name: str) -> int | None:
+    """The value of the integer option ``name``, refused if negative."""
+    value = getattr(args, name, None)
+    if value is not None and value < 0:
+        raise FormatError(f"--{name.replace('_', '-')} {value} is negative")
+    return value
+
+
 def _bounds(args) -> Bounds:
     b = Bounds.from_env()
-    if getattr(args, "max_universe", None):
-        b = Bounds(args.max_universe, b.max_solutions, b.max_vertices)
-    if getattr(args, "max_solutions", None):
-        b = Bounds(b.max_universe, args.max_solutions, b.max_vertices)
+    for name in ("max_universe", "max_solutions"):
+        value = _count_flag(args, name)
+        if value is not None:
+            b = dataclasses.replace(b, **{name: value})
     return b
 
 
@@ -133,7 +144,9 @@ def cmd_reduce(args) -> int:
             )
         if edge in BLOWUP_EDGES:
             lb = _parse_lb(args.lb, cur)
-            step = build_blowup(edge, cur, lb, measure, beta_override=args.beta)
+            step = build_blowup(
+                edge, cur, lb, measure, beta_override=_count_flag(args, "beta")
+            )
         else:
             params = {"k": args.kddp_k} if edge == "2ddp-kddp" else None
             step = build_preserving(edge, cur, params)
@@ -270,7 +283,11 @@ def cmd_fuzz(args) -> int:
                 measure = rng.choice(list(DistanceMeasure))
                 lb = random_lb(rng, source)
                 artifact = build_blowup(
-                    edge, source, lb, measure, beta_override=args.inject_beta
+                    edge,
+                    source,
+                    lb,
+                    measure,
+                    beta_override=_count_flag(args, "inject_beta"),
                 )
             else:
                 params = {"k": rng.randint(2, 4)} if edge == "2ddp-kddp" else None

@@ -11,8 +11,13 @@ terminal's distance to the partial tree, and the walk meets the same few
 vectors many times, so each call interns them: every distinct vector gets
 a small id and its bound is computed once, and a step from vector a to
 vertex y is one int-keyed lookup of the child's id.  A step that ends in
-the tree leaves every distance unchanged and keeps its vector.  Each
-terminal's ball table is filled as Dijkstra settles the vertices.
+the tree leaves every distance unchanged and keeps its vector.  A vector
+is one int with a field per terminal, each one bit wider than the largest
+distance, so the fieldwise minimum of two vectors takes a fixed number of
+whole-int operations, with the spare top bit of each field stopping the
+borrows (Lamport, "Multiple byte processing with full-word instructions",
+CACM 1975).  Each terminal's ball table, and its field of every vertex's
+vector, is filled as Dijkstra settles the vertices.
 Branches grow from the cut of the tree, the edges with exactly one
 endpoint in it, kept as a bitmask and updated by one xor per added
 vertex.
@@ -119,9 +124,22 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
     # terminal claims the largest radius up to d(x, P) whose ball misses
     # the balls already claimed.
     inf = sum(costs) + 1
-    cols = []
+    # A vector of distances, one per terminal, is kept as one int with a
+    # w-bit field per terminal, field j at bit j * w.  Every distance is at
+    # most inf < 2 ** (w - 1), so the top bit of each field is a free guard
+    # bit; H masks the guard bits.
+    w = inf.bit_length() + 1
+    top = w - 1
+    fm = (1 << top) - 1
+    H = 0
+    for j in range(len(terminals)):
+        H |= 1 << j * w + top
+    # dist[y]: the distances from the terminals to vertex y; each field
+    # holds inf until Dijkstra from its terminal settles y
+    dist = [(H >> top) * inf] * n
     balls = []
-    for x in terminals:
+    for j, x in enumerate(terminals):
+        shift = j * w
         col = [inf] * n
         col[x] = 0
         heap = [(0, x)]
@@ -136,33 +154,32 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
                 ball[d] = (inside, prev)
                 prev = d
             inside |= inc[u]
+            dist[u] -= (inf - d) << shift
             for i, y in adj[u]:
                 if d + costs[i] < col[y]:
                     col[y] = d + costs[i]
                     heapq.heappush(heap, (d + costs[i], y))
-        cols.append(col)
         balls.append(ball)
-    # dist[y][j]: the distance from terminal j to vertex y
-    dist = list(zip(*cols))
     # terminals close to another one claim first: their balls are small
     order = sorted(
         range(len(terminals)),
         key=lambda j: min(
-            (dist[y][j] for y in terminals if y != terminals[j]), default=inf
+            (dist[y] >> j * w & fm for y in terminals if y != terminals[j]),
+            default=inf,
         ),
     )
+    claims = [(j * w, balls[j]) for j in order]
 
     def remaining_lb(near):
-        # near[j]: the distance from terminal j to P, 0 for the terminals
-        # in P, which need no more edges
+        # field j of near: the distance from terminal j to P, 0 for the
+        # terminals in P, which need no more edges
         total = used = 0
-        for j in order:
-            r = near[j]
+        for shift, ball in claims:
+            r = near >> shift & fm
             if not r:
                 continue
             if r == inf:
                 return inf  # unreachable: no tree completes this one
-            ball = balls[j]
             eset, smaller = ball[r]
             while eset & used and smaller:
                 r = smaller
@@ -175,7 +192,8 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
     # The bound depends on `near` alone, and a walk meets few distinct
     # vectors many times over.  Each distinct vector gets an id, its bound
     # is computed once, and the step from vector a to vertex y, whose
-    # vector is min(a, dist[y]), is kept under the key a * n + y.
+    # vector is min(a, dist[y]) field by field, is kept under the key
+    # a * n + y.
     near_ids = {}
     near_of = []  # id -> vector
     lb_of = []  # id -> remaining_lb(vector)
@@ -190,7 +208,13 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
         return a
 
     def move(a, y):
-        b = moves[a * n + y] = intern(tuple(map(min, near_of[a], dist[y])))
+        # the fieldwise minimum in a few whole-int operations: (A | H) - B
+        # borrows within each field only, and field j keeps its guard bit
+        # exactly when a_j >= b_j; g - (g >> top) widens each kept guard
+        # bit into a mask of its field's value bits, where B is taken
+        A, B = near_of[a], dist[y]
+        g = ((A | H) - B) & H
+        b = moves[a * n + y] = intern(A ^ ((A ^ B) & (g - (g >> top))))
         return b
 
     def extensions(tree_v, mask, cost, cut, banned):

@@ -153,6 +153,8 @@ def build_blowup(
         source.require_width(3)
     pairs = _blown_pairs(source, l_b)
     if beta_override is not None:
+        if beta_override < 0:
+            raise PreconditionError(f"negative blow-up factor {beta_override}")
         table = {m: beta_override for m in (_ADD, _DEL, _HAM)}
     else:
         table = effective_beta(edge, source, l_b)

@@ -7,13 +7,21 @@ failing verdict always carries a concrete replayable counterexample.
 The biconditional is checked by signature groups: the target solutions
 that agree on the embedded blown literals form one group, and each
 solution must lie within beta of every member of its group and beyond
-beta of every other solution.  Each solution's distances to a group are
-taken in one pass of C-level ``map`` calls.  Only when that check fails
-does the checker walk the solution pairs in order, so a failing verdict
-names the same first pair, with the same reason, as a plain pair loop.
+beta of every other solution.  Bounds from each group's AND and OR of
+its members settle most of that group against group: a group whose
+members vary in at most beta bits needs no pair, and two groups whose
+fixed bits already differ in more than beta places (for Hamming; for
+kappa, in more than beta places each way) are separated.  The rest is
+taken in passes of C-level ``map`` calls, one per solution.  Only when
+the check fails does the checker walk the solution pairs in order, so a
+failing verdict names the same first pair, with the same reason, as a
+plain pair loop.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import add, and_, or_
 
 from ..core import (
     Bounds,
@@ -84,30 +92,62 @@ def _groups_separated(sols, f_lb, measure, beta) -> bool:
     """Whether every solution lies within ``beta`` of each solution that
     agrees with it on ``f_lb``, and beyond ``beta`` of every other one.
 
-    Taking every solution in turn as s covers every ordered pair, so
-    distances are read from s only, in the measure's own direction.  An
-    unknown measure reads as a failure, which the pair loop reports."""
+    Every member of a group holds the bits its group's AND holds and no bit
+    outside its group's OR.  So two members differ only on the group's
+    varying bits, which bound their Hamming distance; their kappa distance
+    counts only bits that one of them holds beyond the AND, so the most
+    any member holds there bounds it.  Members s, t of groups A, B differ
+    on the ab bits of allA & ~anyB and the ba bits of allB & ~anyA, so
+    their Hamming distance is at least ab + ba and their kappa distance
+    is at least ba one way and ab the other.  Groups and pairs of groups
+    these bounds do not decide take the exact pass: every solution in
+    turn as s, its distances, in the measure's own direction, to the
+    solutions in question.  An unknown measure reads as a failure, which
+    the pair loop reports."""
     if measure not in _ROWS:
         return False
     complemented, row = _ROWS[measure]
     groups: dict[int, list[int]] = {}
     for s in sols:
         groups.setdefault(s & f_lb, []).append(s)
-    items = [t for group in groups.values() for t in group]
-    if complemented:
-        items = [~t for t in items]
+    members = list(groups.values())
+    all1 = [reduce(and_, group) for group in members]
+    any1 = [reduce(or_, group) for group in members]
+    out1 = [~x for x in any1]
     bit_count = int.bit_count
-    a = 0
-    for group in groups.values():
-        b = a + len(group)
-        same, other = items[a:b], items[:a] + items[b:]
+    hamming = measure == DistanceMeasure.HAMMING
+    combine = add if hamming else min
+    # near[a]: the groups whose distance bound to group a is within beta
+    near = [[] for _ in members]
+    for a in range(len(members)):
+        bounds = list(
+            map(
+                combine,
+                map(bit_count, map(all1[a].__and__, out1[a + 1 :])),
+                map(bit_count, map(out1[a].__and__, all1[a + 1 :])),
+            )
+        )
+        if bounds and min(bounds) <= beta:
+            for b, bound in enumerate(bounds, a + 1):
+                if bound <= beta:
+                    near[a].append(b)
+                    near[b].append(a)
+    flip = (lambda ts: [~t for t in ts]) if complemented else list
+    for a, group in enumerate(members):
+        if hamming:
+            spread = bit_count(any1[a] ^ all1[a])
+        else:
+            spread = max(map(bit_count, map((~all1[a]).__and__, group)))
+        same = spread > beta and flip(group)
+        other = flip([t for b in near[a] for t in members[b]])
+        if not (same or other):
+            continue
         for s in group:
             d = row(s)
-            if max(map(bit_count, map(d, same))) > beta:
+            if same and max(map(bit_count, map(d, same))) > beta:
                 return False
             if other and min(map(bit_count, map(d, other))) <= beta:
                 return False
-        a = b
     return True
 
 

@@ -21,6 +21,7 @@ from sspforge.reductions import (
     published_beta,
 )
 from sspforge.reductions.artifact import CheckVerdict
+from sspforge.reductions.checks import _groups_separated
 from sspforge import serialize
 
 ADD = DistanceMeasure.KAPPA_ADDITION
@@ -39,6 +40,11 @@ def test_fig1_vertex_cover_shape():
     assert g.k == 5  # |L|/2 + 2|C|
     assert art.f == tuple(range(6))
     assert art.beta_for(HAM) == 9  # the base graph size
+
+
+def test_negative_beta_override_is_refused():
+    with pytest.raises(PreconditionError, match="negative blow-up factor -1"):
+        build_blowup("3sat-vc", FIG_PHI, mask_of([2, 5]), HAM, beta_override=-1)
 
 
 def test_fig1_golden():
@@ -193,27 +199,100 @@ def test_blowup_edges_random_sources(edge):
 # ------------------------------------------------- grouped biconditional
 
 
-def ref_check_blowup(art, measure, beta):
+def ref_first_failing_pair(sols, f_lb, measure, beta):
     """The plain pair loop: the first ordered pair (i <= j) whose agreement
-    on the blown literals disagrees with a distance at most beta."""
-    sols = enumerate_solutions(art.target_kind, art.target)
-    stats = dict(source_solutions=0, target_solutions=len(sols))
-    f_lb = embed(art.f, art.l_b)
+    on ``f_lb`` disagrees with a distance at most beta, as (reason, pair),
+    or None."""
     for i, si in enumerate(sols):
         for sj in sols[i:]:
             agree = si & f_lb == sj & f_lb
             d1, d2 = distance(measure, si, sj), distance(measure, sj, si)
             if agree != (d1 <= beta) or agree != (d2 <= beta):
-                return CheckVerdict(
-                    False,
-                    reason=(
-                        f"pair with agreement={agree} at distances "
-                        f"({d1},{d2}) against beta={beta}"
-                    ),
-                    counterexample=(si, sj),
-                    **stats,
+                reason = (
+                    f"pair with agreement={agree} at distances "
+                    f"({d1},{d2}) against beta={beta}"
                 )
-    return CheckVerdict(True, **stats)
+                return reason, (si, sj)
+    return None
+
+
+def ref_check_blowup(art, measure, beta):
+    sols = enumerate_solutions(art.target_kind, art.target)
+    stats = dict(source_solutions=0, target_solutions=len(sols))
+    failing = ref_first_failing_pair(sols, embed(art.f, art.l_b), measure, beta)
+    if failing is None:
+        return CheckVerdict(True, **stats)
+    reason, pair = failing
+    return CheckVerdict(False, reason=reason, counterexample=pair, **stats)
+
+
+def grouped_paths(sols, f_lb, measure, beta):
+    """Which ways of the grouped check a family takes: a group decided by
+    the bound within it (its varying bits for Hamming, the most bits a
+    member holds beyond the group's AND for kappa), or by the exact pass
+    (passing or failing); a pair of groups decided by the bound across
+    them, or by the exact pass (passing or failing)."""
+    groups = {}
+    for s in sols:
+        groups.setdefault(s & f_lb, []).append(s)
+    groups = list(groups.values())
+    summary = []
+    for group in groups:
+        all1 = any1 = group[0]
+        for s in group:
+            all1, any1 = all1 & s, any1 | s
+        summary.append((all1, any1))
+    paths = set()
+    for group, (all1, any1) in zip(groups, summary):
+        if measure == HAM:
+            spread = (any1 ^ all1).bit_count()
+        else:
+            spread = max((s & ~all1).bit_count() for s in group)
+        if spread <= beta:
+            paths.add("in-group bound")
+        else:
+            ok = ref_first_failing_pair(group, f_lb, measure, beta) is None
+            paths.add("in-group passes" if ok else "in-group fails")
+    for a in range(len(groups)):
+        for b in range(a + 1, len(groups)):
+            (all_a, any_a), (all_b, any_b) = summary[a], summary[b]
+            ab, ba = (all_a & ~any_b).bit_count(), (all_b & ~any_a).bit_count()
+            if (ab + ba if measure == HAM else min(ab, ba)) > beta:
+                paths.add("cross-group bound")
+                continue
+            ok = all(
+                distance(measure, s, t) > beta and distance(measure, t, s) > beta
+                for s in groups[a]
+                for t in groups[b]
+            )
+            paths.add("cross-group passes" if ok else "cross-group fails")
+    return paths
+
+
+ALL_PATHS = {
+    "in-group bound",
+    "in-group passes",
+    "in-group fails",
+    "cross-group bound",
+    "cross-group passes",
+    "cross-group fails",
+}
+
+
+@pytest.mark.parametrize("measure", list(DistanceMeasure))
+def test_groups_separated_equals_pair_loop_on_random_families(measure):
+    # families over 7 bits with up to two signature bits, so groups
+    # overlap in varying bits and the bounds leave pairs undecided
+    rng = random.Random(repr(("groups", measure)))
+    paths = set()
+    for _ in range(600):
+        sols = sorted(set(rng.randrange(1 << 7) for _ in range(rng.randint(0, 9))))
+        f_lb = rng.choice((0, 1, 3, 65))
+        beta = rng.randint(-1, 6)
+        want = ref_first_failing_pair(sols, f_lb, measure, beta) is None
+        assert _groups_separated(sols, f_lb, measure, beta) == want, (sols, f_lb, beta)
+        paths |= grouped_paths(sols, f_lb, measure, beta)
+    assert paths == ALL_PATHS
 
 
 # (edge, source, blown literals): several signature groups of several
@@ -227,25 +306,36 @@ GROUPED_CASES = (
     ("sat-3sat", CnfInstance(3, ((4, 0, 1, 4), (3, 3, 4))), mask_of([0, 2, 3, 5])),
     ("3sat-dhampath", CnfInstance(2, ((2, 1, 3),)), mask_of([0, 1, 2, 3])),
     ("3sat-2ddp", CnfInstance(2, ((1, 2, 3),)), mask_of([0, 1, 2, 3])),
+    # at beta + 1, kappa leaves pairs of groups to the exact pass, which
+    # separates them
+    ("3sat-subsetsum", CnfInstance(3, ((1, 5, 0), (4, 3, 4), (2, 4, 4))), 36),
+    # at beta // 2, kappa leaves the one group to the exact pass, which
+    # passes it
+    ("3sat-vc", CnfInstance(2, ((0, 0, 3), (1, 1, 3), (3, 1, 1))), 0),
 )
 
 
 @pytest.mark.parametrize("measure", list(DistanceMeasure))
 def test_grouped_blowup_check_equals_pair_loop(measure):
-    sizes, failures = set(), set()
+    sizes, failures, paths = set(), set(), set()
     for edge, src, lb in GROUPED_CASES:
         art = build_blowup(edge, src, lb, measure)
         beta = art.beta_for(measure)
         published = published_beta(edge, src, lb)[measure]
+        sols = enumerate_solutions(art.target_kind, art.target)
         # within-group failures below beta, cross-group ones above it
         for b in (beta, published, -1, 0, beta // 2, beta - 1, beta + 1, 10 * beta + 10):
             got = check_blowup(art, measure, beta=b)
             assert got == ref_check_blowup(art, measure, b), (edge, src, b)
             if not got.passed:
                 failures.add(got.reason.split(" at ")[0])
-        size = len(enumerate_solutions(art.target_kind, art.target))
+            paths |= grouped_paths(sols, embed(art.f, art.l_b), measure, b)
+        size = len(sols)
         sizes.add(min(size, 2))
         if edge in ("sat-3sat", "3sat-dhampath", "3sat-2ddp") and size > 1:
             assert not check_blowup(art, measure, beta=published).passed
     assert sizes == {0, 1, 2}
     assert failures == {"pair with agreement=True", "pair with agreement=False"}
+    # no probed artifact leaves a separated pair of groups to Hamming's
+    # exact pass; the random families above take that way
+    assert paths == ALL_PATHS - ({"cross-group passes"} if measure == HAM else set())

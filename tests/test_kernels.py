@@ -176,6 +176,44 @@ def test_subdivided_weighted_steiner_equals_verify_filter():
     assert folded > 40
 
 
+def test_packed_steiner_vectors_equal_references():
+    # the walk keeps each vector of terminal distances as one int with a
+    # field per terminal; check it where a field is wider than 64 bits
+    # (costs up to 2**70), with zero-cost edges, with a terminal that no
+    # edge reaches (its field holds inf) and with a single terminal
+    rng = random.Random(17)
+    seen = dict.fromkeys(("wide", "zero", "unreachable", "single"), 0)
+    for case in range(160):
+        n = rng.randint(2, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        edges = tuple(pairs[: rng.randint(1, min(len(pairs), 11))])
+        top = 1 << 70 if case % 2 else 3
+        costs = tuple(rng.choice((0, rng.randint(1, top))) for _ in edges)
+        if case % 5 == 0:
+            terminals = (rng.randrange(n),)
+        else:
+            terminals = tuple(rng.sample(range(n), rng.randint(2, min(n, 4))))
+        if case % 7 == 3:
+            terminals += (n,)
+            n += 1
+        inst = SteinerTreeInstance(n, edges, costs, terminals, sum(costs))
+        trees = powerset_filter(ProblemKind.STEINER_TREE, inst)
+        budgets = {inst.k}
+        if trees:
+            c = inst.cost(rng.choice(trees))
+            budgets |= {c, c - 1}
+        for k in budgets:
+            want = [m for m in trees if inst.cost(m) <= k]
+            assert steiner_trees_upto(inst, k, CAP) == want, (inst, k)
+            assert ref_ball_steiner_trees_upto(inst, k, CAP) == want, (inst, k)
+        seen["wide"] += bool(trees) and (sum(costs) + 1).bit_length() + 1 > 64
+        seen["zero"] += bool(trees) and 0 in costs
+        seen["unreachable"] += case % 7 == 3 and not trees
+        seen["single"] += len(terminals) == 1 and bool(trees)
+    assert min(seen.values()) >= 10, seen
+
+
 def threshold_instances(rng):
     """(kind, instance, summed values, acceptance of a value sum and the
     last element's bit) for each threshold kind."""
@@ -512,6 +550,15 @@ def test_cap_is_enforced_by_the_new_kernels():
         with pytest.raises(CapacityError):
             steiner_trees_upto(t, budget, len(trees) - 1)
         assert steiner_trees_upto(t, budget, len(trees)) == trees
+    # the same target with every cost shifted past 64 bits lists the same
+    # trees and overflows at the same point
+    wide = SteinerTreeInstance(
+        t.n, t.edges, tuple(c << 70 for c in t.costs), t.terminals, t.k << 70
+    )
+    trees = steiner_trees_upto(t, t.k + 1, CAP)
+    assert steiner_trees_upto(wide, wide.k + (1 << 70), CAP) == trees
+    with pytest.raises(CapacityError):
+        steiner_trees_upto(wide, wide.k + (1 << 70), len(trees) - 1)
     t = steiner_frontier_target(3, 2, 0)
     trees = steiner_trees_upto(t, t.k, CAP)
     with pytest.raises(CapacityError):

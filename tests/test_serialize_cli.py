@@ -263,6 +263,28 @@ def test_cli_reduce_rejects_bad_chain(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("spec", ["x1,abc", "1.5"])
+def test_cli_reduce_bad_lb_token_is_format_error(tmp_path, capsys, spec):
+    src = _write_cnf(tmp_path, PHI)
+    assert main(["reduce", src, "--edge", "3sat-vc", "--lb", spec]) == 2
+    err = capsys.readouterr().err
+    bad = spec.split(",")[-1]
+    assert "--lb" in err and repr(bad) in err and "Traceback" not in err
+
+
+def test_cli_reduce_negative_beta_is_format_error(tmp_path, capsys):
+    src = _write_cnf(tmp_path, PHI)
+    assert main(["reduce", src, "--edge", "3sat-vc", "--beta", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert "--beta -3" in err
+
+
+def test_cli_fuzz_negative_injected_beta_is_format_error(capsys):
+    rc = main(["fuzz", "--edges", "3sat-vc", "--count", "1", "--inject-beta", "-1"])
+    assert rc == 2
+    assert "--inject-beta -1" in capsys.readouterr().err
+
+
 def test_cli_check_detects_tampering(tmp_path):
     art = build_blowup("3sat-vc", PHI, 0, HAM)
     doc = serialize.artifact_to_doc(art)
@@ -372,6 +394,34 @@ def test_cli_check_capacity_exit(tmp_path):
     p = tmp_path / "a.json"
     p.write_text(serialize.dumps(serialize.artifact_to_doc(art)))
     assert main(["check", str(p), "--max-solutions", "1"]) == 4
+
+
+def test_cli_zero_max_solutions_is_a_cap(tmp_path):
+    # a cap of 0 admits no solution; it used to read as "no flag"
+    args = ["fuzz", "--edges", "3sat-vc", "--count", "2"]
+    assert main(args + ["--max-solutions", "1"]) == 4
+    assert main(args + ["--max-solutions", "0"]) == 4
+    art = build_blowup("3sat-vc", PHI, 0, HAM)
+    p = tmp_path / "a.json"
+    p.write_text(serialize.dumps(serialize.artifact_to_doc(art)))
+    assert main(["check", str(p), "--max-solutions", "0"]) == 4
+
+
+@pytest.mark.parametrize("flag", ["--max-universe", "--max-solutions"])
+@pytest.mark.parametrize("command", ["check", "fuzz", "solve"])
+def test_cli_negative_bound_flag_is_format_error(tmp_path, capsys, flag, command):
+    art = build_blowup("3sat-vc", PHI, 0, HAM)
+    p = tmp_path / "a.json"
+    if command == "solve":
+        p.write_text(serialize.dumps(serialize.instance_to_doc(art.target_kind, art.target)))
+    else:
+        p.write_text(serialize.dumps(serialize.artifact_to_doc(art)))
+    head = ["fuzz", "--edges", "3sat-vc", "--count", "1"] if command == "fuzz" else [
+        command, str(p)
+    ]
+    assert main(head + [flag, "-1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} -1 is negative" in err and "Traceback" not in err
 
 
 def test_cli_solve_comb_rr(tmp_path, capsys):
