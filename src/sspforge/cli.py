@@ -271,11 +271,12 @@ def cmd_fuzz(args) -> int:
         if e not in ALL_EDGES:
             raise FormatError(f"unknown edge {e!r}")
     bounds = _bounds(args)
+    count = _count_flag(args, "count")
     t0 = time.time()
     failures = []
     cases = 0
     for edge in edges:
-        for i in range(args.count):
+        for i in range(count):
             rng = random.Random(repr((args.seed, edge, i)))
             source = random_source_for_edge(edge, rng)
             measure = None
@@ -318,7 +319,7 @@ def cmd_fuzz(args) -> int:
     report = {
         "command": "fuzz",
         "seed": args.seed,
-        "count": args.count,
+        "count": count,
         "edges": list(edges),
         "cases_run": cases,
         "failures": [

@@ -8,9 +8,10 @@ this layer.
 from __future__ import annotations
 
 import enum
+import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class SspError(Exception):
@@ -61,6 +62,30 @@ def mask_of(indices: Iterable[int]) -> int:
             raise DomainError(f"negative element index {i}")
         m |= 1 << i
     return m
+
+
+def subsets_upto(indices: Iterable[int], k: int) -> Iterator[int]:
+    """The masks of the subsets of at most ``k`` of the distinct ``indices``,
+    by size and then in ``itertools.combinations`` order."""
+    bits = [1 << i for i in indices]
+    for size in range(min(k, len(bits)) + 1):
+        yield from map(sum, itertools.combinations(bits, size))
+
+
+class Capped(list):
+    """The list a kernel collects its solutions in: the append that would
+    make it hold more than ``cap`` masks raises CapacityError."""
+
+    __slots__ = ("cap",)
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+
+    def append(self, mask: int) -> None:
+        if len(self) >= self.cap:
+            raise CapacityError("solution cap exceeded")
+        list.append(self, mask)
 
 
 def indices_of(mask: int) -> list[int]:

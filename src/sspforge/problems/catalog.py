@@ -7,6 +7,15 @@ F(I) (which ignores the cost threshold) with its own guard and the
 element-cost envelope.  ``enumerate_solutions`` and ``enumerate_feasible``
 realize the families exactly at desk scale.  Results are cached per
 instance since the checkers ask for the same families repeatedly.
+
+Every enumerator ``run(inst, cap)`` returns its family as a sorted list
+of element masks, or an iterable of them in increasing order, and raises
+``CapacityError`` when the family holds more than ``cap`` masks.  The
+kernels state that limit once: they collect their solutions in
+``core.Capped(cap)``, whose append raises.  Two kernels count instead:
+``numbers._half_tables`` counts a threshold family before it builds it,
+and ``paths.ham_cycles_undirected`` counts the distinct cycles in a set,
+since its search finds each one twice.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import CapacityError, DomainError, FormatError, check_count
+from ..core import Capped, DomainError, FormatError, check_count, mask_of
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,7 @@ class CnfInstance:
         return lit + n if lit < n else lit - n
 
     def clause_masks(self) -> tuple[int, ...]:
-        out = []
-        for c in self.clauses:
-            m = 0
-            for lit in c:
-                m |= 1 << lit
-            out.append(m)
-        return tuple(out)
+        return tuple(map(mask_of, self.clauses))
 
     def verify(self, mask: int) -> bool:
         n = self.n_vars
@@ -72,12 +66,10 @@ def enumerate_cnf_solutions(inst: CnfInstance, max_solutions: int) -> list[int]:
     n = inst.n_vars
     full = (1 << n) - 1
     masks = inst.clause_masks()
-    out = []
+    out = Capped(max_solutions)
     for a in range(1 << n):
         m = a | (full ^ a) << n
         if all(map(m.__and__, masks)):
             out.append(m)
-            if len(out) > max_solutions:
-                raise CapacityError("solution cap exceeded")
     out.sort()
     return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import CapacityError, DomainError, FormatError, check_count
+from ..core import Capped, DomainError, FormatError, check_count
 
 _INF = float("inf")
 
@@ -64,7 +64,10 @@ class FacilityLocationInstance:
 
 
 @dataclass(frozen=True)
-class PCenterInstance:
+class _PInstance:
+    """At most p open facilities whose service costs, combined by
+    ``objective``, stay within k."""
+
     n_facilities: int
     n_clients: int
     service: tuple[tuple[int, ...], ...]
@@ -85,40 +88,20 @@ class PCenterInstance:
         if not self.n_clients:
             return True
         mins = _service_cost_columns(self.service, mask, self.n_clients)
-        return max(mins) <= self.k
+        return self.objective(mins) <= self.k
 
 
-@dataclass(frozen=True)
-class PMedianInstance:
-    n_facilities: int
-    n_clients: int
-    service: tuple[tuple[int, ...], ...]
-    p: int
-    k: int
+class PCenterInstance(_PInstance):
+    objective = staticmethod(max)
 
-    def __post_init__(self):
-        _check_matrix(self.n_facilities, self.n_clients, self.service)
 
-    def universe_labels(self):
-        return tuple(f"f{i}" for i in range(self.n_facilities))
-
-    def verify(self, mask: int) -> bool:
-        if mask >> self.n_facilities:
-            raise DomainError("candidate outside facility universe")
-        if mask.bit_count() > self.p:
-            return False
-        if not self.n_clients:
-            return True
-        mins = _service_cost_columns(self.service, mask, self.n_clients)
-        return sum(mins) <= self.k
+class PMedianInstance(_PInstance):
+    objective = staticmethod(sum)
 
 
 def facility_solutions(inst, cap) -> list[int]:
     n = inst.n_facilities
-    out = []
-    for mask in range(1 << n):
-        if inst.verify(mask):
-            out.append(mask)
-            if len(out) > cap:
-                raise CapacityError("solution cap exceeded")
+    out = Capped(cap)
+    for mask in filter(inst.verify, range(1 << n)):
+        out.append(mask)
     return out

@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..core import CapacityError, DomainError, FormatError, check_count, indices_of
+from ..core import Capped, DomainError, FormatError, check_count, indices_of
+from .covering import bounded_subsets
 
 
 def _check_edges(n, edges, directed=False):
@@ -33,8 +34,19 @@ def _check_edges(n, edges, directed=False):
         seen.add(key)
 
 
+def _arc_labels(arcs):
+    return tuple(f"a{i}:{u}->{v}" for i, (u, v) in enumerate(arcs))
+
+
+def _edge_labels(edges):
+    return tuple(f"e{i}:{u}-{v}" for i, (u, v) in enumerate(edges))
+
+
 @dataclass(frozen=True)
-class VertexCoverInstance:
+class _Graph:
+    """An undirected graph over the vertex universe and a size bound k;
+    each kind's ``holds`` tests a mask inside the universe."""
+
     n: int
     edges: tuple[tuple[int, int], ...]
     k: int
@@ -45,48 +57,29 @@ class VertexCoverInstance:
     def universe_labels(self):
         return tuple(f"v{i}" for i in range(self.n))
 
+    def verify(self, mask: int) -> bool:
+        if mask >> self.n:
+            raise DomainError("candidate outside vertex universe")
+        return self.holds(mask)
+
+
+class VertexCoverInstance(_Graph):
     def is_cover(self, mask: int) -> bool:
         return all((mask >> u | mask >> v) & 1 for u, v in self.edges)
 
-    def verify(self, mask: int) -> bool:
-        if mask >> self.n:
-            raise DomainError("candidate outside vertex universe")
+    def holds(self, mask: int) -> bool:
         return self.is_cover(mask) and mask.bit_count() <= self.k
 
 
-@dataclass(frozen=True)
-class IndependentSetInstance:
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    k: int
-
-    def __post_init__(self):
-        _check_edges(self.n, self.edges)
-
-    def universe_labels(self):
-        return tuple(f"v{i}" for i in range(self.n))
-
+class IndependentSetInstance(_Graph):
     def is_independent(self, mask: int) -> bool:
         return not any((mask >> u & 1) and (mask >> v & 1) for u, v in self.edges)
 
-    def verify(self, mask: int) -> bool:
-        if mask >> self.n:
-            raise DomainError("candidate outside vertex universe")
+    def holds(self, mask: int) -> bool:
         return self.is_independent(mask) and mask.bit_count() >= self.k
 
 
-@dataclass(frozen=True)
-class CliqueInstance:
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    k: int
-
-    def __post_init__(self):
-        _check_edges(self.n, self.edges)
-
-    def universe_labels(self):
-        return tuple(f"v{i}" for i in range(self.n))
-
+class CliqueInstance(_Graph):
     def complement_edges(self) -> tuple[tuple[int, int], ...]:
         present = {(min(u, v), max(u, v)) for u, v in self.edges}
         return tuple(
@@ -96,9 +89,7 @@ class CliqueInstance:
             if (u, v) not in present
         )
 
-    def verify(self, mask: int) -> bool:
-        if mask >> self.n:
-            raise DomainError("candidate outside vertex universe")
+    def holds(self, mask: int) -> bool:
         present = {(min(u, v), max(u, v)) for u, v in self.edges}
         vs = [i for i in range(self.n) if mask >> i & 1]
         ok = all(
@@ -107,18 +98,7 @@ class CliqueInstance:
         return ok and mask.bit_count() >= self.k
 
 
-@dataclass(frozen=True)
-class DominatingSetInstance:
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    k: int
-
-    def __post_init__(self):
-        _check_edges(self.n, self.edges)
-
-    def universe_labels(self):
-        return tuple(f"v{i}" for i in range(self.n))
-
+class DominatingSetInstance(_Graph):
     def closed_neighborhoods(self) -> tuple[int, ...]:
         nb = [1 << i for i in range(self.n)]
         for u, v in self.edges:
@@ -126,9 +106,7 @@ class DominatingSetInstance:
             nb[v] |= 1 << u
         return tuple(nb)
 
-    def verify(self, mask: int) -> bool:
-        if mask >> self.n:
-            raise DomainError("candidate outside vertex universe")
+    def holds(self, mask: int) -> bool:
         if mask.bit_count() > self.k:
             return False
         dominated = 0
@@ -176,7 +154,7 @@ class FeedbackArcSetInstance:
         _check_edges(self.n, self.arcs, directed=True)
 
     def universe_labels(self):
-        return tuple(f"a{i}:{u}->{v}" for i, (u, v) in enumerate(self.arcs))
+        return _arc_labels(self.arcs)
 
     def acyclic_after(self, mask: int) -> bool:
         return _is_acyclic(
@@ -207,15 +185,13 @@ def _is_acyclic(n, arcs) -> bool:
     return seen == n
 
 
-def _pad_supersets(base: int, free: list[int], budget: int, out: list[int], cap: int):
+def _pad_supersets(base: int, free: list[int], budget: int, out: Capped):
     """base plus every subset of `free` with at most `budget` extra elements."""
     out.append(base)
-    if len(out) > cap:
-        raise CapacityError("solution cap exceeded")
     if budget <= 0:
         return
     for i, v in enumerate(free):
-        _pad_supersets(base | 1 << v, free[i + 1 :], budget - 1, out, cap)
+        _pad_supersets(base | 1 << v, free[i + 1 :], budget - 1, out)
 
 
 def covers_upto(n, edges, k, cap) -> list[int]:
@@ -233,7 +209,7 @@ def covers_upto(n, edges, k, cap) -> list[int]:
         nb[u] |= 1 << v
         nb[v] |= 1 << u
     full = (1 << n) - 1
-    out: list[int] = []
+    out = Capped(cap)
 
     def rec(chosen, banned, budget):
         free = full & ~(chosen | banned)
@@ -249,7 +225,7 @@ def covers_upto(n, edges, k, cap) -> list[int]:
                 m ^= mate & -mate
                 need += 1
         if x < 0:
-            _pad_supersets(chosen, indices_of(free), budget, out, cap)
+            _pad_supersets(chosen, indices_of(free), budget, out)
             return
         if need > budget:
             return
@@ -281,7 +257,7 @@ def dominating_upto(inst: DominatingSetInstance, k, cap) -> list[int]:
     n = inst.n
     nbs = inst.closed_neighborhoods()
     full = (1 << n) - 1
-    out: list[int] = []
+    out = Capped(cap)
 
     def lb(undominated, banned):
         cnt = 0
@@ -301,7 +277,7 @@ def dominating_upto(inst: DominatingSetInstance, k, cap) -> list[int]:
             free = [
                 i for i in range(n) if not ((chosen >> i | banned >> i) & 1)
             ]
-            _pad_supersets(chosen, free, budget, out, cap)
+            _pad_supersets(chosen, free, budget, out)
             return
         if budget == 0 or lb(undominated, banned) > budget:
             return
@@ -374,7 +350,7 @@ def feedback_arcsets_upto(inst: FeedbackArcSetInstance, k, cap) -> list[int]:
     if k < 0:
         return []
     n, arcs = inst.n, inst.arcs
-    out: list[int] = []
+    out = Capped(cap)
 
     def rec(removed, banned, budget):
         cyc = _find_cycle_arcs(n, arcs, removed)
@@ -384,7 +360,7 @@ def feedback_arcsets_upto(inst: FeedbackArcSetInstance, k, cap) -> list[int]:
                 for i in range(len(arcs))
                 if not ((removed >> i | banned >> i) & 1)
             ]
-            _pad_supersets(removed, free, budget, out, cap)
+            _pad_supersets(removed, free, budget, out)
             return
         if budget == 0:
             return
@@ -404,21 +380,7 @@ def feedback_arcsets_upto(inst: FeedbackArcSetInstance, k, cap) -> list[int]:
 
 
 def feedback_vertexsets_upto(inst: FeedbackVertexSetInstance, k, cap) -> list[int]:
-    if k < 0:
-        return []
-    n = inst.n
-    out: list[int] = []
-    for size in range(min(k, n) + 1):
-        for combo in itertools.combinations(range(n), size):
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            if inst.acyclic_after(m):
-                out.append(m)
-                if len(out) > cap:
-                    raise CapacityError("solution cap exceeded")
-    out.sort()
-    return out
+    return bounded_subsets(inst.n, k, inst.acyclic_after, cap)
 
 
 def connected_undirected(n, edges) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 from typing import Iterator
 
-from ..core import CapacityError, DomainError, FormatError
+from ..core import Capped, CapacityError, DomainError, FormatError
 
 
 def subset_sums(values):
@@ -137,7 +137,7 @@ def _subset_dfs(values, accept, prune, cap) -> list[int]:
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + values[i]
-    out = []
+    out = Capped(cap)
 
     def rec(i, cur, mask):
         if prune(cur, i, suffix):
@@ -145,8 +145,6 @@ def _subset_dfs(values, accept, prune, cap) -> list[int]:
         if i == n:
             if accept(cur):
                 out.append(mask)
-                if len(out) > cap:
-                    raise CapacityError("solution cap exceeded")
             return
         rec(i + 1, cur, mask)
         rec(i + 1, cur + values[i], mask | 1 << i)

@@ -16,21 +16,21 @@ import itertools
 import sys
 from dataclasses import dataclass
 
-from ..core import CapacityError, DomainError, FormatError, check_count, mask_of
-from .graphs import _check_edges
+from ..core import (
+    Capped,
+    CapacityError,
+    DomainError,
+    FormatError,
+    check_count,
+    indices_of,
+    mask_of,
+)
+from .graphs import _arc_labels, _check_edges, _edge_labels
 from .numbers import _masked_sum
 
 # path searches recurse once per junction or visited vertex on the path,
 # and reduction targets carry hundreds of them
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-
-
-def _arc_labels(arcs):
-    return tuple(f"a{i}:{u}->{v}" for i, (u, v) in enumerate(arcs))
-
-
-def _edge_labels(edges):
-    return tuple(f"e{i}:{u}-{v}" for i, (u, v) in enumerate(edges))
 
 
 def _check_arcs(n, arcs):
@@ -42,6 +42,18 @@ def _check_arcs(n, arcs):
         if (u, v) in seen:
             raise FormatError(f"duplicate arc ({u},{v})")
         seen.add((u, v))
+
+
+def _successors(arcs, mask):
+    """The arcs in ``mask`` as a map from tail to head, or None if two of
+    them leave one vertex."""
+    succ = {}
+    for i in indices_of(mask):
+        u, v = arcs[i]
+        if u in succ:
+            return None
+        succ[u] = v
+    return succ
 
 
 @dataclass(frozen=True)
@@ -62,14 +74,9 @@ class DirectedHamPathInstance:
     def verify(self, mask: int) -> bool:
         if mask >> len(self.arcs):
             raise DomainError("candidate outside arc universe")
-        used = [self.arcs[i] for i in range(len(self.arcs)) if mask >> i & 1]
-        if len(used) != self.n - 1:
+        succ = _successors(self.arcs, mask)
+        if succ is None or len(succ) != self.n - 1:
             return False
-        succ = {}
-        for u, v in used:
-            if u in succ:
-                return False
-            succ[u] = v
         cur, seen = self.s, {self.s}
         for _ in range(self.n - 1):
             if cur not in succ:
@@ -95,14 +102,9 @@ class DirectedHamCycleInstance:
     def verify(self, mask: int) -> bool:
         if mask >> len(self.arcs):
             raise DomainError("candidate outside arc universe")
-        used = [self.arcs[i] for i in range(len(self.arcs)) if mask >> i & 1]
-        if len(used) != self.n or self.n < 2:
+        succ = _successors(self.arcs, mask)
+        if succ is None or len(succ) != self.n or self.n < 2:
             return False
-        succ = {}
-        for u, v in used:
-            if u in succ:
-                return False
-            succ[u] = v
         cur, seen = 0, set()
         for _ in range(self.n):
             if cur not in succ or cur in seen:
@@ -222,12 +224,9 @@ class DisjointPathsInstance:
     def verify(self, mask: int) -> bool:
         if mask >> len(self.arcs):
             raise DomainError("candidate outside arc universe")
-        used = [self.arcs[i] for i in range(len(self.arcs)) if mask >> i & 1]
-        succ = {}
-        for u, v in used:
-            if u in succ:
-                return False
-            succ[u] = v
+        succ = _successors(self.arcs, mask)
+        if succ is None:
+            return False
         visited: set[int] = set()
         arcs_walked = 0
         for s, t in self.pairs:
@@ -243,7 +242,7 @@ class DisjointPathsInstance:
                     return False
                 visited.add(cur)
                 arcs_walked += 1
-        return arcs_walked == len(used)
+        return arcs_walked == len(succ)
 
 
 def _chains(n, arcs, keep) -> list[list[tuple[int, int, int]]]:
@@ -281,14 +280,12 @@ def _chains(n, arcs, keep) -> list[list[tuple[int, int, int]]]:
 def ham_paths(inst: DirectedHamPathInstance, cap) -> list[int]:
     steps = _chains(inst.n, inst.arcs, {inst.s, inst.t})
     full = (1 << inst.n) - 1
-    out: list[int] = []
+    out = Capped(cap)
 
     def dfs(cur, visited, arcmask):
         if cur == inst.t:
             if visited == full:
                 out.append(arcmask)
-                if len(out) > cap:
-                    raise CapacityError("solution cap exceeded")
             return
         for v, vm, am in steps[cur]:
             if not visited >> v & 1:
@@ -310,15 +307,13 @@ def ham_cycles_directed(inst: DirectedHamCycleInstance, cap) -> list[int]:
         return []
     steps = _chains(n, inst.arcs, {0})
     full = (1 << n) - 1
-    out: list[int] = []
+    out = Capped(cap)
 
     def dfs(cur, visited, arcmask):
         for v, vm, am in steps[cur]:
             if v == 0:
                 if visited | vm == full:
                     out.append(arcmask | am)
-                    if len(out) > cap:
-                        raise CapacityError("solution cap exceeded")
             elif not visited >> v & 1:
                 dfs(v, visited | vm, arcmask | am)
 
@@ -361,14 +356,12 @@ def tsp_tours(inst: TspInstance, cap) -> list[int]:
     n = inst.n
     if n < 3:
         return []
-    out = []
+    out = Capped(cap)
     rest = list(range(1, n))
     for perm in itertools.permutations(rest):
         if perm[0] > perm[-1]:
             continue  # each undirected tour once
         out.append(inst.tour_mask([0, *perm]))
-        if len(out) > cap:
-            raise CapacityError("solution cap exceeded")
     out.sort()
     return out
 
@@ -397,7 +390,7 @@ def disjoint_path_systems(inst: DisjointPathsInstance, cap) -> list[int]:
     tmask = mask_of(terminals)
     # a path may not touch another pair's terminal
     blocked = [tmask & ~(1 << t) for _, t in pairs]
-    out: list[int] = []
+    out = Capped(cap)
 
     def route(s, t, avoid):
         # a path from s to t through steps that end on no avoided vertex,
@@ -453,8 +446,6 @@ def disjoint_path_systems(inst: DisjointPathsInstance, cap) -> list[int]:
                     dfs(pi + 1, s, used | 1 << s, arcmask | am, kept[0][0], kept[1:])
                 else:
                     out.append(arcmask | am)
-                    if len(out) > cap:
-                        raise CapacityError("solution cap exceeded")
 
     wits = [route(s, t, blocked[j]) for j, (s, t) in enumerate(pairs)]
     try:

@@ -28,8 +28,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from ..core import CapacityError, DomainError, FormatError
-from .graphs import _check_edges
+from ..core import Capped, DomainError, FormatError
+from .graphs import _check_edges, _edge_labels
 from .numbers import _masked_sum
 
 
@@ -53,7 +53,7 @@ class SteinerTreeInstance:
             raise FormatError("negative edge cost")
 
     def universe_labels(self):
-        return tuple(f"e{i}:{u}-{v}" for i, (u, v) in enumerate(self.edges))
+        return _edge_labels(self.edges)
 
     def cost(self, mask: int) -> int:
         return _masked_sum(self.costs, mask)
@@ -108,7 +108,7 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
     for i, (u, v) in enumerate(edges):
         adj[u].append((i, v))
         adj[v].append((i, u))
-    out: list[int] = []
+    out = Capped(cap)
 
     inc = [0] * n
     for i, (u, v) in enumerate(edges):
@@ -228,8 +228,6 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
         pivot = (free & -free).bit_length() - 1
         if cost + costs[pivot] <= budget:
             out.append(mask | 1 << pivot)
-            if len(out) > cap:
-                raise CapacityError("solution cap exceeded")
             u, v = edges[pivot]
             grow = v if tree_v >> u & 1 else u
             extensions(
@@ -269,8 +267,6 @@ def steiner_trees_upto(inst: SteinerTreeInstance, budget: int, cap) -> list[int]
             i += 1
         if i == len(terminals):
             out.append(mask)
-            if len(out) > cap:
-                raise CapacityError("solution cap exceeded")
             cut = 0
             tv = tree_v
             while tv:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..core import DistanceMeasure
+from ..core import DistanceMeasure, mask_of
 from ..problems import ProblemKind
 
 SSP = "ssp"
@@ -36,10 +36,7 @@ class ReductionArtifact:
         raise ValueError(f"no blow-up factor for {measure}")
 
     def f_image_mask(self) -> int:
-        m = 0
-        for t in self.f:
-            m |= 1 << t
-        return m
+        return mask_of(self.f)
 
 
 def beta_map(add: int, delete: int, hamming: int):

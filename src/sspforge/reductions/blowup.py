@@ -13,16 +13,17 @@ factor of the requested measure.
 
 from __future__ import annotations
 
+import functools
+
 from ..core import DistanceMeasure, PreconditionError
 from ..problems import (
+    KIND_SPECS,
     CnfInstance,
     DirectedHamPathInstance,
     DisjointPathsInstance,
-    IndependentSetInstance,
     ProblemKind,
     SteinerTreeInstance,
     SubsetSumInstance,
-    VertexCoverInstance,
 )
 from .artifact import BLOWUP, ReductionArtifact, beta_map
 
@@ -39,6 +40,16 @@ BLOWUP_EDGES = (
 _ADD = DistanceMeasure.KAPPA_ADDITION
 _DEL = DistanceMeasure.KAPPA_DELETION
 _HAM = DistanceMeasure.HAMMING
+
+
+class _Ids(dict):
+    """Numbers its keys in first-request order: ``ids[key]`` is the key's
+    number, given on its first request, so a bare ``ids[key]`` adds a
+    vertex or an arc, and the keys in order are the list of them."""
+
+    def __missing__(self, key):
+        self[key] = number = len(self)
+        return number
 
 
 def _blown_pairs(src: CnfInstance, l_b: int) -> list[int]:
@@ -257,42 +268,26 @@ def _gadget_biclique(i, n, gadget_pos, gadget_neg):
     return out
 
 
-def _build_3sat_vc(src: CnfInstance, pairs, gadget):
+def _build_3sat_vc_is(src: CnfInstance, pairs, gadget, kind: ProblemKind):
+    """3sat-vc or 3sat-is, by the target ``kind``: the two differ only in a
+    clause vertex's literal endpoint, the literal itself for VC and its
+    negation for IS, and in k, which counts two vertices per clause for VC
+    and one for IS."""
+    vc = kind is ProblemKind.VERTEX_COVER
     n = src.n_vars
     n_lit, n_total, gadget_pos, gadget_neg = _vc_is_layout(src, pairs, gadget)
-    edges = []
-    for i in range(n):
-        edges.append((i, n + i))
+    endpoint = (lambda lit: lit) if vc else src.negate
+    edges = [(i, n + i) for i in range(n)]
     for j, cl in enumerate(src.clauses):
         c0 = n_lit + 3 * j
         edges += [(c0, c0 + 1), (c0, c0 + 2), (c0 + 1, c0 + 2)]
         for s, lit in enumerate(cl):
-            edges.append((lit, c0 + s))
+            edges.append((endpoint(lit), c0 + s))
     for i in pairs:
         edges += _gadget_biclique(i, n, gadget_pos, gadget_neg)
     b = len(pairs)
-    k = (gadget + 1) * b + (n - b) + 2 * len(src.clauses)
-    target = VertexCoverInstance(n_total, tuple(edges), k)
-    return ProblemKind.VERTEX_COVER, target, list(range(n_lit))
-
-
-def _build_3sat_is(src: CnfInstance, pairs, gadget):
-    n = src.n_vars
-    n_lit, n_total, gadget_pos, gadget_neg = _vc_is_layout(src, pairs, gadget)
-    edges = []
-    for i in range(n):
-        edges.append((i, n + i))
-    for j, cl in enumerate(src.clauses):
-        c0 = n_lit + 3 * j
-        edges += [(c0, c0 + 1), (c0, c0 + 2), (c0 + 1, c0 + 2)]
-        for s, lit in enumerate(cl):
-            edges.append((src.negate(lit), c0 + s))
-    for i in pairs:
-        edges += _gadget_biclique(i, n, gadget_pos, gadget_neg)
-    b = len(pairs)
-    k = (gadget + 1) * b + (n - b) + len(src.clauses)
-    target = IndependentSetInstance(n_total, tuple(edges), k)
-    return ProblemKind.INDEPENDENT_SET, target, list(range(n_lit))
+    k = (gadget + 1) * b + (n - b) + (2 if vc else 1) * len(src.clauses)
+    return kind, KIND_SPECS[kind].cls(n_total, tuple(edges), k), list(range(n_lit))
 
 
 # ---------------------------------------------------------------- 3sat-subsetsum
@@ -360,48 +355,31 @@ def _build_3sat_dhampath(src: CnfInstance, pairs, gadget):
     n = src.n_vars
     C = len(src.clauses)
     blown = set(pairs)
-    names = {}
-    nxt = 0
-
-    def vtx(key):
-        nonlocal nxt
-        if key not in names:
-            names[key] = nxt
-            nxt += 1
-        return names[key]
-
-    s = vtx("s")
-    t = vtx("t")
+    vtx = _Ids()
+    s = vtx["s"]
+    t = vtx["t"]
     chain = {}
     for i in range(n):
         length = 4 * C + (gadget if i in blown else 0)
-        chain[i] = [vtx(("v", i, p)) for p in range(length)]
-    junction = [vtx(("j", i)) for i in range(n - 1)]
-    cl_vtx = [vtx(("c", j)) for j in range(C)]
+        chain[i] = [vtx["v", i, p] for p in range(length)]
+    junction = [vtx["j", i] for i in range(n - 1)]
+    cl_vtx = [vtx["c", j] for j in range(C)]
 
-    arcs = []
-    arc_idx = {}
-
-    def arc(u, v):
-        if (u, v) not in arc_idx:
-            arc_idx[(u, v)] = len(arcs)
-            arcs.append((u, v))
-        return arc_idx[(u, v)]
-
-    arc(s, chain[0][0])
-    arc(s, chain[0][-1])
+    arc = _Ids()
+    arc[s, chain[0][0]]
+    arc[s, chain[0][-1]]
     for i in range(n):
         cs = chain[i]
         for p in range(len(cs) - 1):
-            arc(cs[p], cs[p + 1])
-            arc(cs[p + 1], cs[p])
+            arc[cs[p], cs[p + 1]]
+            arc[cs[p + 1], cs[p]]
         if i + 1 < n:
-            arc(cs[0], junction[i])
-            arc(cs[-1], junction[i])
-            arc(junction[i], chain[i + 1][0])
-            arc(junction[i], chain[i + 1][-1])
+            arc[cs[0], junction[i]]
+            arc[cs[-1], junction[i]]
+            arc[junction[i], chain[i + 1][0]]
+            arc[junction[i], chain[i + 1][-1]]
     for a in (chain[n - 1][0], chain[n - 1][-1]):
-        arc(a, t)
+        arc[a, t]
     # clause detours; slots 4j-2 -> 4j-1 in 1-based positions are indices
     # 4j-3 -> 4j-2 here.  Gadget vertices sit before the chain tail, above
     # every slot index.
@@ -412,19 +390,19 @@ def _build_3sat_dhampath(src: CnfInstance, pairs, gadget):
             i = lit % n
             p, q = chain[i][p_idx], chain[i][q_idx]
             if lit < n:
-                arc(p, cv)
-                arc(cv, q)
+                arc[p, cv]
+                arc[cv, q]
             else:
-                arc(q, cv)
-                arc(cv, p)
+                arc[q, cv]
+                arc[cv, p]
     f = []
     for lit in range(2 * n):
         i = lit % n
         if lit < n:
-            f.append(arc_idx[(chain[i][0], chain[i][1])])
+            f.append(arc[chain[i][0], chain[i][1]])
         else:
-            f.append(arc_idx[(chain[i][1], chain[i][0])])
-    target = DirectedHamPathInstance(nxt, tuple(arcs), s, t)
+            f.append(arc[chain[i][1], chain[i][0]])
+    target = DirectedHamPathInstance(len(vtx), tuple(arc), s, t)
     return ProblemKind.DHAM_PATH, target, f
 
 
@@ -455,26 +433,17 @@ def _build_3sat_2ddp(src: CnfInstance, pairs, gadget):
     n = src.n_vars
     C = len(src.clauses)
     blown = set(pairs)
-    names = {}
-    nxt = 0
-
-    def vtx(key):
-        nonlocal nxt
-        if key not in names:
-            names[key] = nxt
-            nxt += 1
-        return names[key]
-
-    s1, t1, s2, t2 = vtx("s1"), vtx("t1"), vtx("s2"), vtx("t2")
+    vtx = _Ids()
+    s1, t1, s2, t2 = vtx["s1"], vtx["t1"], vtx["s2"], vtx["t2"]
     chain = {}
     for lit in range(2 * n):
         i = lit % n
         length = 4 * C + (gadget if i in blown else 0)
-        chain[lit] = [vtx(("v", lit, p)) for p in range(length)]
-    x_s = [vtx(("xs", i)) for i in range(n)]
-    x_t = [vtx(("xt", i)) for i in range(n)]
-    cl_in = [vtx(("cin", j)) for j in range(C)]
-    cl_out = [vtx(("cout", j)) for j in range(C)]
+        chain[lit] = [vtx["v", lit, p] for p in range(length)]
+    x_s = [vtx["xs", i] for i in range(n)]
+    x_t = [vtx["xt", i] for i in range(n)]
+    cl_in = [vtx["cin", j] for j in range(C)]
+    cl_out = [vtx["cout", j] for j in range(C)]
 
     # one switch per (clause, distinct literal); clause literal slots are
     # deduplicated so every parallel clause arc is switch-substituted
@@ -484,17 +453,9 @@ def _build_3sat_2ddp(src: CnfInstance, pairs, gadget):
             switch_keys.append((j, lit))
     sw = {}
     for key in switch_keys:
-        sw[key] = {node: vtx(("sw", key, node)) for node in _SWITCH_NODES}
+        sw[key] = {node: vtx["sw", key, node] for node in _SWITCH_NODES}
 
-    arcs = []
-    arc_idx = {}
-
-    def arc(u, v):
-        if (u, v) not in arc_idx:
-            arc_idx[(u, v)] = len(arcs)
-            arcs.append((u, v))
-        return arc_idx[(u, v)]
-
+    arc = _Ids()
     # substituted chain slots: arc (4j-2 -> 4j-1) of the negated literal's
     # chain, 1-based, for every occurrence (clause j, literal lit)
     substituted = {}
@@ -506,50 +467,50 @@ def _build_3sat_2ddp(src: CnfInstance, pairs, gadget):
     for i in range(n):
         for lit in (i, n + i):
             cs = chain[lit]
-            arc(x_s[i], cs[0])
+            arc[x_s[i], cs[0]]
             subs = substituted.get(lit, {})
             for p in range(len(cs) - 1):
                 if p in subs:
                     continue  # replaced by a switch service path
-                arc(cs[p], cs[p + 1])
-            arc(cs[-1], x_t[i])
+                arc[cs[p], cs[p + 1]]
+            arc[cs[-1], x_t[i]]
         if i + 1 < n:
-            arc(x_t[i], x_s[i + 1])
+            arc[x_t[i], x_s[i + 1]]
 
     # switch internals and service ports
     for key in switch_keys:
         nodes = sw[key]
         for u, v in _SWITCH_INTERNAL_ARCS:
-            arc(nodes[u], nodes[v])
+            arc[nodes[u], nodes[v]]
         j, lit = key
         other = src.negate(lit)
         p_idx = 4 * (j + 1) - 3
         cs = chain[other]
-        arc(cs[p_idx], nodes["W1"])      # W input
-        arc(nodes["XO"], cs[p_idx + 1])  # X output
-        arc(cl_in[j], nodes["Y1"])       # Y input
-        arc(nodes["ZO"], cl_out[j])      # Z output
+        arc[cs[p_idx], nodes["W1"]]      # W input
+        arc[nodes["XO"], cs[p_idx + 1]]  # X output
+        arc[cl_in[j], nodes["Y1"]]       # Y input
+        arc[nodes["ZO"], cl_out[j]]      # Z output
 
     # switch stack: path 1 runs B -> D through all switches, path 2 runs
     # C -> A in reverse order
     order = switch_keys
-    arc(s1, sw[order[0]]["b"])
+    arc[s1, sw[order[0]]["b"]]
     for a, b in zip(order, order[1:]):
-        arc(sw[a]["d"], sw[b]["b"])
-    arc(sw[order[-1]]["d"], x_s[0])
-    arc(s2, sw[order[-1]]["c"])
+        arc[sw[a]["d"], sw[b]["b"]]
+    arc[sw[order[-1]]["d"], x_s[0]]
+    arc[s2, sw[order[-1]]["c"]]
     for a, b in zip(order, order[1:]):
-        arc(sw[b]["a"], sw[a]["c"])
-    arc(sw[order[0]]["a"], t2)
+        arc[sw[b]["a"], sw[a]["c"]]
+    arc[sw[order[0]]["a"], t2]
 
     # clause chain
-    arc(x_t[n - 1], cl_in[0])
+    arc[x_t[n - 1], cl_in[0]]
     for j in range(C - 1):
-        arc(cl_out[j], cl_in[j + 1])
-    arc(cl_out[C - 1], t1)
+        arc[cl_out[j], cl_in[j + 1]]
+    arc[cl_out[C - 1], t1]
 
-    f = [arc_idx[(x_s[lit % n], chain[lit][0])] for lit in range(2 * n)]
-    target = DisjointPathsInstance(nxt, tuple(arcs), ((s1, t1), (s2, t2)))
+    f = [arc[x_s[lit % n], chain[lit][0]] for lit in range(2 * n)]
+    target = DisjointPathsInstance(len(vtx), tuple(arc), ((s1, t1), (s2, t2)))
     return ProblemKind.TWO_DDP, target, f
 
 
@@ -561,34 +522,18 @@ def _build_3sat_steinertree(src: CnfInstance, pairs, gadget):
     C = len(src.clauses)
     L = 2 * n
     blown = set(pairs)
-    names = {}
-    nxt = 0
-
-    def vtx(key):
-        nonlocal nxt
-        if key not in names:
-            names[key] = nxt
-            nxt += 1
-        return names[key]
-
-    s = vtx("s")
-    t = vtx("t")
-    lit_v = [vtx(("lit", lit)) for lit in range(L)]
-    conn = [s] + [vtx(("conn", i)) for i in range(1, n)] + [t]
-    cl_v = [vtx(("c", j)) for j in range(C)]
+    vtx = _Ids()
+    s = vtx["s"]
+    t = vtx["t"]
+    lit_v = [vtx["lit", lit] for lit in range(L)]
+    conn = [s] + [vtx["conn", i] for i in range(1, n)] + [t]
+    cl_v = [vtx["c", j] for j in range(C)]
     terminals = [s, t] + cl_v
 
-    edges = []
-    edge_idx = {}
-    costs = []
+    edge_idx = _Ids()
 
     def edge(u, v):
-        key = (min(u, v), max(u, v))
-        if key not in edge_idx:
-            edge_idx[key] = len(edges)
-            edges.append(key)
-            costs.append(1)
-        return edge_idx[key]
+        return edge_idx[min(u, v), max(u, v)]
 
     f = [0] * L
     for i in range(n):
@@ -600,31 +545,32 @@ def _build_3sat_steinertree(src: CnfInstance, pairs, gadget):
         for lit in dict.fromkeys(cl):
             prev = lit_v[lit]
             for step in range(L):
-                cur = vtx(("path", j, lit, step))
+                cur = vtx["path", j, lit, step]
                 edge(prev, cur)
                 prev = cur
             edge(prev, cl_v[j])
     for i in pairs:
         for c in range(gadget):
-            pc = vtx(("gpos", i, c))
-            tc = vtx(("gterm", i, c))
-            ncv = vtx(("gneg", i, c))
+            pc = vtx["gpos", i, c]
+            tc = vtx["gterm", i, c]
+            ncv = vtx["gneg", i, c]
             edge(lit_v[i], pc)
             edge(pc, tc)
             edge(tc, ncv)
             edge(ncv, lit_v[n + i])
             terminals.append(tc)
     k = L + C * (L + 1) + 2 * gadget * len(pairs)
+    edges = tuple(edge_idx)
     target = SteinerTreeInstance(
-        nxt, tuple(edges), tuple(costs), tuple(terminals), k
+        len(vtx), edges, (1,) * len(edges), tuple(terminals), k
     )
     return ProblemKind.STEINER_TREE, target, f
 
 
 _BUILDERS = {
     "sat-3sat": _build_sat_3sat,
-    "3sat-vc": _build_3sat_vc,
-    "3sat-is": _build_3sat_is,
+    "3sat-vc": functools.partial(_build_3sat_vc_is, kind=ProblemKind.VERTEX_COVER),
+    "3sat-is": functools.partial(_build_3sat_vc_is, kind=ProblemKind.INDEPENDENT_SET),
     "3sat-subsetsum": _build_3sat_subsetsum,
     "3sat-dhampath": _build_3sat_dhampath,
     "3sat-2ddp": _build_3sat_2ddp,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 
-from ..core import PreconditionError
+from ..core import PreconditionError, mask_of
 from ..problems import (
     KIND_SPECS,
     CliqueInstance,
@@ -49,13 +49,6 @@ def _artifact(edge, src_kind, src, tgt_kind, tgt, f, u_on=0, u_off=0):
     )
 
 
-def _mask(indices):
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
 def _vc_ds(src: VertexCoverInstance):
     if not connected_undirected(src.n, src.edges):
         raise PreconditionError("dominating-set reduction needs a connected graph")
@@ -78,7 +71,7 @@ def _vc_ds(src: VertexCoverInstance):
         ProblemKind.DOMINATING_SET,
         tgt,
         range(n),
-        u_off=_mask(mids),
+        u_off=mask_of(mids),
     )
 
 
@@ -130,7 +123,7 @@ def _vc_fas(src: VertexCoverInstance):
     tgt = FeedbackArcSetInstance(nxt, tuple(all_arcs), src.k)
     return _artifact(
         "vc-fas", ProblemKind.VERTEX_COVER, src, ProblemKind.FEEDBACK_ARC_SET,
-        tgt, range(n), u_off=_mask(range(n, len(all_arcs))),
+        tgt, range(n), u_off=mask_of(range(n, len(all_arcs))),
     )
 
 
@@ -227,7 +220,7 @@ def _dhc_uhc(src: DirectedHamCycleInstance):
     tgt = UndirectedHamCycleInstance(3 * n, tuple(edges))
     return _artifact(
         "dhamcycle-uhamcycle", ProblemKind.DHAM_CYCLE, src,
-        ProblemKind.UHAM_CYCLE, tgt, range(len(src.arcs)), u_on=_mask(on),
+        ProblemKind.UHAM_CYCLE, tgt, range(len(src.arcs)), u_on=mask_of(on),
     )
 
 
@@ -239,7 +232,7 @@ def _uhc_tsp(src: UndirectedHamCycleInstance):
     weights = tuple(0 if e in present else 1 for e in order)
     tgt = TspInstance(n, weights, 0)
     f = [idx[(min(u, v), max(u, v))] for u, v in src.edges]
-    off = _mask(i for i, e in enumerate(order) if e not in present)
+    off = mask_of(i for i, e in enumerate(order) if e not in present)
     return _artifact(
         "uhamcycle-tsp", ProblemKind.UHAM_CYCLE, src, ProblemKind.TSP, tgt, f,
         u_off=off,
@@ -265,7 +258,7 @@ def _ddp_kddp(src: DisjointPathsInstance, k: int = 3):
     tgt = DisjointPathsInstance(nxt, tuple(arcs), tuple(pairs))
     return _artifact(
         "2ddp-kddp", ProblemKind.TWO_DDP, src, ProblemKind.K_DDP, tgt,
-        range(len(src.arcs)), u_on=_mask(on),
+        range(len(src.arcs)), u_on=mask_of(on),
     )
 
 

@@ -10,8 +10,9 @@ the optimal ones wins).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from .core import (
     Bounds,
@@ -22,6 +23,9 @@ from .core import (
     PreconditionError,
     UnsupportedKindError,
     distance,
+    indices_of,
+    mask_of,
+    subsets_upto,
 )
 from .problems import (
     CnfInstance,
@@ -86,6 +90,14 @@ class CostRrInstance:
         _check_budget("kappa", self.kappa)
 
 
+def check_partition(n_vars: int, *parts) -> None:
+    """The variable lists ``parts`` must hold integers only (no bools) and
+    name each of the variables 0..n_vars-1 exactly once between them."""
+    names = [v for part in parts for v in part]
+    if not all(type(v) is int for v in names) or sorted(names) != [*range(n_vars)]:
+        raise FormatError("X, Y, Z must partition the variables")
+
+
 @dataclass(frozen=True)
 class RAdjSatInstance:
     cnf: CnfInstance
@@ -96,13 +108,8 @@ class RAdjSatInstance:
 
     def __post_init__(self):
         self.cnf.require_width(3)
-        parts = (set(self.x_vars), set(self.y_vars), set(self.z_vars))
-        all_vars = set(range(self.cnf.n_vars))
-        if parts[0] | parts[1] | parts[2] != all_vars or sum(map(len, parts)) != len(
-            all_vars
-        ):
-            raise FormatError("X, Y, Z must partition the variables")
-        if not len(parts[0]) == len(parts[1]) == len(parts[2]):
+        check_partition(self.cnf.n_vars, self.x_vars, self.y_vars, self.z_vars)
+        if not len(self.x_vars) == len(self.y_vars) == len(self.z_vars):
             raise FormatError("X, Y, Z must have equal sizes")
         _check_budget("gamma", self.gamma)
 
@@ -125,37 +132,26 @@ def _set_costs(costs, sets):
     return (low[s & m] + high[s >> half] for s in sets)
 
 
-def _lit_mask(n_vars, bits, variables):
-    """Literal mask of the assignment that sets ``variables[pos]`` true
-    exactly when bit ``pos`` of ``bits`` is set."""
-    m = 0
-    for pos, v in enumerate(variables):
-        m |= 1 << (v if bits >> pos & 1 else n_vars + v)
-    return m
-
-
-def _subsets_upto(indices, gamma):
-    for size in range(min(gamma, len(indices)) + 1):
-        yield from itertools.combinations(indices, size)
+def _assignments(n_vars, variables) -> Iterator[int]:
+    """The literal masks of all assignments to the distinct ``variables``,
+    lazily, in the order of the integers ``bits`` where bit ``pos`` of
+    ``bits`` sets ``variables[pos]`` true."""
+    literals = [(1 << (n_vars + v), 1 << v) for v in reversed(variables)]
+    return map(sum, itertools.product(*literals))
 
 
 def enumerate_scenarios(inst: CostRrInstance, bounds: Bounds = DEFAULT_BOUNDS):
     """All cost functions of the budgeted set, deduplicated: only elements
     with a strict gap can deviate."""
     gap = [i for i in range(len(inst.c_lo)) if inst.c_hi[i] > inst.c_lo[i]]
-    out = []
-    for combo in _subsets_upto(gap, inst.gamma):
-        raised = 0
-        for i in combo:
-            raised |= 1 << i
-        c2 = tuple(
-            inst.c_hi[i] if raised >> i & 1 else inst.c_lo[i]
-            for i in range(len(inst.c_lo))
-        )
-        out.append((raised, c2))
-        if len(out) > bounds.max_solutions:
-            raise CapacityError("scenario count exceeds the enumeration cap")
-    return out
+    sizes = range(min(inst.gamma, len(gap)) + 1)
+    if sum(math.comb(len(gap), size) for size in sizes) > bounds.max_solutions:
+        raise CapacityError("scenario count exceeds the enumeration cap")
+    lo, hi = inst.c_lo, inst.c_hi
+    return [
+        (raised, tuple(hi[i] if raised >> i & 1 else lo[i] for i in range(len(lo))))
+        for raised in subsets_upto(gap, inst.gamma)
+    ]
 
 
 def eval_comb_rr(
@@ -166,13 +162,7 @@ def eval_comb_rr(
     sols = enumerate_solutions(inst.kind, inst.instance, bounds)
     if not sols:
         return False, None
-    blockers = []
-    b_indices = [i for i in range(universe_size(inst.instance)) if inst.blockable >> i & 1]
-    for combo in _subsets_upto(b_indices, inst.gamma):
-        m = 0
-        for i in combo:
-            m |= 1 << i
-        blockers.append(m)
+    blockers = list(subsets_upto(indices_of(inst.blockable), inst.gamma))
     for s1 in sols:
         recov = {}
         ok = True
@@ -331,16 +321,12 @@ def solve_eae_sat(cnf: CnfInstance, x_vars, y_vars, z_vars) -> bool:
     Z-assignment satisfying the formula."""
     n = cnf.n_vars
     masks = cnf.clause_masks()
-    xs, ys, zs = list(x_vars), list(y_vars), list(z_vars)
-    for ax in range(1 << len(xs)):
-        mx = _lit_mask(n, ax, xs)
+    for mx in _assignments(n, x_vars):
         good = True
-        for ay in range(1 << len(ys)):
-            my = mx | _lit_mask(n, ay, ys)
-            if not any(
-                all((my | _lit_mask(n, az, zs)) & cm for cm in masks)
-                for az in range(1 << len(zs))
-            ):
+        for ay in _assignments(n, y_vars):
+            my = mx | ay
+            zs = _assignments(n, z_vars)
+            if not any(all((my | az) & cm for cm in masks) for az in zs):
                 good = False
                 break
         if good:
@@ -359,20 +345,13 @@ def solve_radjsat(
     cnf = inst.cnf
     n = cnf.n_vars
     masks = cnf.clause_masks()
-    xs, ys, zs = list(inst.x_vars), list(inst.y_vars), list(inst.z_vars)
-    yz_assignments = [
-        _lit_mask(n, ay, ys) | _lit_mask(n, az, zs)
-        for ay in range(1 << len(ys))
-        for az in range(1 << len(zs))
-    ]
-    blockers = list(_subsets_upto(ys, inst.gamma))
-    for ax in range(1 << len(xs)):
-        mx = _lit_mask(n, ax, xs)
+    zs = list(_assignments(n, inst.z_vars))
+    yz_assignments = [my | mz for my in _assignments(n, inst.y_vars) for mz in zs]
+    # a blocker zeroes its variables: their positive literals are barred
+    blockers = list(subsets_upto(inst.y_vars, inst.gamma))
+    for mx in _assignments(n, inst.x_vars):
         good = True
-        for blocked in blockers:
-            blocked_mask = 0
-            for v in blocked:
-                blocked_mask |= 1 << v  # positive literal of a zeroed var
+        for blocked_mask in blockers:
             found = False
             for myz in yz_assignments:
                 if myz & blocked_mask:
@@ -397,18 +376,12 @@ def radjsat_to_comb_rr(
     factor."""
     cnf = inst.cnf
     n = cnf.n_vars
-    l_b = 0
-    for v in inst.x_vars:
-        l_b |= 1 << v
-        l_b |= 1 << (n + v)
+    l_b = mask_of([*inst.x_vars, *(n + v for v in inst.x_vars)])
     artifact = build_blowup(edge, cnf, l_b, measure)
-    blockable = 0
-    for v in inst.y_vars:
-        blockable |= 1 << artifact.f[v]
     return CombRrInstance(
         kind=artifact.target_kind,
         instance=artifact.target,
-        blockable=blockable,
+        blockable=mask_of(artifact.f[v] for v in inst.y_vars),
         gamma=inst.gamma,
         kappa=artifact.beta_for(measure),
         measure=measure,

@@ -33,7 +33,7 @@ from .problems import (
     universe_size,
 )
 from .reductions.artifact import BLOWUP, PRESERVING, SSP, ReductionArtifact
-from .rr import CombRrInstance, CostRrInstance, RAdjSatInstance
+from .rr import CombRrInstance, CostRrInstance, RAdjSatInstance, check_partition
 
 SCHEMA_VERSION = 1
 
@@ -148,16 +148,17 @@ def artifact_to_doc(a: ReductionArtifact) -> dict:
     }
 
 
-def _indices(key: str, v, size: int) -> list[int]:
-    """``v``, the artifact field ``key``, if it is a list of element
-    indices below ``size``; checked by C-level passes over the list."""
+def _indices(key: str, v, size: int, what: str = "artifact") -> list[int]:
+    """``v``, the field ``key`` of a ``what`` document, if it is a list of
+    element indices below ``size``; checked by C-level passes over the
+    list."""
     if (
         type(v) is not list
         or not set(map(type, v)) <= {int}
         or not all(map(range(size).__contains__, v))
     ):
         raise FormatError(
-            f"bad artifact document: {key!r} must list element indices below {size}"
+            f"bad {what} document: {key!r} must list element indices below {size}"
         )
     return v
 
@@ -227,10 +228,13 @@ def comb_rr_to_doc(inst: CombRrInstance) -> dict:
 def comb_rr_from_doc(doc: dict) -> CombRrInstance:
     try:
         kind = ProblemKind(doc["kind"])
+        inst = instance_from_payload(kind, doc["payload"])
+        size = universe_size(inst)
+        blockable = mask_of(_indices("blockable", doc["blockable"], size, "comb-rr"))
         return CombRrInstance(
             kind=kind,
-            instance=instance_from_payload(kind, doc["payload"]),
-            blockable=mask_of(doc["blockable"]),
+            instance=inst,
+            blockable=blockable,
             gamma=doc["gamma"],
             kappa=doc["kappa"],
             measure=DistanceMeasure(doc["measure"]),
@@ -299,7 +303,9 @@ def eae_sat_from_doc(doc: dict):
     """The formula and the X, Y, Z variable tuples of an eae-sat document."""
     try:
         cnf = instance_from_payload(ProblemKind.THREE_SAT, doc["cnf"])
-        return cnf, tuple(doc["x"]), tuple(doc["y"]), tuple(doc["z"])
+        parts = tuple(doc["x"]), tuple(doc["y"]), tuple(doc["z"])
+        check_partition(cnf.n_vars, *parts)
+        return (cnf, *parts)
     except _DOC_ERRORS as exc:
         raise _doc_error("eae-sat", exc) from exc
 

@@ -1,8 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from sspforge.core import (
+    CapacityError,
+    Capped,
     DistanceMeasure,
     DomainError,
     MEASURES,
@@ -12,6 +15,7 @@ from sspforge.core import (
     indices_of,
     mask_of,
     relabel,
+    subsets_upto,
 )
 
 ADD = DistanceMeasure.KAPPA_ADDITION
@@ -95,3 +99,25 @@ try:
         assert distance(ADD, a1, a2) == distance(DEL, a2, a1)
 except ImportError:  # pragma: no cover - hypothesis is a test extra
     pass
+
+
+def test_capped_raises_on_the_append_past_its_cap():
+    for cap in range(4):
+        out = Capped(cap)
+        for m in range(cap):
+            out.append(m)
+        assert out == list(range(cap))
+        with pytest.raises(CapacityError, match="^solution cap exceeded$"):
+            out.append(cap)
+        assert out == list(range(cap))
+
+
+def test_subsets_upto_walks_sizes_then_combinations():
+    for indices in ([], [3], [0, 2, 5, 1], [7, 4, 0, 9, 2]):
+        for k in range(-1, len(indices) + 2):
+            want = [
+                mask_of(c)
+                for size in range(min(k, len(indices)) + 1)
+                for c in itertools.combinations(indices, size)
+            ]
+            assert list(subsets_upto(indices, k)) == want

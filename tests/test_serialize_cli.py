@@ -461,6 +461,13 @@ def test_cli_fuzz_zero_count(tmp_path):
     assert main(["fuzz", "--edges", "3sat-vc", "--count", "0"]) == 0
 
 
+def test_cli_fuzz_negative_count_is_format_error(capsys):
+    # it used to run no case and report "fuzz: 0 cases passed"
+    assert main(["fuzz", "--edges", "3sat-vc", "--count", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--count -1 is negative" in err and "Traceback" not in err
+
+
 def test_cli_report(tmp_path, capsys):
     p = tmp_path / "r.json"
     p.write_text(json.dumps({"command": "fuzz", "cases_run": 3, "failures": []}))
@@ -551,6 +558,40 @@ def test_cli_solve_missing_key_is_format_error(tmp_path, capsys, problem, key):
     assert _solve_doc(tmp_path, doc, problem) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("problem", ["eae-sat", "radjsat"])
+@pytest.mark.parametrize(
+    "parts",
+    [{"x": ["a"]}, {"x": [-1]}, {"x": [0, 1, 2, 3]}, {"x": [0, 1]},
+     {"y": [True]}, {"z": [2, 2]}],
+    ids=["str", "negative", "extra", "overlap", "bool", "repeat"],
+)
+def test_cli_solve_parts_must_partition_the_variables(tmp_path, capsys, problem,
+                                                      parts):
+    # eae-sat took its parts as given: a traceback on "a", and an answer on
+    # the rest; radjsat took a bool for a variable and a variable twice
+    doc = _rr_docs()[problem]
+    doc.update(parts)
+    assert _solve_doc(tmp_path, doc, problem) == 2
+    err = capsys.readouterr().err
+    assert "X, Y, Z must partition the variables" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "blockable", [[-1], [True], [3], [0, "1"], 0],
+    ids=["negative", "bool", "outside", "str", "int"],
+)
+def test_cli_solve_comb_rr_bad_blockable_is_format_error(tmp_path, capsys,
+                                                         blockable):
+    # a negative index used to exit 1, and true read as element 1
+    doc = _rr_docs()["comb-rr"]
+    doc["blockable"] = blockable
+    assert _solve_doc(tmp_path, doc, "comb-rr") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad comb-rr document: 'blockable' must list")
     assert "Traceback" not in err
 
 
@@ -714,3 +755,80 @@ def test_cli_solve_cost_rr_pipeline_witness(tmp_path, capsys, game, measure, lin
     doc = serialize.cost_rr_to_doc(comb_to_cost_rr(comb))
     assert _solve_doc(tmp_path, doc, "cost-rr") == 0
     assert capsys.readouterr().out.splitlines() == lines
+
+
+def _mutation_bases():
+    """(command, problem, valid document) for instances, artifacts and each
+    rr problem, small enough that any mutation of them runs in
+    milliseconds."""
+    cnf = CnfInstance(3, ((0, 1, 2),))
+    art = build_blowup("3sat-vc", cnf, 0, HAM)
+    docs = [("check", None, serialize.artifact_to_doc(art))]
+    rng = random.Random("mutation")
+    for edge in ("vc-hs", "3sat-steinertree", "3sat-dhampath"):
+        src = random_source_for_edge(edge, rng)
+        if edge in BLOWUP_EDGES:
+            art = build_blowup(edge, src, 0, HAM)
+        else:
+            art = build_preserving(edge, src)
+            docs.append(("check", None, serialize.artifact_to_doc(art)))
+        doc = serialize.instance_to_doc(art.target_kind, art.target)
+        docs.append(("solve", "nominal", doc))
+    for problem, doc in _rr_docs().items():
+        docs.append(("solve", problem, doc))
+    return docs
+
+
+try:
+    import copy
+    import functools
+    import operator
+
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    def _positions(x, path=()):
+        """The path of every dict value and list item in a document."""
+        if type(x) is dict:
+            items = x.items()
+        else:
+            items = enumerate(x) if type(x) is list else ()
+        for key, v in items:
+            yield path + (key,)
+            yield from _positions(v, path + (key,))
+
+    _MUTATION_BASES = _mutation_bases()
+    _replacements = (
+        st.integers(-3, 40)
+        | st.booleans()
+        | st.text(max_size=2)
+        | st.lists(st.integers(-3, 40), max_size=3)
+    )
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_cli_survives_mutated_documents(tmp_path, data):
+        """Documents with dropped keys, or strings, lists, bools or small and
+        negative integers in place of their values, end in an exit code,
+        never in an escaping exception."""
+        command, problem, doc = data.draw(st.sampled_from(_MUTATION_BASES))
+        doc = copy.deepcopy(doc)
+        for _ in range(data.draw(st.integers(1, 3))):
+            positions = list(_positions(doc))
+            if not positions:
+                break
+            *path, key = data.draw(st.sampled_from(positions))
+            parent = functools.reduce(operator.getitem, path, doc)
+            if type(parent) is dict and data.draw(st.booleans()):
+                del parent[key]
+            else:
+                parent[key] = data.draw(_replacements)
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        argv = [command, str(p), "--max-solutions", "1000"]
+        if problem:
+            argv += ["--problem", problem]
+        assert main(argv) in range(5)
+except ImportError:  # pragma: no cover - hypothesis is a test extra
+    pass
