@@ -25,7 +25,7 @@ from .core import (
     indices_of,
 )
 from .gen import random_lb, random_source_for_edge
-from .problems import ProblemKind, enumerate_solutions
+from .problems import ProblemKind, enumerate_solutions, universe_size
 from .reductions import (
     ALL_EDGES,
     BLOWUP_EDGES,
@@ -166,7 +166,7 @@ def cmd_reduce(args) -> int:
             print(f"  {m.value}: {v}")
     print(
         f"reduced {kind.value} -> {cur_kind.value} "
-        f"(universe {len(cur.universe_labels())}, edge {artifact.edge})"
+        f"(universe {universe_size(cur)}, edge {artifact.edge})"
     )
     return EXIT_OK
 
@@ -237,7 +237,7 @@ def cmd_solve(args) -> int:
         if wit is not None:
             print(f"x-assignment literals: {indices_of(wit)}")
     elif args.problem == "eae-sat":
-        ans = solve_eae_sat(*serialize.eae_sat_from_doc(doc))
+        ans = solve_eae_sat(*serialize.eae_sat_from_doc(doc), bounds)
         print(f"answer: {'yes' if ans else 'no'}")
     else:
         raise FormatError(f"unknown problem {args.problem}")

@@ -89,13 +89,15 @@ class Capped(list):
 
 
 def indices_of(mask: int) -> list[int]:
+    """The element indices of ``mask`` in increasing order, taken lowest
+    set bit first."""
+    if mask < 0:
+        raise DomainError(f"negative element set {mask}")
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -25,6 +25,7 @@ from .problems import (
     VertexCoverInstance,
     connected_undirected,
     enumerate_solutions,
+    universe_size,
 )
 
 MEASURES = list(DistanceMeasure)
@@ -307,7 +308,7 @@ def random_comb_rr(rng, max_universe=8):
         inst = TspInstance(n, weights, best)
     else:
         inst = random_dhp(rng, max_n=4)
-    size = len(inst.universe_labels())
+    size = universe_size(inst)
     blockable = 0
     for i in range(size):
         if rng.random() < 0.3:

@@ -28,7 +28,7 @@ def _check_edges(n, edges, directed=False):
             raise FormatError(f"endpoint out of range in {e}")
         if u == v:
             raise FormatError(f"self-loop {e}")
-        key = (u, v) if directed else (min(u, v), max(u, v))
+        key = (u, v) if directed or u < v else (v, u)
         if key in seen:
             raise FormatError(f"duplicate edge {e}")
         seen.add(key)
@@ -56,6 +56,9 @@ class _Graph:
 
     def universe_labels(self):
         return tuple(f"v{i}" for i in range(self.n))
+
+    def universe_size(self) -> int:
+        return self.n
 
     def verify(self, mask: int) -> bool:
         if mask >> self.n:
@@ -128,6 +131,9 @@ class FeedbackVertexSetInstance:
     def universe_labels(self):
         return tuple(f"v{i}" for i in range(self.n))
 
+    def universe_size(self) -> int:
+        return self.n
+
     def acyclic_after(self, mask: int) -> bool:
         return _is_acyclic(
             self.n,
@@ -155,6 +161,9 @@ class FeedbackArcSetInstance:
 
     def universe_labels(self):
         return _arc_labels(self.arcs)
+
+    def universe_size(self) -> int:
+        return len(self.arcs)
 
     def acyclic_after(self, mask: int) -> bool:
         return _is_acyclic(
@@ -213,22 +222,33 @@ def covers_upto(n, edges, k, cap) -> list[int]:
 
     def rec(chosen, banned, budget):
         free = full & ~(chosen | banned)
-        x, need = -1, 0
         m = free
         while m:
             low = m & -m
+            if nb[low.bit_length() - 1] & free:
+                break
             m ^= low
-            mate = nb[low.bit_length() - 1] & m
-            if mate:
-                if x < 0:
-                    x = low.bit_length() - 1
-                m ^= mate & -mate
-                need += 1
-        if x < 0:
-            _pad_supersets(chosen, indices_of(free), budget, out)
+        if not m:
+            if budget:
+                _pad_supersets(chosen, indices_of(free), budget, out)
+            else:
+                out.append(chosen)
             return
-        if need > budget:
-            return
+        x = low.bit_length() - 1
+        # the free vertices below x have no free neighbour, so the greedy
+        # matching starts at x; it matches at most half of the vertices in
+        # m, so it can exceed the budget only if 2 * budget is below that
+        if 2 * budget < m.bit_count():
+            need = 0
+            while m:
+                low = m & -m
+                m ^= low
+                mate = nb[low.bit_length() - 1] & m
+                if mate:
+                    m ^= mate & -mate
+                    need += 1
+                    if need > budget:
+                        return
         rec(chosen | 1 << x, banned, budget - 1)
         forced = nb[x] & free
         if forced.bit_count() <= budget:

@@ -71,6 +71,9 @@ class DirectedHamPathInstance:
     def universe_labels(self):
         return _arc_labels(self.arcs)
 
+    def universe_size(self) -> int:
+        return len(self.arcs)
+
     def verify(self, mask: int) -> bool:
         if mask >> len(self.arcs):
             raise DomainError("candidate outside arc universe")
@@ -99,6 +102,9 @@ class DirectedHamCycleInstance:
     def universe_labels(self):
         return _arc_labels(self.arcs)
 
+    def universe_size(self) -> int:
+        return len(self.arcs)
+
     def verify(self, mask: int) -> bool:
         if mask >> len(self.arcs):
             raise DomainError("candidate outside arc universe")
@@ -124,6 +130,9 @@ class UndirectedHamCycleInstance:
 
     def universe_labels(self):
         return _edge_labels(self.edges)
+
+    def universe_size(self) -> int:
+        return len(self.edges)
 
     def adjacency(self):
         adj = [[] for _ in range(self.n)]
@@ -181,6 +190,9 @@ class TspInstance:
     def universe_labels(self):
         return _edge_labels(self.edge_order())
 
+    def universe_size(self) -> int:
+        return len(self.weights)
+
     def tour_mask(self, cycle_vertices) -> int:
         idx = self.edge_index()
         m = 0
@@ -220,6 +232,9 @@ class DisjointPathsInstance:
 
     def universe_labels(self):
         return _arc_labels(self.arcs)
+
+    def universe_size(self) -> int:
+        return len(self.arcs)
 
     def verify(self, mask: int) -> bool:
         if mask >> len(self.arcs):

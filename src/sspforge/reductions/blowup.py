@@ -14,6 +14,7 @@ factor of the requested measure.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from ..core import DistanceMeasure, PreconditionError
 from ..problems import (
@@ -257,15 +258,10 @@ def _vc_is_layout(src: CnfInstance, pairs, gadget):
 
 
 def _gadget_biclique(i, n, gadget_pos, gadget_neg):
-    side_a = [i] + gadget_pos[i]
-    side_b = [n + i] + gadget_neg[i]
-    out = []
-    for a in side_a:
-        for b in side_b:
-            if (a, b) == (i, n + i):
-                continue  # the plain pair edge is listed already
-            out.append((a, b))
-    return out
+    # the product's first pair is the plain pair edge (i, n + i), which is
+    # listed already
+    both = itertools.product([i, *gadget_pos[i]], [n + i, *gadget_neg[i]])
+    return itertools.islice(both, 1, None)
 
 
 def _build_3sat_vc_is(src: CnfInstance, pairs, gadget, kind: ProblemKind):

@@ -28,6 +28,7 @@ from .core import (
     subsets_upto,
 )
 from .problems import (
+    KIND_SPECS,
     CnfInstance,
     ProblemKind,
     enumerate_feasible,
@@ -316,9 +317,18 @@ def eval_cost_rr(
     return best, ok, best_witness
 
 
-def solve_eae_sat(cnf: CnfInstance, x_vars, y_vars, z_vars) -> bool:
+def _check_game(cnf: CnfInstance, bounds: Bounds) -> None:
+    """A game walks assignments, as the 3SAT enumerator does: its formula
+    answers to that enumerator's variable guard."""
+    KIND_SPECS[ProblemKind.THREE_SAT].solutions.guard.check(cnf, bounds)
+
+
+def solve_eae_sat(
+    cnf: CnfInstance, x_vars, y_vars, z_vars, bounds: Bounds = DEFAULT_BOUNDS
+) -> bool:
     """Truth of: exists X-assignment, for all Y-assignments, exists
     Z-assignment satisfying the formula."""
+    _check_game(cnf, bounds)
     n = cnf.n_vars
     masks = cnf.clause_masks()
     for mx in _assignments(n, x_vars):
@@ -343,6 +353,7 @@ def solve_radjsat(
     Returns the winning X-assignment as a literal mask when the answer is
     yes."""
     cnf = inst.cnf
+    _check_game(cnf, bounds)
     n = cnf.n_vars
     masks = cnf.clause_masks()
     zs = list(_assignments(n, inst.z_vars))

@@ -76,6 +76,23 @@ def test_mask_roundtrip():
     assert indices_of(mask_of([3, 1, 4])) == [1, 3, 4]
 
 
+def test_indices_of_equals_the_bit_position_walk():
+    rng = random.Random(0)
+    masks = [0, 1, 2, 3, (1 << 200) - 1, 1 << 200, (1 << 200) | 1]
+    masks += [rng.getrandbits(rng.randint(1, 200)) for _ in range(2000)]
+    for mask in masks:
+        want = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        assert indices_of(mask) == want, mask
+        assert mask_of(indices_of(mask)) == mask
+
+
+def test_indices_of_a_negative_mask_raises():
+    # the bit walk never reaches zero on a negative int
+    for mask in (-1, -3, -(1 << 70)):
+        with pytest.raises(DomainError, match="negative element set"):
+            indices_of(mask)
+
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st

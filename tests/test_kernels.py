@@ -16,7 +16,12 @@ import random
 import pytest
 
 from sspforge.core import Bounds, CapacityError, DistanceMeasure, mask_of
-from sspforge.gen import random_lb, random_source_for_edge
+from sspforge.gen import (
+    random_comb_rr,
+    random_lb,
+    random_radjsat,
+    random_source_for_edge,
+)
 from sspforge.problems import (
     KIND_SPECS,
     CnfInstance,
@@ -32,6 +37,7 @@ from sspforge.problems import (
     feasible_keys,
     is_lop,
     lop_cost,
+    universe_labels,
     universe_size,
     verify,
 )
@@ -44,6 +50,7 @@ from sspforge.problems.paths import (
 )
 from sspforge.problems.steiner import steiner_trees_upto
 from sspforge.reductions import ALL_EDGES, BLOWUP_EDGES, build_blowup, build_preserving
+from sspforge.rr import radjsat_to_comb_rr
 
 BOUNDS = Bounds(max_universe=24, max_solutions=1 << 20, max_vertices=16384)
 CAP = 1 << 20
@@ -421,6 +428,69 @@ def test_kernels_equal_reference_on_large_targets(edge, i):
     for got, want in pairs:
         assert want  # a target with no solutions would compare nothing
         assert got == want
+
+
+def test_universe_size_counts_the_labels():
+    """``universe_size`` counts from the fields what ``universe_labels``
+    names: on the small corpus, on every edge's sources and blow-up or
+    preserving targets, and on the comb-RR and game generators."""
+    instances = [inst for _, inst in small_instances()]
+    for i in range(10):
+        rng = random.Random(repr(("universe", i)))
+        for edge in ALL_EDGES:
+            src = random_source_for_edge(edge, rng)
+            if edge in BLOWUP_EDGES:
+                art = build_blowup(edge, src, random_lb(rng, src), DistanceMeasure.HAMMING)
+            else:
+                art = build_preserving(edge, src, {"k": 3} if edge == "2ddp-kddp" else None)
+            instances += [src, art.target]
+        instances.append(random_comb_rr(rng).instance)
+        instances.append(random_radjsat(rng).cnf)
+    assert {type(inst) for inst in instances} == {
+        spec.cls for spec in KIND_SPECS.values()
+    }
+    for inst in instances:
+        assert universe_size(inst) == len(universe_labels(inst)), inst
+
+
+# (max_part, max_clauses, games): the plain search takes about a second on
+# a two-part game's 75-vertex cover target, and several on two clauses
+COMB_RR_GAMES = ((1, 3, 8), (2, 1, 5))
+
+
+@pytest.mark.parametrize("max_part, max_clauses, games", COMB_RR_GAMES)
+def test_cover_kernels_equal_reference_on_comb_rr_targets(max_part, max_clauses, games):
+    """The cover search lists what the plain search lists on the comb-RR
+    targets of random games, under every measure, and overflows the
+    solution cap exactly one below the family's size."""
+    searches = {
+        "3sat-vc": (covers_upto, ref_covers_upto),
+        "3sat-is": (independent_sets_atleast, ref_independent_sets_atleast),
+    }
+    rng = random.Random(repr(("comb-rr targets", max_part)))
+    game_list = [
+        random_radjsat(rng, max_part=max_part, max_clauses=max_clauses)
+        for _ in range(games)
+    ]
+    assert max(len(game.x_vars) for game in game_list) == max_part
+    # the kappa measures often give one target; each is compared once
+    targets = {
+        (edge, radjsat_to_comb_rr(game, edge, measure).instance): None
+        for game in game_list
+        for edge in searches
+        for measure in DistanceMeasure
+    }
+    sizes = []
+    for edge, t in targets:
+        kernel, ref = searches[edge]
+        want = ref(t.n, t.edges, t.k, CAP)
+        assert kernel(t.n, t.edges, t.k, CAP) == want
+        assert kernel(t.n, t.edges, t.k, len(want)) == want
+        if want:
+            with pytest.raises(CapacityError):
+                kernel(t.n, t.edges, t.k, len(want) - 1)
+        sizes.append(len(want))
+    assert max(sizes) > 1  # a family worth comparing
 
 
 # the largest 3sat-steinertree targets have one to nine minimum trees, but

@@ -1,12 +1,20 @@
 import random
+import re
 
 import pytest
 
-from sspforge.core import Bounds, CapacityError, UnsupportedKindError, mask_of
+from sspforge.core import (
+    Bounds,
+    CapacityError,
+    FormatError,
+    UnsupportedKindError,
+    mask_of,
+)
 from sspforge.problems import (
     CnfInstance,
     DominatingSetInstance,
     FeedbackArcSetInstance,
+    FeedbackVertexSetInstance,
     HittingSetInstance,
     KnapsackInstance,
     PartitionInstance,
@@ -16,6 +24,7 @@ from sspforge.problems import (
     SteinerTreeInstance,
     SubsetSumInstance,
     TspInstance,
+    UndirectedHamCycleInstance,
     VertexCoverInstance,
     enumerate_feasible,
     enumerate_solutions,
@@ -270,3 +279,33 @@ def test_sat_solutions_are_assignments():
     for s in enumerate_solutions(K.THREE_SAT, phi):
         for i in range(2):
             assert ((s >> i) & 1) + ((s >> (2 + i)) & 1) == 1
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (((7, 7),), "endpoint out of range in (7, 7)"),
+        (((0, 1), (1, 0), (2, 2), (0, 9)), "duplicate edge (1, 0)"),
+        (((0, 1), (2, 2), (1, 0), (0, 9)), "self-loop (2, 2)"),
+        (((0, 1), (0, 9), (2, 2), (1, 0)), "endpoint out of range in (0, 9)"),
+        (((2, 0), (1, 2), (0, 2)), "duplicate edge (0, 2)"),
+    ],
+)
+def test_edge_check_names_the_first_bad_edge(edges, message):
+    """Each edge is checked for range, then for a self-loop, then for a
+    repeat of an earlier edge in either direction; the first bad edge in
+    list order is the one reported."""
+    for cls in (VertexCoverInstance, DominatingSetInstance):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            cls(3, edges, 1)
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        UndirectedHamCycleInstance(3, edges)
+
+
+def test_reversed_arc_is_not_a_duplicate_for_directed_kinds():
+    arcs = ((0, 1), (1, 0))
+    assert FeedbackVertexSetInstance(2, arcs, 1).universe_size() == 2
+    assert FeedbackArcSetInstance(2, arcs, 1).universe_size() == 2
+    for cls in (FeedbackVertexSetInstance, FeedbackArcSetInstance):
+        with pytest.raises(FormatError, match=r"^duplicate edge \(0, 1\)$"):
+            cls(2, arcs + ((0, 1),), 1)

@@ -525,6 +525,25 @@ def _solve_doc(tmp_path, doc, problem):
     return main(["solve", str(p), "--problem", problem])
 
 
+@pytest.mark.parametrize("problem", ["radjsat", "eae-sat"])
+def test_cli_solve_game_past_the_assignment_bound_exits_4(tmp_path, capsys,
+                                                          problem):
+    # both games walked all 2^18 assignments of an 18-variable formula with
+    # no limit; they now answer to the 3SAT enumerator's variable guard
+    cnf = CnfInstance(18, ((0, 6, 12),))
+    x, y, z = [*range(6)], [*range(6, 12)], [*range(12, 18)]
+    doc = {"cnf": serialize.instance_payload(ProblemKind.THREE_SAT, cnf),
+           "x": x, "y": y, "z": z}
+    if problem == "radjsat":
+        doc = serialize.radjsat_to_doc(
+            RAdjSatInstance(cnf, tuple(x), tuple(y), tuple(z), 1)
+        )
+    assert _solve_doc(tmp_path, doc, problem) == 4
+    err = capsys.readouterr().err
+    assert "18 variables exceed the assignment bound" in err
+    assert "Traceback" not in err
+
+
 def _rr_docs():
     cnf = CnfInstance(3, ((0, 1, 2),))
     comb = CombRrInstance(
