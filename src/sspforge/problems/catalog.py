@@ -16,10 +16,6 @@ kernels state that limit once: they collect their solutions in
 ``numbers._half_tables`` counts a threshold family before it builds it,
 and ``paths.ham_cycles_undirected`` counts the distinct cycles in a set,
 since its search finds each one twice.
-
-Every instance class names its universe's elements by ``universe_labels``
-and counts them by ``universe_size``, from its fields: ``universe_size``
-equals ``len(universe_labels)`` and formats no label.
 """
 
 from __future__ import annotations
@@ -336,7 +332,7 @@ def universe_labels(inst) -> tuple[str, ...]:
 
 
 def universe_size(inst) -> int:
-    return inst.universe_size()
+    return len(inst.universe_labels())
 
 
 def verify(kind: ProblemKind, inst, mask: int) -> bool:

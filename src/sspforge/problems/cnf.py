@@ -30,9 +30,6 @@ class CnfInstance:
         names = [f"x{i+1}" for i in range(self.n_vars)]
         return tuple(names + ["~" + s for s in names])
 
-    def universe_size(self) -> int:
-        return 2 * self.n_vars
-
     def require_width(self, w: int) -> None:
         for c in self.clauses:
             if len(c) != w:

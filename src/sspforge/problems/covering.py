@@ -30,9 +30,6 @@ class SetCoverInstance(_SetSystem):
     def universe_labels(self):
         return tuple(f"S{i}" for i in range(len(self.subsets)))
 
-    def universe_size(self) -> int:
-        return len(self.subsets)
-
     def verify(self, mask: int) -> bool:
         if mask >> len(self.subsets):
             raise DomainError("candidate outside family universe")
@@ -42,9 +39,6 @@ class SetCoverInstance(_SetSystem):
 class HittingSetInstance(_SetSystem):
     def universe_labels(self):
         return tuple(f"g{i}" for i in range(self.ground_size))
-
-    def universe_size(self) -> int:
-        return self.ground_size
 
     def verify(self, mask: int) -> bool:
         if mask >> self.ground_size:

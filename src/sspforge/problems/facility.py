@@ -51,9 +51,6 @@ class FacilityLocationInstance:
     def universe_labels(self):
         return tuple(f"f{i}" for i in range(self.n_facilities))
 
-    def universe_size(self) -> int:
-        return self.n_facilities
-
     def verify(self, mask: int) -> bool:
         if mask >> self.n_facilities:
             raise DomainError("candidate outside facility universe")
@@ -82,9 +79,6 @@ class _PInstance:
 
     def universe_labels(self):
         return tuple(f"f{i}" for i in range(self.n_facilities))
-
-    def universe_size(self) -> int:
-        return self.n_facilities
 
     def verify(self, mask: int) -> bool:
         if mask >> self.n_facilities:

@@ -57,9 +57,6 @@ class _Graph:
     def universe_labels(self):
         return tuple(f"v{i}" for i in range(self.n))
 
-    def universe_size(self) -> int:
-        return self.n
-
     def verify(self, mask: int) -> bool:
         if mask >> self.n:
             raise DomainError("candidate outside vertex universe")
@@ -131,9 +128,6 @@ class FeedbackVertexSetInstance:
     def universe_labels(self):
         return tuple(f"v{i}" for i in range(self.n))
 
-    def universe_size(self) -> int:
-        return self.n
-
     def acyclic_after(self, mask: int) -> bool:
         return _is_acyclic(
             self.n,
@@ -161,9 +155,6 @@ class FeedbackArcSetInstance:
 
     def universe_labels(self):
         return _arc_labels(self.arcs)
-
-    def universe_size(self) -> int:
-        return len(self.arcs)
 
     def acyclic_after(self, mask: int) -> bool:
         return _is_acyclic(

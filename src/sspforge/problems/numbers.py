@@ -48,9 +48,6 @@ class SubsetSumInstance:
     def universe_labels(self):
         return tuple(f"n{i}={v}" for i, v in enumerate(self.values))
 
-    def universe_size(self) -> int:
-        return len(self.values)
-
     def verify(self, mask: int) -> bool:
         if mask >> len(self.values):
             raise DomainError("candidate outside number universe")
@@ -69,9 +66,6 @@ class KnapsackInstance:
 
     def universe_labels(self):
         return tuple(f"it{i}=({p},{w})" for i, (p, w) in enumerate(self.items))
-
-    def universe_size(self) -> int:
-        return len(self.items)
 
     def price(self, mask):
         return _masked_sum(tuple(p for p, _ in self.items), mask)
@@ -98,9 +92,6 @@ class PartitionInstance:
     def universe_labels(self):
         return tuple(f"n{i}={v}" for i, v in enumerate(self.values))
 
-    def universe_size(self) -> int:
-        return len(self.values)
-
     def verify(self, mask: int) -> bool:
         n = len(self.values)
         if mask >> n:
@@ -124,9 +115,6 @@ class SchedulingInstance:
 
     def universe_labels(self):
         return tuple(f"j{i}={v}" for i, v in enumerate(self.times))
-
-    def universe_size(self) -> int:
-        return len(self.times)
 
     def verify(self, mask: int) -> bool:
         n = len(self.times)

@@ -71,9 +71,6 @@ class DirectedHamPathInstance:
     def universe_labels(self):
         return _arc_labels(self.arcs)
 
-    def universe_size(self) -> int:
-        return len(self.arcs)
-
     def verify(self, mask: int) -> bool:
         if mask >> len(self.arcs):
             raise DomainError("candidate outside arc universe")
@@ -102,9 +99,6 @@ class DirectedHamCycleInstance:
     def universe_labels(self):
         return _arc_labels(self.arcs)
 
-    def universe_size(self) -> int:
-        return len(self.arcs)
-
     def verify(self, mask: int) -> bool:
         if mask >> len(self.arcs):
             raise DomainError("candidate outside arc universe")
@@ -130,9 +124,6 @@ class UndirectedHamCycleInstance:
 
     def universe_labels(self):
         return _edge_labels(self.edges)
-
-    def universe_size(self) -> int:
-        return len(self.edges)
 
     def adjacency(self):
         adj = [[] for _ in range(self.n)]
@@ -190,9 +181,6 @@ class TspInstance:
     def universe_labels(self):
         return _edge_labels(self.edge_order())
 
-    def universe_size(self) -> int:
-        return len(self.weights)
-
     def tour_mask(self, cycle_vertices) -> int:
         idx = self.edge_index()
         m = 0
@@ -232,9 +220,6 @@ class DisjointPathsInstance:
 
     def universe_labels(self):
         return _arc_labels(self.arcs)
-
-    def universe_size(self) -> int:
-        return len(self.arcs)
 
     def verify(self, mask: int) -> bool:
         if mask >> len(self.arcs):

@@ -55,9 +55,6 @@ class SteinerTreeInstance:
     def universe_labels(self):
         return _edge_labels(self.edges)
 
-    def universe_size(self) -> int:
-        return len(self.edges)
-
     def cost(self, mask: int) -> int:
         return _masked_sum(self.costs, mask)
 

@@ -317,18 +317,14 @@ def eval_cost_rr(
     return best, ok, best_witness
 
 
-def _check_game(cnf: CnfInstance, bounds: Bounds) -> None:
-    """A game walks assignments, as the 3SAT enumerator does: its formula
-    answers to that enumerator's variable guard."""
-    KIND_SPECS[ProblemKind.THREE_SAT].solutions.guard.check(cnf, bounds)
-
-
 def solve_eae_sat(
     cnf: CnfInstance, x_vars, y_vars, z_vars, bounds: Bounds = DEFAULT_BOUNDS
 ) -> bool:
     """Truth of: exists X-assignment, for all Y-assignments, exists
     Z-assignment satisfying the formula."""
-    _check_game(cnf, bounds)
+    # a game walks assignments, as the 3SAT enumerator does, so its formula
+    # answers to that enumerator's variable guard
+    KIND_SPECS[ProblemKind.THREE_SAT].solutions.guard.check(cnf, bounds)
     n = cnf.n_vars
     masks = cnf.clause_masks()
     for mx in _assignments(n, x_vars):
@@ -353,7 +349,7 @@ def solve_radjsat(
     Returns the winning X-assignment as a literal mask when the answer is
     yes."""
     cnf = inst.cnf
-    _check_game(cnf, bounds)
+    KIND_SPECS[ProblemKind.THREE_SAT].solutions.guard.check(cnf, bounds)
     n = cnf.n_vars
     masks = cnf.clause_masks()
     zs = list(_assignments(n, inst.z_vars))

@@ -16,12 +16,7 @@ import random
 import pytest
 
 from sspforge.core import Bounds, CapacityError, DistanceMeasure, mask_of
-from sspforge.gen import (
-    random_comb_rr,
-    random_lb,
-    random_radjsat,
-    random_source_for_edge,
-)
+from sspforge.gen import random_lb, random_radjsat, random_source_for_edge
 from sspforge.problems import (
     KIND_SPECS,
     CnfInstance,
@@ -37,7 +32,6 @@ from sspforge.problems import (
     feasible_keys,
     is_lop,
     lop_cost,
-    universe_labels,
     universe_size,
     verify,
 )
@@ -428,29 +422,6 @@ def test_kernels_equal_reference_on_large_targets(edge, i):
     for got, want in pairs:
         assert want  # a target with no solutions would compare nothing
         assert got == want
-
-
-def test_universe_size_counts_the_labels():
-    """``universe_size`` counts from the fields what ``universe_labels``
-    names: on the small corpus, on every edge's sources and blow-up or
-    preserving targets, and on the comb-RR and game generators."""
-    instances = [inst for _, inst in small_instances()]
-    for i in range(10):
-        rng = random.Random(repr(("universe", i)))
-        for edge in ALL_EDGES:
-            src = random_source_for_edge(edge, rng)
-            if edge in BLOWUP_EDGES:
-                art = build_blowup(edge, src, random_lb(rng, src), DistanceMeasure.HAMMING)
-            else:
-                art = build_preserving(edge, src, {"k": 3} if edge == "2ddp-kddp" else None)
-            instances += [src, art.target]
-        instances.append(random_comb_rr(rng).instance)
-        instances.append(random_radjsat(rng).cnf)
-    assert {type(inst) for inst in instances} == {
-        spec.cls for spec in KIND_SPECS.values()
-    }
-    for inst in instances:
-        assert universe_size(inst) == len(universe_labels(inst)), inst
 
 
 # (max_part, max_clauses, games): the plain search takes about a second on
