@@ -24,7 +24,7 @@ from .core import (
     SspError,
     indices_of,
 )
-from .gen import random_lb, random_source_for_edge
+from .gen import random_lb, random_radjsat, random_source_for_edge
 from .problems import ProblemKind, enumerate_solutions, universe_size
 from .reductions import (
     ALL_EDGES,
@@ -37,6 +37,7 @@ from .reductions import (
 from .rr import (
     eval_comb_rr,
     eval_cost_rr,
+    radjsat_to_comb_rr,
     solve_eae_sat,
     solve_radjsat,
 )
@@ -68,9 +69,12 @@ def _measure(name: str) -> DistanceMeasure:
         raise FormatError(f"unknown distance measure {name!r}")
 
 
-def _load_instance(path: str):
+def _read(path: str) -> str:
     with open(path) as fh:
-        text = fh.read()
+        return fh.read()
+
+
+def _parse_instance(path: str, text: str):
     if path.endswith(".cnf") or text.lstrip().startswith(("c", "p")):
         cnf = serialize.parse_dimacs(text)
         kind = (
@@ -122,7 +126,7 @@ def _digest(text: str) -> str:
 
 
 def cmd_reduce(args) -> int:
-    kind, source = _load_instance(args.input)
+    kind, source = _parse_instance(args.input, _read(args.input))
     measure = _measure(args.measure)
     edges = args.chain.split(",") if args.chain else [args.edge]
     if not edges or edges[0] is None:
@@ -172,8 +176,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_check(args) -> int:
-    with open(args.artifact) as fh:
-        text = fh.read()
+    text = _read(args.artifact)
     artifact = serialize.artifact_from_doc(json.loads(text))
     bounds = _bounds(args)
     measure = _measure(args.measure) if args.measure else None
@@ -202,11 +205,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    with open(args.input) as fh:
-        text = fh.read()
+    text = _read(args.input)
     bounds = _bounds(args)
     if args.problem == "nominal":
-        kind, inst = _load_instance(args.input)
+        kind, inst = _parse_instance(args.input, text)
         sols = enumerate_solutions(kind, inst, bounds)
         answer = bool(sols)
         witness = indices_of(sols[0]) if sols else None
@@ -255,9 +257,6 @@ _PIPELINE_FUZZ_EDGES = (
 
 def _fuzz_pipeline_case(edge, measure, rng, bounds):
     """End-to-end equivalence on a tiny game instance through this edge."""
-    from .gen import random_radjsat
-    from .rr import eval_comb_rr, radjsat_to_comb_rr, solve_radjsat
-
     inst = random_radjsat(rng, max_part=1, max_clauses=2, max_gamma=1)
     want, _ = solve_radjsat(inst, bounds)
     comb = radjsat_to_comb_rr(inst, edge, measure)
@@ -341,8 +340,7 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.input) as fh:
-        doc = json.load(fh)
+    doc = json.loads(_read(args.input))
     if not isinstance(doc, dict):
         raise FormatError("a report must be a JSON object")
     print(f"command: {doc.get('command')}")
@@ -422,7 +420,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (FormatError, PreconditionError, json.JSONDecodeError) as exc:
+    except (
+        FormatError,
+        PreconditionError,
+        json.JSONDecodeError,
+        OSError,
+        UnicodeDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CompositionError as exc:
@@ -431,9 +435,6 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except SspError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

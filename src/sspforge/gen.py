@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 
-from .core import DistanceMeasure
+from .core import MEASURES, mask_of
 from .problems import (
+    KIND_SPECS,
     CnfInstance,
     DirectedHamPathInstance,
     DirectedHamCycleInstance,
@@ -21,14 +22,15 @@ from .problems import (
     PartitionInstance,
     ProblemKind,
     SubsetSumInstance,
+    TspInstance,
     UndirectedHamCycleInstance,
     VertexCoverInstance,
     connected_undirected,
     enumerate_solutions,
     universe_size,
 )
-
-MEASURES = list(DistanceMeasure)
+from .reductions import build_preserving
+from .rr import CombRrInstance, RAdjSatInstance
 
 
 def random_cnf(rng: random.Random, max_vars=4, max_clauses=4, widths=(3,)) -> CnfInstance:
@@ -66,19 +68,27 @@ def random_graph(rng: random.Random, max_n=6, p=0.5, connected=False):
         return n, tuple(edges)
 
 
-def min_cover_size(n, edges) -> int:
-    from .problems.graphs import covers_upto
+def _at_optimum(kind, n, structure) -> int:
+    """The least k at which the kind's instance (n, structure, k) has a
+    solution: VC, DS and HS all have one at k = n."""
+    cls = KIND_SPECS[kind].cls
+    return next(
+        k for k in range(n + 1) if enumerate_solutions(kind, cls(n, structure, k))
+    )
 
-    for k in range(n + 1):
-        if covers_upto(n, edges, k, 1 << 20):
-            return k
-    return n
+
+def _near_optimum(rng, kind, n, structure):
+    """The kind's instance (n, structure, k) at the optimal k, or at one
+    below it in one draw in five."""
+    k = _at_optimum(kind, n, structure)
+    k = k if rng.random() < 0.8 else max(0, k - 1)
+    return KIND_SPECS[kind].cls(n, structure, k)
 
 
 def random_vc(rng, max_n=6, tight=False, connected=False) -> VertexCoverInstance:
     n, edges = random_graph(rng, max_n=max_n, connected=connected)
     if tight:
-        k = min_cover_size(n, edges)
+        k = _at_optimum(ProblemKind.VERTEX_COVER, n, edges)
     else:
         k = rng.randint(0, n)
     return VertexCoverInstance(n, edges, k)
@@ -157,7 +167,6 @@ def random_uhc(rng, max_n=6, p=0.6) -> UndirectedHamCycleInstance:
 def random_2ddp(rng, max_extra=4, p=0.4) -> DisjointPathsInstance:
     extra = rng.randint(2, max_extra)
     n = 4 + extra
-    terms = (0, 1, 2, 3)  # s1 t1 s2 t2
     arcs = set()
     arcs.add((0, 4))
     arcs.add((2, 4 + extra - 1))
@@ -217,8 +226,6 @@ def random_source_for_edge(edge: str, rng: random.Random):
 
 
 def random_radjsat(rng, max_part=2, max_clauses=3, max_gamma=2):
-    from .rr import RAdjSatInstance
-
     p = rng.randint(1, max_part)
     n = 3 * p
     m = rng.randint(1, max_clauses)
@@ -233,12 +240,43 @@ def random_radjsat(rng, max_part=2, max_clauses=3, max_gamma=2):
     return RAdjSatInstance(cnf, tuple(x), tuple(y), tuple(z), gamma)
 
 
-def _optimal_threshold(kind, make_inst, lo, hi):
-    """Smallest threshold whose solution set is nonempty, or None."""
-    for k in range(lo, hi + 1):
-        if enumerate_solutions(kind, make_inst(k)):
-            return k
-    return None
+def _hitting_sets(rng, max_n):
+    n = rng.randint(2, max_n)
+    subsets = tuple(
+        tuple(sorted(rng.sample(range(n), rng.randint(1, min(3, n)))))
+        for _ in range(rng.randint(1, 4))
+    )
+    return n, subsets
+
+
+def _optimal_tsp(rng, max_n):
+    n = rng.randint(3, 5)
+    weights = tuple(rng.randint(0, 3) for _ in range(n * (n - 1) // 2))
+    loose = TspInstance(n, weights, sum(weights))
+    best = min(map(loose.weight, enumerate_solutions(ProblemKind.TSP, loose)))
+    return TspInstance(n, weights, best)
+
+
+# the nominal kinds of random_comb_rr, in the order it chooses from, each
+# with its draw from (rng, max_n)
+_COMB_RR_DRAWS = {
+    ProblemKind.VERTEX_COVER: lambda rng, m: _near_optimum(
+        rng, ProblemKind.VERTEX_COVER, *random_graph(rng, max_n=m)
+    ),
+    ProblemKind.DOMINATING_SET: lambda rng, m: _near_optimum(
+        rng, ProblemKind.DOMINATING_SET, *random_graph(rng, max_n=m)
+    ),
+    ProblemKind.HITTING_SET: lambda rng, m: _near_optimum(
+        rng, ProblemKind.HITTING_SET, *_hitting_sets(rng, m)
+    ),
+    ProblemKind.SUBSET_SUM: lambda rng, m: random_subsetsum(rng, max_n=m),
+    ProblemKind.PARTITION: lambda rng, m: random_partition(rng, max_n=m),
+    ProblemKind.SCHEDULING: lambda rng, m: build_preserving(
+        "partition-scheduling", random_partition(rng, max_n=m)
+    ).target,
+    ProblemKind.TSP: _optimal_tsp,
+    ProblemKind.DHAM_PATH: lambda rng, m: random_dhp(rng, max_n=4),
+}
 
 
 def random_comb_rr(rng, max_universe=8):
@@ -246,73 +284,11 @@ def random_comb_rr(rng, max_universe=8):
 
     Thresholds are set to the nominal optimum (the regime in which the
     cost simulation of blockable elements is exact; see README)."""
-    from .rr import CombRrInstance
-
-    kind = rng.choice(
-        [
-            ProblemKind.VERTEX_COVER,
-            ProblemKind.DOMINATING_SET,
-            ProblemKind.HITTING_SET,
-            ProblemKind.SUBSET_SUM,
-            ProblemKind.PARTITION,
-            ProblemKind.SCHEDULING,
-            ProblemKind.TSP,
-            ProblemKind.DHAM_PATH,
-        ]
+    kind = rng.choice(list(_COMB_RR_DRAWS))
+    inst = _COMB_RR_DRAWS[kind](rng, min(6, max_universe))
+    blockable = mask_of(
+        i for i in range(universe_size(inst)) if rng.random() < 0.3
     )
-    if kind is ProblemKind.VERTEX_COVER:
-        n, edges = random_graph(rng, max_n=min(6, max_universe))
-        k = _optimal_threshold(kind, lambda k: VertexCoverInstance(n, edges, k), 0, n)
-        inst = VertexCoverInstance(n, edges, k if rng.random() < 0.8 else max(0, k - 1))
-    elif kind is ProblemKind.DOMINATING_SET:
-        from .problems import DominatingSetInstance
-
-        n, edges = random_graph(rng, max_n=min(6, max_universe))
-        k = _optimal_threshold(
-            kind, lambda k: DominatingSetInstance(n, edges, k), 0, n
-        )
-        inst = DominatingSetInstance(n, edges, k if rng.random() < 0.8 else max(0, k - 1))
-    elif kind is ProblemKind.HITTING_SET:
-        from .problems import HittingSetInstance
-
-        n = rng.randint(2, min(6, max_universe))
-        m = rng.randint(1, 4)
-        subsets = tuple(
-            tuple(
-                sorted(rng.sample(range(n), rng.randint(1, min(3, n))))
-            )
-            for _ in range(m)
-        )
-        k = _optimal_threshold(
-            kind, lambda k: HittingSetInstance(n, subsets, k), 0, n
-        )
-        inst = HittingSetInstance(n, subsets, k if rng.random() < 0.8 else max(0, k - 1))
-    elif kind is ProblemKind.SUBSET_SUM:
-        inst = random_subsetsum(rng, max_n=min(6, max_universe))
-    elif kind is ProblemKind.PARTITION:
-        inst = random_partition(rng, max_n=min(6, max_universe))
-    elif kind is ProblemKind.SCHEDULING:
-        from .problems import SchedulingInstance
-
-        base = random_partition(rng, max_n=min(6, max_universe))
-        inst = SchedulingInstance(base.values, sum(base.values) // 2)
-    elif kind is ProblemKind.TSP:
-        from .problems import TspInstance
-
-        n = rng.randint(3, 5)
-        weights = tuple(rng.randint(0, 3) for _ in range(n * (n - 1) // 2))
-        tours = enumerate_solutions(
-            ProblemKind.TSP, TspInstance(n, weights, sum(weights))
-        )
-        best = min(TspInstance(n, weights, 0).weight(t) for t in tours)
-        inst = TspInstance(n, weights, best)
-    else:
-        inst = random_dhp(rng, max_n=4)
-    size = universe_size(inst)
-    blockable = 0
-    for i in range(size):
-        if rng.random() < 0.3:
-            blockable |= 1 << i
     return CombRrInstance(
         kind=kind,
         instance=inst,

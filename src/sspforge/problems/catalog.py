@@ -12,10 +12,11 @@ Every enumerator ``run(inst, cap)`` returns its family as a sorted list
 of element masks, or an iterable of them in increasing order, and raises
 ``CapacityError`` when the family holds more than ``cap`` masks.  The
 kernels state that limit once: they collect their solutions in
-``core.Capped(cap)``, whose append raises.  Two kernels count instead:
-``numbers._half_tables`` counts a threshold family before it builds it,
-and ``paths.ham_cycles_undirected`` counts the distinct cycles in a set,
-since its search finds each one twice.
+``core.Capped(cap)``, whose append raises.  One kernel counts instead:
+``numbers._half_tables`` counts a threshold family before it builds it.
+The route kinds share two searches: directed Hamiltonian cycles are
+listed by the Hamiltonian path search, and TSP tours by the undirected
+cycle search on the complete graph.
 """
 
 from __future__ import annotations

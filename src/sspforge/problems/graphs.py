@@ -12,7 +12,6 @@ vertices.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from ..core import Capped, DomainError, FormatError, check_count, indices_of
@@ -32,6 +31,18 @@ def _check_edges(n, edges, directed=False):
         if key in seen:
             raise FormatError(f"duplicate edge {e}")
         seen.add(key)
+
+
+def complete_edges(n) -> tuple[tuple[int, int], ...]:
+    """The edges of K_n, each as (u, v) with u < v, in lexicographic order."""
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
+def complement_edges(n, edges) -> tuple[tuple[int, int], ...]:
+    """The edges of K_n that ``edges`` lacks in either direction, in the
+    order of ``complete_edges``."""
+    present = {(u, v) if u < v else (v, u) for u, v in edges}
+    return tuple(e for e in complete_edges(n) if e not in present)
 
 
 def _arc_labels(arcs):
@@ -81,20 +92,12 @@ class IndependentSetInstance(_Graph):
 
 class CliqueInstance(_Graph):
     def complement_edges(self) -> tuple[tuple[int, int], ...]:
-        present = {(min(u, v), max(u, v)) for u, v in self.edges}
-        return tuple(
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if (u, v) not in present
-        )
+        return complement_edges(self.n, self.edges)
 
     def holds(self, mask: int) -> bool:
-        present = {(min(u, v), max(u, v)) for u, v in self.edges}
-        vs = [i for i in range(self.n) if mask >> i & 1]
-        ok = all(
-            (min(a, b), max(a, b)) in present for a, b in itertools.combinations(vs, 2)
-        )
+        # a clique holds no two ends of a missing edge
+        missing = self.complement_edges()
+        ok = not any(mask >> u & mask >> v & 1 for u, v in missing)
         return ok and mask.bit_count() >= self.k
 
 

@@ -2,46 +2,36 @@
 and vertex-disjoint path systems.
 
 Universes are the arc (edge) lists; solutions are arc masks.  The
-directed searches (Hamiltonian paths and cycles, disjoint path systems)
-walk simple paths from junction to junction: ``_chains`` folds every run
-of in- and out-degree-1 vertices into one step, so the long chains of the
-reduction gadgets cost one step each.  At every step, the path-system
-search checks over those steps that the current pair and every later pair
-can still be joined.  Undirected cycles and tours are enumerated directly.
+directed searches (Hamiltonian paths, disjoint path systems) walk simple
+paths from junction to junction: ``_chains`` folds every run of in- and
+out-degree-1 vertices into one step, so the long chains of the reduction
+gadgets cost one step each.  At every step, the path-system search checks
+over those steps that the current pair and every later pair can still be
+joined.  The route kinds share two searches, as the reductions between
+them embed one in the next: a directed Hamiltonian cycle is a Hamiltonian
+path of the graph with vertex 0 split in two, and a TSP tour is a
+Hamiltonian cycle of the complete graph.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import dataclass
 
 from ..core import (
     Capped,
-    CapacityError,
     DomainError,
     FormatError,
     check_count,
     indices_of,
     mask_of,
 )
-from .graphs import _arc_labels, _check_edges, _edge_labels
+from .graphs import _arc_labels, _check_edges, _edge_labels, complete_edges
 from .numbers import _masked_sum
 
 # path searches recurse once per junction or visited vertex on the path,
 # and reduction targets carry hundreds of them
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-
-
-def _check_arcs(n, arcs):
-    check_count("n", n)
-    seen = set()
-    for u, v in arcs:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise FormatError(f"bad arc ({u},{v})")
-        if (u, v) in seen:
-            raise FormatError(f"duplicate arc ({u},{v})")
-        seen.add((u, v))
 
 
 def _successors(arcs, mask):
@@ -64,7 +54,7 @@ class DirectedHamPathInstance:
     t: int
 
     def __post_init__(self):
-        _check_arcs(self.n, self.arcs)
+        _check_edges(self.n, self.arcs, directed=True)
         if not (0 <= self.s < self.n and 0 <= self.t < self.n) or self.s == self.t:
             raise FormatError("bad s/t")
 
@@ -94,7 +84,7 @@ class DirectedHamCycleInstance:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        _check_arcs(self.n, self.arcs)
+        _check_edges(self.n, self.arcs, directed=True)
 
     def universe_labels(self):
         return _arc_labels(self.arcs)
@@ -171,22 +161,10 @@ class TspInstance:
             raise FormatError("weight list does not match a complete graph")
 
     def edge_order(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (u, v) for u in range(self.n) for v in range(u + 1, self.n)
-        )
-
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edge_order())}
+        return complete_edges(self.n)
 
     def universe_labels(self):
         return _edge_labels(self.edge_order())
-
-    def tour_mask(self, cycle_vertices) -> int:
-        idx = self.edge_index()
-        m = 0
-        for a, b in zip(cycle_vertices, cycle_vertices[1:] + cycle_vertices[:1]):
-            m |= 1 << idx[(min(a, b), max(a, b))]
-        return m
 
     def weight(self, mask: int) -> int:
         return _masked_sum(self.weights, mask)
@@ -208,7 +186,7 @@ class DisjointPathsInstance:
     pairs: tuple[tuple[int, int], ...]  # (s_i, t_i)
 
     def __post_init__(self):
-        _check_arcs(self.n, self.arcs)
+        _check_edges(self.n, self.arcs, directed=True)
         for p in self.pairs:
             if len(p) != 2 or not all(0 <= x < self.n for x in p):
                 raise FormatError(f"bad terminal pair {p}")
@@ -277,13 +255,14 @@ def _chains(n, arcs, keep) -> list[list[tuple[int, int, int]]]:
     return steps
 
 
-def ham_paths(inst: DirectedHamPathInstance, cap) -> list[int]:
-    steps = _chains(inst.n, inst.arcs, {inst.s, inst.t})
-    full = (1 << inst.n) - 1
+def _ham_paths(n, arcs, s, t, cap) -> list[int]:
+    """The Hamiltonian s-t paths of the digraph, as sorted arc masks."""
+    steps = _chains(n, arcs, {s, t})
+    full = (1 << n) - 1
     out = Capped(cap)
 
     def dfs(cur, visited, arcmask):
-        if cur == inst.t:
+        if cur == t:
             if visited == full:
                 out.append(arcmask)
             return
@@ -294,76 +273,60 @@ def ham_paths(inst: DirectedHamPathInstance, cap) -> list[int]:
     # the search recurses through its own closure cell; emptying the cell
     # frees it now instead of at a later cyclic collection
     try:
-        dfs(inst.s, 1 << inst.s, 0)
+        dfs(s, 1 << s, 0)
     finally:
         del dfs
     out.sort()
     return out
+
+
+def ham_paths(inst: DirectedHamPathInstance, cap) -> list[int]:
+    return _ham_paths(inst.n, inst.arcs, inst.s, inst.t, cap)
 
 
 def ham_cycles_directed(inst: DirectedHamCycleInstance, cap) -> list[int]:
+    """The Hamiltonian paths from 0 to a new vertex n that takes 0's
+    in-arcs; every arc keeps its index, so the masks are the cycles'."""
     n = inst.n
     if n < 2:
-        return []
-    steps = _chains(n, inst.arcs, {0})
-    full = (1 << n) - 1
-    out = Capped(cap)
-
-    def dfs(cur, visited, arcmask):
-        for v, vm, am in steps[cur]:
-            if v == 0:
-                if visited | vm == full:
-                    out.append(arcmask | am)
-            elif not visited >> v & 1:
-                dfs(v, visited | vm, arcmask | am)
-
-    try:
-        dfs(0, 1, 0)
-    finally:
-        del dfs
-    out.sort()
-    return out
+        return []  # the split graph of n = 0 would hold one empty path
+    arcs = [(u, n if v == 0 else v) for u, v in inst.arcs]
+    return _ham_paths(n + 1, arcs, 0, n, cap)
 
 
 def ham_cycles_undirected(inst: UndirectedHamCycleInstance, cap) -> list[int]:
+    """Every cycle once: walked from 0 in the direction that leaves 0 for
+    the smaller of its two neighbours on the cycle."""
     n = inst.n
     if n < 3:
         return []
     adj = inst.adjacency()
+    closing = {v: i for i, v in adj[0]}
     full = (1 << n) - 1
-    found: set[int] = set()
+    out = Capped(cap)
 
     def dfs(cur, visited, edgemask):
         if visited == full:
-            for i, v in adj[cur]:
-                if v == 0:
-                    found.add(edgemask | 1 << i)
-                    if len(found) > cap:
-                        raise CapacityError("solution cap exceeded")
+            if cur > first and cur in closing:
+                out.append(edgemask | 1 << closing[cur])
             return
         for i, v in adj[cur]:
             if not visited >> v & 1:
                 dfs(v, visited | 1 << v, edgemask | 1 << i)
 
     try:
-        dfs(0, 1, 0)
+        for i, first in adj[0]:
+            dfs(first, 1 | 1 << first, 1 << i)
     finally:
         del dfs
-    return sorted(found)
+    out.sort()
+    return out
 
 
 def tsp_tours(inst: TspInstance, cap) -> list[int]:
-    n = inst.n
-    if n < 3:
-        return []
-    out = Capped(cap)
-    rest = list(range(1, n))
-    for perm in itertools.permutations(rest):
-        if perm[0] > perm[-1]:
-            continue  # each undirected tour once
-        out.append(inst.tour_mask([0, *perm]))
-    out.sort()
-    return out
+    return ham_cycles_undirected(
+        UndirectedHamCycleInstance(inst.n, inst.edge_order()), cap
+    )
 
 
 def disjoint_path_systems(inst: DisjointPathsInstance, cap) -> list[int]:

@@ -33,6 +33,7 @@ from ..problems import (
     VertexCoverInstance,
     connected_undirected,
 )
+from ..problems.graphs import complement_edges, complete_edges
 from .artifact import PRESERVING, ReductionArtifact
 
 def _artifact(edge, src_kind, src, tgt_kind, tgt, f, u_on=0, u_off=0):
@@ -143,14 +144,7 @@ def _vc_facility(src: VertexCoverInstance, kind: ProblemKind):
 
 
 def _is_clique(src: IndependentSetInstance):
-    present = {(min(u, v), max(u, v)) for u, v in src.edges}
-    comp = tuple(
-        (u, v)
-        for u in range(src.n)
-        for v in range(u + 1, src.n)
-        if (u, v) not in present
-    )
-    tgt = CliqueInstance(src.n, comp, src.k)
+    tgt = CliqueInstance(src.n, complement_edges(src.n, src.edges), src.k)
     return _artifact(
         "is-clique", ProblemKind.INDEPENDENT_SET, src, ProblemKind.CLIQUE, tgt,
         range(src.n),
@@ -225,14 +219,11 @@ def _dhc_uhc(src: DirectedHamCycleInstance):
 
 
 def _uhc_tsp(src: UndirectedHamCycleInstance):
-    n = src.n
-    present = {(min(u, v), max(u, v)) for u, v in src.edges}
-    order = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    idx = {e: i for i, e in enumerate(order)}
-    weights = tuple(0 if e in present else 1 for e in order)
-    tgt = TspInstance(n, weights, 0)
-    f = [idx[(min(u, v), max(u, v))] for u, v in src.edges]
-    off = mask_of(i for i, e in enumerate(order) if e not in present)
+    # the missing edges cost 1, so a tour of weight 0 is a cycle of src
+    idx = {e: i for i, e in enumerate(complete_edges(src.n))}
+    f = [idx[(u, v) if u < v else (v, u)] for u, v in src.edges]
+    off = mask_of(idx[e] for e in complement_edges(src.n, src.edges))
+    tgt = TspInstance(src.n, tuple(off >> i & 1 for i in range(len(idx))), 0)
     return _artifact(
         "uhamcycle-tsp", ProblemKind.UHAM_CYCLE, src, ProblemKind.TSP, tgt, f,
         u_off=off,

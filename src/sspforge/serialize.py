@@ -380,6 +380,13 @@ def dumps(doc: dict) -> str:
     return _value(doc, "\n") + "\n"
 
 
+def _dimacs_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise FormatError(f"bad DIMACS token {tok!r}") from None
+
+
 def parse_dimacs(text: str) -> CnfInstance:
     n_vars = None
     n_clauses = None
@@ -393,12 +400,12 @@ def parse_dimacs(text: str) -> CnfInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormatError(f"bad DIMACS header: {line!r}")
-            n_vars, n_clauses = int(parts[2]), int(parts[3])
+            n_vars, n_clauses = _dimacs_int(parts[2]), _dimacs_int(parts[3])
             continue
         if n_vars is None:
             raise FormatError("DIMACS clauses before header")
         for tok in line.split():
-            v = int(tok)
+            v = _dimacs_int(tok)
             if v == 0:
                 if not lits:
                     raise FormatError("empty DIMACS clause")

@@ -6,11 +6,15 @@ exactly what the plain searches they replaced listed on large reduction
 targets.  The plain searches are kept below as the reference, and so are
 the unpruned chain-step search for disjoint paths and the Steiner walk
 that computed its bound afresh at every step, which the pruned search and
-the interned walk must equal past the generator's size ceilings.
+the interned walk must equal past the generator's size ceilings, and the
+permutation walk that listed TSP tours before the undirected cycle search
+did.
 """
 
 import gc
 import heapq
+import itertools
+import math
 import random
 
 import pytest
@@ -20,12 +24,14 @@ from sspforge.gen import random_lb, random_radjsat, random_source_for_edge
 from sspforge.problems import (
     KIND_SPECS,
     CnfInstance,
+    DirectedHamCycleInstance,
     KnapsackInstance,
     PartitionInstance,
     ProblemKind,
     SchedulingInstance,
     SteinerTreeInstance,
     SubsetSumInstance,
+    TspInstance,
     clear_caches,
     enumerate_feasible,
     enumerate_solutions,
@@ -40,7 +46,9 @@ from sspforge.problems.paths import (
     _chains,
     disjoint_path_systems,
     ham_cycles_directed,
+    ham_cycles_undirected,
     ham_paths,
+    tsp_tours,
 )
 from sspforge.problems.steiner import steiner_trees_upto
 from sspforge.reductions import ALL_EDGES, BLOWUP_EDGES, build_blowup, build_preserving
@@ -605,6 +613,31 @@ def test_cap_is_enforced_by_the_new_kernels():
     with pytest.raises(CapacityError):
         steiner_trees_upto(t, t.k, len(trees) - 1)
     assert steiner_trees_upto(t, t.k, len(trees)) == trees
+    # the route kinds that run another kind's search: directed cycles as
+    # paths of the split graph, tours and undirected cycles each listed once
+    cyc = build_preserving("dhampath-dhamcycle", large_target("3sat-dhampath", 28))
+    complete = DirectedHamCycleInstance(
+        5, tuple((u, v) for u in range(5) for v in range(5) if u != v)
+    )
+    uhc = build_preserving("dhamcycle-uhamcycle", complete)
+    for search, inst in (
+        (ham_cycles_directed, cyc.target),
+        (ham_cycles_undirected, uhc.target),
+        (tsp_tours, TspInstance(7, (0,) * 21, 0)),
+    ):
+        routes = search(inst, CAP)
+        assert routes
+        with pytest.raises(CapacityError):
+            search(inst, len(routes) - 1)
+        assert search(inst, len(routes)) == routes
+
+
+def test_tsp_tours_equal_permutation_walk():
+    for n in range(3, 10):
+        inst = TspInstance(n, (0,) * (n * (n - 1) // 2), 0)
+        tours = tsp_tours(inst, CAP)
+        assert len(tours) == math.factorial(n - 1) // 2
+        assert tours == ref_tsp_tours(inst, CAP)
 
 
 # ------------------------------------------------- reference searches
@@ -662,6 +695,28 @@ def ref_ham_cycles_directed(inst, cap):
                 dfs(v, visited | 1 << v, arcmask | 1 << i)
 
     dfs(0, 1, 0)
+    out.sort()
+    return out
+
+
+def ref_tsp_tours(inst, cap):
+    # every permutation of 1..n-1 after 0, each undirected tour once
+    n = inst.n
+    if n < 3:
+        return []
+    order = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    idx = {e: i for i, e in enumerate(order)}
+    out = []
+    for perm in itertools.permutations(range(1, n)):
+        if perm[0] > perm[-1]:
+            continue
+        cycle = [0, *perm]
+        mask = 0
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            mask |= 1 << idx[(min(a, b), max(a, b))]
+        out.append(mask)
+        if len(out) > cap:
+            raise CapacityError("solution cap exceeded")
     out.sort()
     return out
 

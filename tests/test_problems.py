@@ -12,6 +12,9 @@ from sspforge.core import (
 )
 from sspforge.problems import (
     CnfInstance,
+    DirectedHamCycleInstance,
+    DirectedHamPathInstance,
+    DisjointPathsInstance,
     DominatingSetInstance,
     FeedbackArcSetInstance,
     FeedbackVertexSetInstance,
@@ -309,3 +312,19 @@ def test_reversed_arc_is_not_a_duplicate_for_directed_kinds():
     for cls in (FeedbackVertexSetInstance, FeedbackArcSetInstance):
         with pytest.raises(FormatError, match=r"^duplicate edge \(0, 1\)$"):
             cls(2, arcs + ((0, 1),), 1)
+    # the directed route kinds run the same check, with the same messages
+    routes = (
+        lambda arcs: DirectedHamPathInstance(4, arcs, 0, 1),
+        lambda arcs: DirectedHamCycleInstance(4, arcs),
+        lambda arcs: DisjointPathsInstance(4, arcs, ((0, 1), (2, 3))),
+    )
+    for make in routes:
+        assert len(make(arcs).universe_labels()) == 2
+        for bad, message in (
+            (arcs + ((0, 1),), "duplicate edge (0, 1)"),
+            (arcs + ((2, 2),), "self-loop (2, 2)"),
+            (arcs + ((3, 4),), "endpoint out of range in (3, 4)"),
+            (((-1, 2),) + arcs, "endpoint out of range in (-1, 2)"),
+        ):
+            with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+                make(bad)

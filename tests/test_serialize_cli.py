@@ -718,6 +718,32 @@ def test_cli_reduce_unknown_file(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, name, content",
+    [
+        ("solve", "lit.cnf", b"p cnf 2 1\n1 x 0\n"),
+        ("solve", "header.cnf", b"p cnf a 1\n1 0\n"),
+        ("solve", "dir", None),
+        ("solve", "bytes.json", b"\xff\xfe{}"),
+        ("check", "bytes.json", b"\xff\xfe{}"),
+    ],
+    ids=["dimacs-literal", "dimacs-header", "directory", "solve-bytes",
+         "check-bytes"],
+)
+def test_cli_unreadable_input_is_format_error(tmp_path, capsys, command, name,
+                                              content):
+    """A non-integer DIMACS token, a directory or bytes that are not text
+    end in exit code 2 and one error line, not a traceback."""
+    p = tmp_path / name
+    if content is None:
+        p.mkdir()
+    else:
+        p.write_bytes(content)
+    assert main([command, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "kind, payload",
     [
         ("vc", {"n": -3, "edges": [], "k": 1}),
