@@ -20,11 +20,9 @@ from .core import (
     SspError,
     UnsupportedKindError,
     distance,
-    distance_checked,
     embed,
     indices_of,
     mask_of,
-    relabel,
 )
 from .problems import ProblemKind
 from .reductions import (

@@ -11,7 +11,7 @@ import enum
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class SspError(Exception):
@@ -107,13 +107,6 @@ def check_count(name: str, value: int) -> None:
         raise FormatError(f"{name} must be non-negative, got {value}")
 
 
-def check_within(mask: int, universe_size: int) -> None:
-    if mask < 0 or mask >> universe_size:
-        raise DomainError(
-            f"element set {bin(mask)} not contained in universe of size {universe_size}"
-        )
-
-
 def distance(measure: DistanceMeasure, a1: int, a2: int) -> int:
     """Distance between two element sets of a shared universe.
 
@@ -129,42 +122,9 @@ def distance(measure: DistanceMeasure, a1: int, a2: int) -> int:
     raise DomainError(f"unknown measure {measure!r}")
 
 
-def distance_checked(
-    measure: DistanceMeasure, a1: int, a2: int, universe_size: int
-) -> int:
-    check_within(a1, universe_size)
-    check_within(a2, universe_size)
-    return distance(measure, a1, a2)
-
-
-def relabel(mapping: Mapping[int, int] | Sequence[int], s: int) -> int:
-    """Image of the element set ``s`` under an injective element map.
-
-    ``mapping`` is either a dict from source index to target index or a
-    sequence indexed by source element.  Raises DomainError if ``s`` contains
-    an element the map is not defined on, or if the map is not injective on
-    its domain.
-    """
-    if isinstance(mapping, Mapping):
-        getter = mapping.get
-        values = list(mapping.values())
-    else:
-        seq = mapping
-        getter = lambda i: seq[i] if i < len(seq) else None  # noqa: E731
-        values = list(seq)
-    if len(set(values)) != len(values):
-        raise DomainError("element map is not injective")
-    out = 0
-    for i in indices_of(s):
-        tgt = getter(i)
-        if tgt is None:
-            raise DomainError(f"element {i} outside the map domain")
-        out |= 1 << tgt
-    return out
-
-
 def embed(f: Sequence[int], s: int) -> int:
-    """Fast relabel for total embeddings given as an index tuple."""
+    """Image of the element set ``s`` under the total embedding ``f``, given
+    as an index tuple."""
     out = 0
     i = 0
     m = s

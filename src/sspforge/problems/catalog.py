@@ -16,7 +16,9 @@ kernels state that limit once: they collect their solutions in
 ``numbers._half_tables`` counts a threshold family before it builds it.
 The route kinds share two searches: directed Hamiltonian cycles are
 listed by the Hamiltonian path search, and TSP tours by the undirected
-cycle search on the complete graph.
+cycle search on the complete graph.  Dominating set, set cover, hitting
+set, feedback vertex set and feedback arc set share one more:
+``covering.hitting_sets_upto``, with each kind's constraints.
 """
 
 from __future__ import annotations
@@ -137,6 +139,25 @@ def _zero_cost(cls, run, field: str) -> KindSpec:
     return KindSpec(cls, e, e, lambda inst: ((0,) * _size(inst, field), 0))
 
 
+def _hitting_kind(cls, field: str, guard, unhit) -> KindSpec:
+    """A hitting-set kind over its ``field`` elements: S(I) is the sets of
+    at most k elements that hit every constraint ``unhit(inst)`` names, run
+    behind ``guard``, F(I) the same sets of any size, and every element
+    costs 1 against threshold k."""
+
+    def family(budget):
+        return lambda i, cap: covering.hitting_sets_upto(
+            _size(i, field), unhit(i), budget(i), cap
+        )
+
+    return KindSpec(
+        cls,
+        Enumerator(guard, family(attrgetter("k"))),
+        Enumerator(_powerset(field), family(lambda i: _size(i, field))),
+        lambda i: ((1,) * _size(i, field), i.k),
+    )
+
+
 def _threshold_kind(cls, solutions, field: str, threshold, cost) -> KindSpec:
     """A number kind over its ``field`` elements whose F(I) is the sets
     whose weight sum reaches a threshold, as ``threshold`` gives them."""
@@ -210,49 +231,35 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
         ),
         lambda i: ((-1,) * i.n, -i.k),
     ),
-    ProblemKind.DOMINATING_SET: KindSpec(
+    ProblemKind.DOMINATING_SET: _hitting_kind(
         graphs.DominatingSetInstance,
-        Enumerator(
-            _structural("n"), lambda i, cap: graphs.dominating_upto(i, i.k, cap)
-        ),
-        Enumerator(
-            _powerset("n"), lambda i, cap: graphs.dominating_upto(i, i.n, cap)
-        ),
-        lambda i: ((1,) * i.n, i.k),
+        "n",
+        _structural("n"),
+        lambda i: covering.unhit_masks(i.closed_neighborhoods()),
     ),
-    ProblemKind.SET_COVER: KindSpec(
+    ProblemKind.SET_COVER: _hitting_kind(
         covering.SetCoverInstance,
-        Enumerator(_powerset("subsets"), covering.setcover_solutions),
-        Enumerator(_powerset("subsets"), covering.setcover_feasible),
-        lambda i: ((1,) * len(i.subsets), i.k),
+        "subsets",
+        _powerset("subsets"),
+        lambda i: covering.unhit_masks(i.element_masks()),
     ),
-    ProblemKind.HITTING_SET: KindSpec(
+    ProblemKind.HITTING_SET: _hitting_kind(
         covering.HittingSetInstance,
-        Enumerator(_powerset("ground_size"), covering.hittingset_solutions),
-        Enumerator(_powerset("ground_size"), covering.hittingset_feasible),
-        lambda i: ((1,) * i.ground_size, i.k),
+        "ground_size",
+        _powerset("ground_size"),
+        lambda i: covering.unhit_masks(i.subset_masks()),
     ),
-    ProblemKind.FEEDBACK_VERTEX_SET: KindSpec(
+    ProblemKind.FEEDBACK_VERTEX_SET: _hitting_kind(
         graphs.FeedbackVertexSetInstance,
-        Enumerator(
-            _powerset("n"), lambda i, cap: graphs.feedback_vertexsets_upto(i, i.k, cap)
-        ),
-        Enumerator(
-            _powerset("n"), lambda i, cap: graphs.feedback_vertexsets_upto(i, i.n, cap)
-        ),
-        lambda i: ((1,) * i.n, i.k),
+        "n",
+        _powerset("n"),
+        graphs.unhit_cycle_vertices,
     ),
-    ProblemKind.FEEDBACK_ARC_SET: KindSpec(
+    ProblemKind.FEEDBACK_ARC_SET: _hitting_kind(
         graphs.FeedbackArcSetInstance,
-        Enumerator(
-            _structural("arcs"),
-            lambda i, cap: graphs.feedback_arcsets_upto(i, i.k, cap),
-        ),
-        Enumerator(
-            _powerset("arcs"),
-            lambda i, cap: graphs.feedback_arcsets_upto(i, len(i.arcs), cap),
-        ),
-        lambda i: ((1,) * len(i.arcs), i.k),
+        "arcs",
+        _structural("arcs"),
+        graphs.unhit_cycle_arcs,
     ),
     ProblemKind.UFL: KindSpec(facility.FacilityLocationInstance, _FACILITY),
     ProblemKind.P_CENTER: KindSpec(facility.PCenterInstance, _FACILITY),

@@ -1,10 +1,21 @@
-"""Set cover and hitting set."""
+"""Set cover and hitting set, and the hitting-set search they share with
+dominating set, feedback vertex set and feedback arc set.
+
+Each of these kinds asks for at most k elements that hit every
+constraint: a set cover's subsets hit every ground element, a hitting
+set's ground elements every subset, a dominating set's vertices every
+closed neighbourhood, and a feedback set's vertices or arcs every
+directed cycle.  ``hitting_sets_upto`` is the bounded search tree for
+hitting set (Niedermeier & Rossmanith, 2003); ``unhit_masks`` names the
+constraints of the first three kinds, ``graphs.unhit_cycle_vertices``
+and ``graphs.unhit_cycle_arcs`` those of the feedback kinds.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import Capped, DomainError, FormatError, check_count, mask_of, subsets_upto
+from ..core import Capped, DomainError, FormatError, check_count, indices_of, mask_of
 
 
 @dataclass(frozen=True)
@@ -24,6 +35,14 @@ class _SetSystem:
 
     def subset_masks(self):
         return tuple(map(mask_of, self.subsets))
+
+    def element_masks(self):
+        """For each ground element, the mask of the subsets that hold it."""
+        masks = [0] * self.ground_size
+        for i, s in enumerate(self.subsets):
+            for x in s:
+                masks[x] |= 1 << i
+        return tuple(masks)
 
 
 class SetCoverInstance(_SetSystem):
@@ -68,28 +87,78 @@ def _hits(inst: HittingSetInstance):
     return lambda mask: all(map(mask.__and__, masks))
 
 
-def bounded_subsets(n, k, pred, cap) -> list[int]:
-    """The sets of at most k of the elements 0..n-1 that pass ``pred``,
-    sorted."""
+def _pad_supersets(base: int, free: list[int], budget: int, out: Capped):
+    """base plus every subset of `free` with at most `budget` extra elements."""
+    out.append(base)
+    if budget <= 0:
+        return
+    for i, v in enumerate(free):
+        _pad_supersets(base | 1 << v, free[i + 1 :], budget - 1, out)
+
+
+def hitting_sets_upto(n, unhit, k, cap) -> list[int]:
+    """All sets of at most k of the elements 0..n-1 that hit every
+    constraint, as sorted masks.
+
+    ``unhit(chosen, banned, budget)`` returns None when ``chosen`` hits
+    every constraint, and otherwise the candidates outside ``banned`` of
+    one constraint that ``chosen`` leaves unhit; it may return 0 instead
+    when no set of ``budget`` more elements outside ``banned`` completes
+    ``chosen``.  Every solution holds a candidate of that constraint, so
+    the search takes each candidate in turn and bans it in the branches
+    after it, which lists every solution once.
+    """
+    if k < 0:
+        return []
+    full = (1 << n) - 1
     out = Capped(cap)
-    for m in subsets_upto(range(n), k):
-        if pred(m):
-            out.append(m)
+
+    def rec(chosen, banned, budget):
+        cands = unhit(chosen, banned, budget)
+        if cands is None:
+            _pad_supersets(chosen, indices_of(full & ~(chosen | banned)), budget, out)
+            return
+        if not budget:
+            return
+        while cands:
+            low = cands & -cands
+            rec(chosen | low, banned, budget - 1)
+            banned |= low
+            cands ^= low
+
+    # the search recurses through its own closure cell; emptying the cell
+    # frees it now instead of at a later cyclic collection
+    try:
+        rec(0, 0, k)
+    finally:
+        del rec
     out.sort()
     return out
 
 
-def setcover_solutions(inst: SetCoverInstance, cap) -> list[int]:
-    return bounded_subsets(len(inst.subsets), inst.k, _covers(inst), cap)
+def unhit_masks(constraints):
+    """The ``unhit`` of constraints given as the masks of the elements that
+    hit them: the pending constraint with the fewest candidates, or 0 when
+    a greedy set of pending constraints with pairwise disjoint candidates
+    needs more than the budget."""
 
+    def unhit(chosen, banned, budget):
+        allowed = ~banned
+        best = None
+        taken = need = 0
+        for c in constraints:
+            if c & chosen:
+                continue
+            c &= allowed
+            if not c:
+                return 0
+            if best is None or c.bit_count() < best.bit_count():
+                best = c
+            if not c & taken:
+                taken |= c
+                need += 1
+        if best is None or need <= budget:
+            return best
+        return 0
 
-def setcover_feasible(inst: SetCoverInstance, cap) -> list[int]:
-    return bounded_subsets(len(inst.subsets), len(inst.subsets), _covers(inst), cap)
-
-
-def hittingset_solutions(inst: HittingSetInstance, cap) -> list[int]:
-    return bounded_subsets(inst.ground_size, inst.k, _hits(inst), cap)
-
-
-def hittingset_feasible(inst: HittingSetInstance, cap) -> list[int]:
-    return bounded_subsets(inst.ground_size, inst.ground_size, _hits(inst), cap)
+    return unhit

@@ -7,15 +7,18 @@ neighbourhoods are bitmasks.  The cover search (which also serves
 independent sets and cliques, as complements) branches on the lowest free
 vertex with a free neighbour, forces a banned vertex's neighbourhood into
 the cover, and bounds the rest by a greedy matching over the free
-vertices.
+vertices.  Dominating sets and feedback vertex and arc sets are hitting
+sets: ``covering.hitting_sets_upto`` lists them, from the closed
+neighbourhoods and from the constraint functions ``unhit_cycle_vertices``
+and ``unhit_cycle_arcs`` below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import Capped, DomainError, FormatError, check_count, indices_of
-from .covering import bounded_subsets
+from ..core import Capped, DomainError, FormatError, check_count, indices_of, mask_of
+from .covering import _pad_supersets
 
 
 def _check_edges(n, edges, directed=False):
@@ -188,15 +191,6 @@ def _is_acyclic(n, arcs) -> bool:
     return seen == n
 
 
-def _pad_supersets(base: int, free: list[int], budget: int, out: Capped):
-    """base plus every subset of `free` with at most `budget` extra elements."""
-    out.append(base)
-    if budget <= 0:
-        return
-    for i, v in enumerate(free):
-        _pad_supersets(base | 1 << v, free[i + 1 :], budget - 1, out)
-
-
 def covers_upto(n, edges, k, cap) -> list[int]:
     """All vertex covers of size at most k, as vertex masks.
 
@@ -265,63 +259,6 @@ def independent_sets_atleast(n, edges, k, cap) -> list[int]:
     return res
 
 
-def dominating_upto(inst: DominatingSetInstance, k, cap) -> list[int]:
-    if k < 0:
-        return []
-    n = inst.n
-    nbs = inst.closed_neighborhoods()
-    full = (1 << n) - 1
-    out = Capped(cap)
-
-    def lb(undominated, banned):
-        cnt = 0
-        taken = 0
-        m = undominated
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            reach = nbs[u] & ~banned
-            if reach and not (reach & taken):
-                taken |= reach
-                cnt += 1
-        return cnt
-
-    def rec(chosen, banned, undominated, budget):
-        if not undominated:
-            free = [
-                i for i in range(n) if not ((chosen >> i | banned >> i) & 1)
-            ]
-            _pad_supersets(chosen, free, budget, out)
-            return
-        if budget == 0 or lb(undominated, banned) > budget:
-            return
-        best, best_c = -1, None
-        m = undominated
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            cands = nbs[u] & ~banned
-            if best_c is None or cands.bit_count() < best_c.bit_count():
-                best, best_c = u, cands
-        if not best_c:
-            return
-        banned_local = banned
-        c = best_c
-        while c:
-            w = (c & -c).bit_length() - 1
-            c &= c - 1
-            rec(chosen | 1 << w, banned_local, undominated & ~nbs[w], budget - 1)
-            banned_local |= 1 << w
-        return
-
-    try:
-        rec(0, 0, full if n else 0, k)
-    finally:
-        del rec
-    out.sort()
-    return out
-
-
 def _find_cycle_arcs(n, arcs, removed_mask) -> list[int] | None:
     """Arc indices of some directed cycle avoiding removed arcs, or None."""
     out = [[] for _ in range(n)]
@@ -360,41 +297,38 @@ def _find_cycle_arcs(n, arcs, removed_mask) -> list[int] | None:
         del dfs
 
 
-def feedback_arcsets_upto(inst: FeedbackArcSetInstance, k, cap) -> list[int]:
-    if k < 0:
-        return []
+def unhit_cycle_vertices(inst: FeedbackVertexSetInstance):
+    """The ``covering.hitting_sets_upto`` constraints of a feedback vertex
+    set: the tails of one cycle left once the arcs at the chosen vertices
+    are removed."""
     n, arcs = inst.n, inst.arcs
-    out = Capped(cap)
+    at = [0] * n
+    for i, (u, v) in enumerate(arcs):
+        at[u] |= 1 << i
+        at[v] |= 1 << i
 
-    def rec(removed, banned, budget):
+    def unhit(chosen, banned, budget):
+        removed = 0
+        for v in indices_of(chosen):
+            removed |= at[v]
         cyc = _find_cycle_arcs(n, arcs, removed)
         if cyc is None:
-            free = [
-                i
-                for i in range(len(arcs))
-                if not ((removed >> i | banned >> i) & 1)
-            ]
-            _pad_supersets(removed, free, budget, out)
-            return
-        if budget == 0:
-            return
-        banned_local = banned
-        for idx in cyc:
-            if (banned_local >> idx) & 1:
-                continue
-            rec(removed | 1 << idx, banned_local, budget - 1)
-            banned_local |= 1 << idx
+            return None
+        return mask_of(arcs[i][0] for i in cyc) & ~banned
 
-    try:
-        rec(0, 0, k)
-    finally:
-        del rec
-    out.sort()
-    return out
+    return unhit
 
 
-def feedback_vertexsets_upto(inst: FeedbackVertexSetInstance, k, cap) -> list[int]:
-    return bounded_subsets(inst.n, k, inst.acyclic_after, cap)
+def unhit_cycle_arcs(inst: FeedbackArcSetInstance):
+    """The ``covering.hitting_sets_upto`` constraints of a feedback arc set:
+    the arcs of one cycle left once the chosen arcs are removed."""
+    n, arcs = inst.n, inst.arcs
+
+    def unhit(chosen, banned, budget):
+        cyc = _find_cycle_arcs(n, arcs, chosen)
+        return None if cyc is None else mask_of(cyc) & ~banned
+
+    return unhit
 
 
 def connected_undirected(n, edges) -> bool:

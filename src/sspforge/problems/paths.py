@@ -296,7 +296,9 @@ def ham_cycles_directed(inst: DirectedHamCycleInstance, cap) -> list[int]:
 
 def ham_cycles_undirected(inst: UndirectedHamCycleInstance, cap) -> list[int]:
     """Every cycle once: walked from 0 in the direction that leaves 0 for
-    the smaller of its two neighbours on the cycle."""
+    the smaller of its two neighbours on the cycle.  So the walk from 0's
+    neighbour ``first`` must end at a neighbour of 0 above it, and it
+    turns back once all of those are visited."""
     n = inst.n
     if n < 3:
         return []
@@ -307,8 +309,10 @@ def ham_cycles_undirected(inst: UndirectedHamCycleInstance, cap) -> list[int]:
 
     def dfs(cur, visited, edgemask):
         if visited == full:
-            if cur > first and cur in closing:
+            if above >> cur & 1:
                 out.append(edgemask | 1 << closing[cur])
+            return
+        if not above & ~visited:
             return
         for i, v in adj[cur]:
             if not visited >> v & 1:
@@ -316,6 +320,7 @@ def ham_cycles_undirected(inst: UndirectedHamCycleInstance, cap) -> list[int]:
 
     try:
         for i, first in adj[0]:
+            above = mask_of(v for v in closing if v > first)
             dfs(first, 1 | 1 << first, 1 << i)
     finally:
         del dfs

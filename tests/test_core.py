@@ -10,11 +10,9 @@ from sspforge.core import (
     DomainError,
     MEASURES,
     distance,
-    distance_checked,
     embed,
     indices_of,
     mask_of,
-    relabel,
     subsets_upto,
 )
 
@@ -29,26 +27,6 @@ def test_distance_definitions():
     assert distance(HAM, a, b) == 2
     assert distance(ADD, a, a) == 0
     assert distance(DEL, mask_of([0, 1, 2]), mask_of([0])) == 2
-
-
-def test_distance_outside_universe():
-    with pytest.raises(DomainError):
-        distance_checked(HAM, mask_of([5]), 0, universe_size=3)
-
-
-def test_relabel_identity_and_image():
-    assert relabel({0: 0, 1: 1}, mask_of([0, 1])) == mask_of([0, 1])
-    assert relabel({0: 4, 1: 7}, mask_of([0, 1])) == mask_of([4, 7])
-
-
-def test_relabel_unmapped_element():
-    with pytest.raises(DomainError):
-        relabel({0: 4}, mask_of([0, 1]))
-
-
-def test_relabel_rejects_non_injective():
-    with pytest.raises(DomainError):
-        relabel({0: 3, 1: 3}, mask_of([0]))
 
 
 def test_distance_axioms_random():

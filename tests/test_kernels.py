@@ -6,11 +6,15 @@ exactly what the plain searches they replaced listed on large reduction
 targets.  The plain searches are kept below as the reference, and so are
 the unpruned chain-step search for disjoint paths and the Steiner walk
 that computed its bound afresh at every step, which the pruned search and
-the interned walk must equal past the generator's size ceilings, and the
+the interned walk must equal past the generator's size ceilings, the
 permutation walk that listed TSP tours before the undirected cycle search
-did.
+did, the undirected cycle search before it turned back from a walk that
+can no longer close, and the three searches that listed dominating sets,
+feedback arc sets and the other hitting-set kinds before the shared
+hitting-set search did.
 """
 
+import dataclasses
 import gc
 import heapq
 import itertools
@@ -19,19 +23,32 @@ import random
 
 import pytest
 
-from sspforge.core import Bounds, CapacityError, DistanceMeasure, mask_of
+from sspforge.core import (
+    Bounds,
+    CapacityError,
+    Capped,
+    DistanceMeasure,
+    DomainError,
+    mask_of,
+)
 from sspforge.gen import random_lb, random_radjsat, random_source_for_edge
 from sspforge.problems import (
     KIND_SPECS,
     CnfInstance,
     DirectedHamCycleInstance,
+    DominatingSetInstance,
+    FeedbackArcSetInstance,
+    FeedbackVertexSetInstance,
+    HittingSetInstance,
     KnapsackInstance,
     PartitionInstance,
     ProblemKind,
     SchedulingInstance,
+    SetCoverInstance,
     SteinerTreeInstance,
     SubsetSumInstance,
     TspInstance,
+    UndirectedHamCycleInstance,
     clear_caches,
     enumerate_feasible,
     enumerate_solutions,
@@ -41,7 +58,14 @@ from sspforge.problems import (
     universe_size,
     verify,
 )
-from sspforge.problems.graphs import covers_upto, independent_sets_atleast
+from sspforge.problems import paths
+from sspforge.problems.covering import _covers, _hits
+from sspforge.problems.graphs import (
+    _find_cycle_arcs,
+    complete_edges,
+    covers_upto,
+    independent_sets_atleast,
+)
 from sspforge.problems.paths import (
     _chains,
     disjoint_path_systems,
@@ -91,6 +115,17 @@ def test_enumeration_equals_verify_filter_on_every_kind():
         assert enumerate_solutions(kind, inst, BOUNDS) == powerset_filter(
             kind, inst
         ), (kind, inst)
+
+
+def test_verify_refuses_masks_outside_the_universe():
+    # each instance class checks the range itself, before its own test
+    kinds = set()
+    for kind, inst in small_instances():
+        for mask in (1 << universe_size(inst), -1):
+            with pytest.raises(DomainError):
+                verify(kind, inst, mask)
+        kinds.add(kind)
+    assert kinds == set(ProblemKind)
 
 
 def test_kernels_leave_no_cyclic_garbage():
@@ -640,6 +675,217 @@ def test_tsp_tours_equal_permutation_walk():
         assert tours == ref_tsp_tours(inst, CAP)
 
 
+# the sources per edge of the acceptance corpus (tests/test_acceptance.py)
+ACCEPTANCE_SOURCES = 500
+
+
+def test_undirected_cycles_equal_two_way_walk(monkeypatch):
+    """The undirected cycle search turns back from a walk once every
+    neighbour of 0 it may close on is visited; it must append the cycles
+    the two-way walk appended, in the same order, so it reaches a cap at
+    the same cycle."""
+    appended = []
+
+    class Recording(Capped):
+        __slots__ = ()
+
+        def append(self, mask):
+            Capped.append(self, mask)
+            appended.append(mask)
+
+    monkeypatch.setattr(paths, "Capped", Recording)
+    instances = {
+        UndirectedHamCycleInstance(n, complete_edges(n)): None for n in range(3, 10)
+    }
+    for i in range(ACCEPTANCE_SOURCES):
+        for edge in ("dhamcycle-uhamcycle", "uhamcycle-tsp"):
+            rng = random.Random(repr(("acceptance", edge, i)))
+            art = build_preserving(edge, random_source_for_edge(edge, rng))
+            inst = art.target if edge == "dhamcycle-uhamcycle" else art.source
+            instances.setdefault(inst, None)
+    counts = []
+    for inst in instances:
+        appended.clear()
+        got = ham_cycles_undirected(inst, CAP)
+        want = ref_ham_cycles_undirected(inst, CAP)
+        assert appended == want, inst
+        assert got == sorted(want), inst
+        counts.append(len(want))
+    assert 0 in counts and max(counts) == math.factorial(8) // 2
+
+
+# ------------------------------------------------- the hitting-set kinds
+
+HITTING_EDGES = ("vc-ds", "vc-hs", "vc-sc", "vc-fvs", "vc-fas")
+# F(I) of the larger corpus targets holds up to 2^24 sets: it is compared
+# up to this cap, past which both searches must raise alike; the guards
+# read only the universe and vertex bounds
+FAMILY_BOUNDS = Bounds(max_universe=24, max_solutions=4096, max_vertices=16384)
+
+
+def ref_hitting(kind, inst, k, cap):
+    """The family of at most k elements of a hitting-set kind, by the
+    search that listed it before the shared one."""
+    if kind is ProblemKind.DOMINATING_SET:
+        return ref_dominating_upto(inst, k, cap)
+    if kind is ProblemKind.FEEDBACK_ARC_SET:
+        return ref_feedback_arcsets_upto(inst, k, cap)
+    if kind is ProblemKind.SET_COVER:
+        return ref_bounded_subsets(len(inst.subsets), k, _covers(inst), cap)
+    if kind is ProblemKind.HITTING_SET:
+        return ref_bounded_subsets(inst.ground_size, k, _hits(inst), cap)
+    return ref_bounded_subsets(inst.n, k, inst.acyclic_after, cap)
+
+
+def outcome(run):
+    """What ``run()`` returns, or the message of the CapacityError it
+    raises."""
+    try:
+        return run()
+    except CapacityError as e:
+        return str(e)
+
+
+def hitting_families(kind, inst, solutions_cap=CAP, feasible_cap=CAP):
+    """S(I) and F(I), each an outcome, by the shared search and by the
+    reference; both run behind the kind's guards."""
+    spec = KIND_SPECS[kind]
+    families = (
+        (spec.solutions, inst.k, solutions_cap),
+        (spec.feasible, universe_size(inst), feasible_cap),
+    )
+
+    def guarded(enumerator, run):
+        enumerator.guard.check(inst, FAMILY_BOUNDS)
+        return run()
+
+    shared = [
+        outcome(lambda: guarded(e, lambda: e.run(inst, cap))) for e, _, cap in families
+    ]
+    ref = [
+        outcome(lambda: guarded(e, lambda: ref_hitting(kind, inst, k, cap)))
+        for e, k, cap in families
+    ]
+    return shared, ref
+
+
+@pytest.mark.parametrize("edge", HITTING_EDGES)
+def test_hitting_set_kinds_equal_reference_on_corpus_targets(edge):
+    kinds, sizes = set(), []
+    for i in range(ACCEPTANCE_SOURCES):
+        rng = random.Random(repr(("acceptance", edge, i)))
+        art = build_preserving(edge, random_source_for_edge(edge, rng))
+        kinds.add(art.target_kind)
+        got, want = hitting_families(
+            art.target_kind, art.target, feasible_cap=FAMILY_BOUNDS.max_solutions
+        )
+        assert got == want, (edge, i)
+        sizes.append(got)
+    assert len(kinds) == 1
+    # the corpus has solutions, and feasible families that are listed or
+    # overflow the cap (not only refused by the guard)
+    assert any(s and not isinstance(s, str) for s, _ in sizes)
+    assert any(not isinstance(f, str) or f.startswith("solution") for _, f in sizes)
+
+
+def random_hitting_instances(rng):
+    """One instance of each hitting-set kind, small enough for the
+    brute-force references, with k from -1 to past the universe."""
+    n = rng.randint(0, 7)
+    edges = tuple(e for e in complete_edges(n) if rng.random() < 0.35)
+    arcs = tuple(
+        (u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.25
+    )
+    ground = rng.randint(0, 7)
+    subsets = tuple(
+        tuple(rng.sample(range(ground), rng.randint(0, min(ground, 4))))
+        for _ in range(rng.randint(0, 7))
+    )
+
+    def k(size):
+        return rng.randint(-1, size + 1)
+
+    return [
+        (ProblemKind.DOMINATING_SET, DominatingSetInstance(n, edges, k(n))),
+        (ProblemKind.SET_COVER, SetCoverInstance(ground, subsets, k(len(subsets)))),
+        (ProblemKind.HITTING_SET, HittingSetInstance(ground, subsets, k(ground))),
+        (ProblemKind.FEEDBACK_VERTEX_SET, FeedbackVertexSetInstance(n, arcs, k(n))),
+        (ProblemKind.FEEDBACK_ARC_SET, FeedbackArcSetInstance(n, arcs, k(len(arcs)))),
+    ]
+
+
+def test_hitting_set_kinds_equal_reference_on_random_instances():
+    rng = random.Random(29)
+    seen = dict.fromkeys(("k<0", "k=0", "none", "capped"), 0)
+    for _ in range(300):
+        for kind, inst in random_hitting_instances(rng):
+            got, want = hitting_families(kind, inst)
+            assert got == want, (kind, inst)
+            solutions, feasible = got
+            assert solutions == powerset_filter(kind, inst), (kind, inst)
+            if len(feasible) > 1:
+                # one below the family's size, both raise alike
+                cap = len(feasible) - 1
+                got, want = hitting_families(kind, inst, cap, cap)
+                assert got == want, (kind, inst)
+                assert got[1] == "solution cap exceeded"
+                seen["capped"] += 1
+            seen["k<0"] += inst.k < 0
+            seen["k=0"] += inst.k == 0
+            seen["none"] += not feasible
+    assert min(seen.values()) >= 20, seen
+
+
+# (kind, instance, S(I)): the edge cases of the hitting-set search
+HITTING_EDGE_CASES = (
+    # an empty subset can be hit by nothing
+    (ProblemKind.HITTING_SET, HittingSetInstance(3, ((0, 1), ()), 3), []),
+    # nor can a ground element in no subset be covered
+    (ProblemKind.SET_COVER, SetCoverInstance(3, ((0,), (1, 0)), 2), []),
+    # on an empty universe the empty set is the one solution
+    (ProblemKind.DOMINATING_SET, DominatingSetInstance(0, (), 0), [0]),
+    (ProblemKind.SET_COVER, SetCoverInstance(0, (), 0), [0]),
+    (ProblemKind.HITTING_SET, HittingSetInstance(0, (), 0), [0]),
+    (ProblemKind.FEEDBACK_VERTEX_SET, FeedbackVertexSetInstance(0, (), 0), [0]),
+    (ProblemKind.FEEDBACK_ARC_SET, FeedbackArcSetInstance(0, (), 0), [0]),
+    # a digraph with no arcs needs nothing removed
+    (ProblemKind.FEEDBACK_VERTEX_SET, FeedbackVertexSetInstance(4, (), 0), [0]),
+    (ProblemKind.FEEDBACK_ARC_SET, FeedbackArcSetInstance(4, (), 2), [0]),
+    # k = 0 with a constraint left
+    (ProblemKind.DOMINATING_SET, DominatingSetInstance(1, (), 0), []),
+    (ProblemKind.FEEDBACK_ARC_SET, FeedbackArcSetInstance(2, ((0, 1), (1, 0)), 0), []),
+    # a negative k lists nothing, even with no constraint
+    (ProblemKind.HITTING_SET, HittingSetInstance(2, (), -1), []),
+    # a path's middle vertex dominates it; a 2-cycle loses either vertex
+    (ProblemKind.DOMINATING_SET, DominatingSetInstance(3, ((0, 1), (1, 2)), 1), [2]),
+    (
+        ProblemKind.FEEDBACK_VERTEX_SET,
+        FeedbackVertexSetInstance(3, ((0, 1), (1, 0)), 1),
+        [1, 2],
+    ),
+)
+
+
+@pytest.mark.parametrize("kind,inst,solutions", HITTING_EDGE_CASES)
+def test_hitting_set_edge_cases(kind, inst, solutions):
+    got, want = hitting_families(kind, inst)
+    assert got == want
+    assert got[0] == solutions
+    feasible = got[1]
+    assert feasible == powerset_filter_any_size(kind, inst)
+    for cap in range(len(feasible)):
+        got, want = hitting_families(kind, inst, feasible_cap=cap)
+        assert got == want
+        assert got[1] == "solution cap exceeded"
+
+
+def powerset_filter_any_size(kind, inst):
+    """F(I): the sets its verifier accepts once k is the universe size."""
+    size = universe_size(inst)
+    unbounded = dataclasses.replace(inst, k=size)
+    return [m for m in range(1 << size) if verify(kind, unbounded, m)]
+
+
 # ------------------------------------------------- reference searches
 #
 # The searches the chain-step and bitset kernels replaced: one recursive
@@ -717,6 +963,126 @@ def ref_tsp_tours(inst, cap):
         out.append(mask)
         if len(out) > cap:
             raise CapacityError("solution cap exceeded")
+    out.sort()
+    return out
+
+
+def ref_ham_cycles_undirected(inst, cap):
+    # the undirected cycle search that walked every cycle in both
+    # directions and dropped one at the leaf; the cycles in append order
+    n = inst.n
+    if n < 3:
+        return []
+    adj = inst.adjacency()
+    closing = {v: i for i, v in adj[0]}
+    full = (1 << n) - 1
+    out = []
+
+    def dfs(cur, visited, edgemask):
+        if visited == full:
+            if cur > first and cur in closing:
+                out.append(edgemask | 1 << closing[cur])
+                if len(out) > cap:
+                    raise CapacityError("solution cap exceeded")
+            return
+        for i, v in adj[cur]:
+            if not visited >> v & 1:
+                dfs(v, visited | 1 << v, edgemask | 1 << i)
+
+    for i, first in adj[0]:
+        dfs(first, 1 | 1 << first, 1 << i)
+    return out
+
+
+def ref_dominating_upto(inst, k, cap):
+    # the dominating-set search the shared hitting-set search replaced
+    if k < 0:
+        return []
+    n = inst.n
+    nbs = inst.closed_neighborhoods()
+    full = (1 << n) - 1
+    out = []
+
+    def lb(undominated, banned):
+        cnt = 0
+        taken = 0
+        m = undominated
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            reach = nbs[u] & ~banned
+            if reach and not (reach & taken):
+                taken |= reach
+                cnt += 1
+        return cnt
+
+    def rec(chosen, banned, undominated, budget):
+        if not undominated:
+            free = [i for i in range(n) if not ((chosen >> i | banned >> i) & 1)]
+            _ref_pad_supersets(chosen, free, budget, out, cap)
+            return
+        if budget == 0 or lb(undominated, banned) > budget:
+            return
+        best_c = None
+        m = undominated
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            cands = nbs[u] & ~banned
+            if best_c is None or cands.bit_count() < best_c.bit_count():
+                best_c = cands
+        c = best_c
+        while c:
+            w = (c & -c).bit_length() - 1
+            c &= c - 1
+            rec(chosen | 1 << w, banned, undominated & ~nbs[w], budget - 1)
+            banned |= 1 << w
+
+    rec(0, 0, full, k)
+    out.sort()
+    return out
+
+
+def ref_feedback_arcsets_upto(inst, k, cap):
+    # the feedback-arc-set search the shared hitting-set search replaced:
+    # the arcs of one cycle in cycle order
+    if k < 0:
+        return []
+    n, arcs = inst.n, inst.arcs
+    out = []
+
+    def rec(removed, banned, budget):
+        cyc = _find_cycle_arcs(n, arcs, removed)
+        if cyc is None:
+            free = [
+                i for i in range(len(arcs)) if not ((removed >> i | banned >> i) & 1)
+            ]
+            _ref_pad_supersets(removed, free, budget, out, cap)
+            return
+        if budget == 0:
+            return
+        for idx in cyc:
+            if banned >> idx & 1:
+                continue
+            rec(removed | 1 << idx, banned, budget - 1)
+            banned |= 1 << idx
+
+    rec(0, 0, k)
+    out.sort()
+    return out
+
+
+def ref_bounded_subsets(n, k, pred, cap):
+    # the filter over every set of at most k elements that listed set
+    # covers, hitting sets and feedback vertex sets
+    out = []
+    for size in range(min(k, n) + 1):
+        for combo in itertools.combinations(range(n), size):
+            m = mask_of(combo)
+            if pred(m):
+                out.append(m)
+                if len(out) > cap:
+                    raise CapacityError("solution cap exceeded")
     out.sort()
     return out
 
