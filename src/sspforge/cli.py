@@ -33,6 +33,7 @@ from .reductions import (
     build_preserving,
     check_artifact,
     compose,
+    edge_kinds,
 )
 from .rr import (
     eval_comb_rr,
@@ -48,8 +49,6 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_COMPOSE = 3
 EXIT_CAPACITY = 4
-
-_SOURCE_KIND = {edge: edge.split("-")[0] for edge in ALL_EDGES}
 
 
 def _measure(name: str) -> DistanceMeasure:
@@ -133,18 +132,15 @@ def cmd_reduce(args) -> int:
         raise FormatError("need --edge or --chain")
     artifact = None
     cur_kind, cur = kind, source
-    cnf_kinds = {ProblemKind.SAT.value, ProblemKind.THREE_SAT.value}
+    cnf_kinds = {ProblemKind.SAT, ProblemKind.THREE_SAT}
     for edge in edges:
         if edge not in ALL_EDGES:
             raise CompositionError(f"unknown edge {edge!r}")
-        want = _SOURCE_KIND[edge]
+        want = edge_kinds(edge)[0]
         # a CNF flows into either SAT edge; the builder enforces clause width
-        ok = cur_kind.value == want or (
-            want in cnf_kinds and cur_kind.value in cnf_kinds
-        )
-        if not ok:
+        if cur_kind is not want and not {cur_kind, want} <= cnf_kinds:
             raise CompositionError(
-                f"edge {edge} expects a {want} source, got {cur_kind.value}"
+                f"edge {edge} expects a {want.value} source, got {cur_kind.value}"
             )
         if edge in BLOWUP_EDGES:
             lb = _parse_lb(args.lb, cur)

@@ -259,12 +259,18 @@ def independent_sets_atleast(n, edges, k, cap) -> list[int]:
     return res
 
 
-def _find_cycle_arcs(n, arcs, removed_mask) -> list[int] | None:
-    """Arc indices of some directed cycle avoiding removed arcs, or None."""
+def _out_arcs(n, arcs) -> list[list[tuple[int, int]]]:
+    """Each vertex's (arc index, head) pairs, in arc order."""
     out = [[] for _ in range(n)]
     for idx, (u, v) in enumerate(arcs):
-        if not (removed_mask >> idx) & 1:
-            out[u].append((idx, v))
+        out[u].append((idx, v))
+    return out
+
+
+def _find_cycle_arcs(out, removed_mask) -> list[int] | None:
+    """Arc indices of some directed cycle avoiding removed arcs, or None;
+    ``out`` is ``_out_arcs`` of the graph."""
+    n = len(out)
     color = [0] * n  # 0 white, 1 gray, 2 black
     stack_arcs: list[int] = []
     path: list[int] = []
@@ -273,6 +279,8 @@ def _find_cycle_arcs(n, arcs, removed_mask) -> list[int] | None:
         color[u] = 1
         path.append(u)
         for idx, v in out[u]:
+            if removed_mask >> idx & 1:
+                continue
             if color[v] == 0:
                 stack_arcs.append(idx)
                 r = dfs(v)
@@ -302,6 +310,7 @@ def unhit_cycle_vertices(inst: FeedbackVertexSetInstance):
     set: the tails of one cycle left once the arcs at the chosen vertices
     are removed."""
     n, arcs = inst.n, inst.arcs
+    out = _out_arcs(n, arcs)
     at = [0] * n
     for i, (u, v) in enumerate(arcs):
         at[u] |= 1 << i
@@ -311,7 +320,7 @@ def unhit_cycle_vertices(inst: FeedbackVertexSetInstance):
         removed = 0
         for v in indices_of(chosen):
             removed |= at[v]
-        cyc = _find_cycle_arcs(n, arcs, removed)
+        cyc = _find_cycle_arcs(out, removed)
         if cyc is None:
             return None
         return mask_of(arcs[i][0] for i in cyc) & ~banned
@@ -322,10 +331,10 @@ def unhit_cycle_vertices(inst: FeedbackVertexSetInstance):
 def unhit_cycle_arcs(inst: FeedbackArcSetInstance):
     """The ``covering.hitting_sets_upto`` constraints of a feedback arc set:
     the arcs of one cycle left once the chosen arcs are removed."""
-    n, arcs = inst.n, inst.arcs
+    out = _out_arcs(inst.n, inst.arcs)
 
     def unhit(chosen, banned, budget):
-        cyc = _find_cycle_arcs(n, arcs, chosen)
+        cyc = _find_cycle_arcs(out, chosen)
         return None if cyc is None else mask_of(cyc) & ~banned
 
     return unhit

@@ -127,12 +127,12 @@ class SchedulingInstance:
         return s1 <= self.deadline and total - s1 <= self.deadline
 
 
-def _subset_dfs(values, accept, prune, cap) -> list[int]:
-    """Generic include/exclude over positive values.
-
-    ``prune(cur, i)`` may cut a branch where ``cur`` is the running sum after
-    deciding the first i elements; ``accept(cur)`` judges full selections.
-    """
+def sums_between(values, lo, hi, cap) -> list[int]:
+    """All masks over the positive ``values`` whose sum lies in [lo, hi],
+    sorted.  The include/exclude search cuts a branch once its sum passes
+    ``hi`` or can no longer reach ``lo``: it enters a node only if
+    cur <= hi and cur + suffix[i] >= lo, so every leaf it reaches is a
+    solution."""
     n = len(values)
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -140,20 +140,21 @@ def _subset_dfs(values, accept, prune, cap) -> list[int]:
     out = Capped(cap)
 
     def rec(i, cur, mask):
-        if prune(cur, i, suffix):
-            return
         if i == n:
-            if accept(cur):
-                out.append(mask)
+            out.append(mask)
             return
-        rec(i + 1, cur, mask)
-        rec(i + 1, cur + values[i], mask | 1 << i)
+        j = i + 1
+        if cur + suffix[j] >= lo:
+            rec(j, cur, mask)
+        cur += values[i]
+        if cur <= hi:
+            rec(j, cur, mask | 1 << i)
 
-    # rec recurses through its own closure cell and holds prune and accept;
-    # emptying the cell frees them now instead of at a later cyclic
-    # collection
+    # rec recurses through its own closure cell; emptying the cell frees it
+    # now instead of at a later cyclic collection
     try:
-        rec(0, 0, 0)
+        if 0 <= hi and suffix[0] >= lo:
+            rec(0, 0, 0)
     finally:
         del rec
     out.sort()
@@ -246,23 +247,13 @@ def scheduling_threshold(inst: SchedulingInstance):
 
 
 def subsetsum_solutions(inst: SubsetSumInstance, cap) -> list[int]:
-    M = inst.target
-    return _subset_dfs(
-        inst.values,
-        accept=lambda cur: cur == M,
-        prune=lambda cur, i, suf: cur > M or cur + suf[i] < M,
-        cap=cap,
-    )
+    return sums_between(inst.values, inst.target, inst.target, cap)
 
 
 def knapsack_solutions(inst: KnapsackInstance, cap) -> list[int]:
+    # the price-feasible sets count against the cap before the weight filter
     prices = tuple(p for p, _ in inst.items)
-    sols = _subset_dfs(
-        prices,
-        accept=lambda cur: cur >= inst.price_goal,
-        prune=lambda cur, i, suf: cur + suf[i] < inst.price_goal,
-        cap=cap,
-    )
+    sols = sums_between(prices, inst.price_goal, sum(prices), cap)
     return [m for m in sols if inst.weight(m) <= inst.weight_cap]
 
 
@@ -270,23 +261,11 @@ def partition_solutions(inst: PartitionInstance, cap) -> list[int]:
     total = sum(inst.values)
     if total % 2:
         return []
-    half = total // 2
-    head = inst.values[:-1]
-    return _subset_dfs(
-        head,
-        accept=lambda cur: cur == half,
-        prune=lambda cur, i, suf: cur > half or cur + suf[i] < half,
-        cap=cap,
-    )
+    return sums_between(inst.values[:-1], total // 2, total // 2, cap)
 
 
 def scheduling_solutions(inst: SchedulingInstance, cap) -> list[int]:
-    total = sum(inst.times)
-    T = inst.deadline
-    head = inst.times[:-1]
-    return _subset_dfs(
-        head,
-        accept=lambda cur: cur <= T and total - cur <= T,
-        prune=lambda cur, i, suf: cur > T or cur + suf[i] < total - T,
-        cap=cap,
-    )
+    # machine 1 takes at most the deadline, and so does machine 2, which
+    # runs the last job
+    total, T = sum(inst.times), inst.deadline
+    return sums_between(inst.times[:-1], total - T, T, cap)

@@ -1,4 +1,4 @@
-from .artifact import BLOWUP, PRESERVING, SSP, CheckVerdict, ReductionArtifact, beta_map
+from .artifact import BLOWUP, PRESERVING, SSP, CheckVerdict, ReductionArtifact, edge_kinds
 from .blowup import (
     BLOWUP_EDGES,
     build_blowup,
@@ -20,7 +20,7 @@ __all__ = [
     "BLOWUP_EDGES",
     "PRESERVING_EDGES",
     "ALL_EDGES",
-    "beta_map",
+    "edge_kinds",
     "build_blowup",
     "build_preserving",
     "compose",

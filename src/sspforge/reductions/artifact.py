@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -39,12 +40,12 @@ class ReductionArtifact:
         return mask_of(self.f)
 
 
-def beta_map(add: int, delete: int, hamming: int):
-    return (
-        (DistanceMeasure.KAPPA_ADDITION, add),
-        (DistanceMeasure.KAPPA_DELETION, delete),
-        (DistanceMeasure.HAMMING, hamming),
-    )
+@functools.cache
+def edge_kinds(edge: str) -> tuple[ProblemKind, ProblemKind]:
+    """The source and target kinds of ``edge``: its name ``a-b`` reduces
+    kind ``a`` to kind ``b``."""
+    source, target = edge.split("-")
+    return ProblemKind(source), ProblemKind(target)
 
 
 @dataclass(frozen=True)

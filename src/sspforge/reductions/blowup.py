@@ -2,7 +2,10 @@
 
 Each builder attaches a size-adjustable gadget to every blown-up literal
 pair so that two target solutions agree on the embedded blown literals
-exactly when their distance stays below the blow-up factor.
+exactly when their distance stays below the blow-up factor.  A builder
+returns what it builds, the target and f (the target index of each
+literal); ``build_blowup`` wraps them in the artifact, whose kinds are the
+halves of the edge's name.
 
 ``published_beta`` is the factor table as published; ``effective_beta``
 applies the per-edge overrides where desk verification showed the
@@ -16,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from ..core import DistanceMeasure, PreconditionError
+from ..core import MEASURES, DistanceMeasure, PreconditionError
 from ..problems import (
     KIND_SPECS,
     CnfInstance,
@@ -26,17 +29,7 @@ from ..problems import (
     SteinerTreeInstance,
     SubsetSumInstance,
 )
-from .artifact import BLOWUP, ReductionArtifact, beta_map
-
-BLOWUP_EDGES = (
-    "sat-3sat",
-    "3sat-vc",
-    "3sat-is",
-    "3sat-subsetsum",
-    "3sat-dhampath",
-    "3sat-2ddp",
-    "3sat-steinertree",
-)
+from .artifact import BLOWUP, ReductionArtifact, edge_kinds
 
 _ADD = DistanceMeasure.KAPPA_ADDITION
 _DEL = DistanceMeasure.KAPPA_DELETION
@@ -148,10 +141,6 @@ def effective_beta(edge: str, src: CnfInstance, l_b: int) -> dict[DistanceMeasur
     return base
 
 
-def _beta_tuple(table: dict[DistanceMeasure, int]):
-    return beta_map(table[_ADD], table[_DEL], table[_HAM])
-
-
 def build_blowup(
     edge: str,
     source: CnfInstance,
@@ -159,10 +148,14 @@ def build_blowup(
     measure: DistanceMeasure,
     beta_override: int | None = None,
 ) -> ReductionArtifact:
-    if edge not in BLOWUP_EDGES:
-        raise PreconditionError(f"unknown blow-up edge {edge}")
-    if edge != "sat-3sat":
-        source.require_width(3)
+    try:
+        builder = _BUILDERS[edge]
+    except KeyError:
+        raise PreconditionError(f"unknown blow-up edge {edge}") from None
+    source_kind, target_kind = edge_kinds(edge)
+    width = KIND_SPECS[source_kind].width
+    if width:
+        source.require_width(width)
     pairs = _blown_pairs(source, l_b)
     if beta_override is not None:
         if beta_override < 0:
@@ -170,19 +163,17 @@ def build_blowup(
         table = {m: beta_override for m in (_ADD, _DEL, _HAM)}
     else:
         table = effective_beta(edge, source, l_b)
-    gadget = table[measure]
-    builder = _BUILDERS[edge]
-    target_kind, target, f = builder(source, pairs, gadget)
+    target, f = builder(source, pairs, table[measure])
     return ReductionArtifact(
         edge=edge,
         kind=BLOWUP,
-        source_kind=ProblemKind.SAT if edge == "sat-3sat" else ProblemKind.THREE_SAT,
+        source_kind=source_kind,
         source=source,
         target_kind=target_kind,
         target=target,
         f=tuple(f),
         l_b=l_b,
-        beta=_beta_tuple(table),
+        beta=tuple((m, table[m]) for m in MEASURES),
     )
 
 
@@ -235,7 +226,7 @@ def _build_sat_3sat(src: CnfInstance, pairs, gadget):
     assert next_var == n_new
     target = CnfInstance(n_new, tuple(clauses))
     f = [map_lit(lit) for lit in range(2 * n)]
-    return ProblemKind.THREE_SAT, target, f
+    return target, f
 
 
 # ---------------------------------------------------------------- 3sat-vc / 3sat-is
@@ -283,7 +274,7 @@ def _build_3sat_vc_is(src: CnfInstance, pairs, gadget, kind: ProblemKind):
         edges += _gadget_biclique(i, n, gadget_pos, gadget_neg)
     b = len(pairs)
     k = (gadget + 1) * b + (n - b) + (2 if vc else 1) * len(src.clauses)
-    return kind, KIND_SPECS[kind].cls(n_total, tuple(edges), k), list(range(n_lit))
+    return KIND_SPECS[kind].cls(n_total, tuple(edges), k), list(range(n_lit))
 
 
 # ---------------------------------------------------------------- 3sat-subsetsum
@@ -336,7 +327,7 @@ def _build_3sat_subsetsum(src: CnfInstance, pairs, gadget):
     for j in range(C):
         target_digits[col_of_clause[j]] = 4
     target = SubsetSumInstance(tuple(values), value(target_digits))
-    return ProblemKind.SUBSET_SUM, target, list(range(2 * n))
+    return target, list(range(2 * n))
 
 
 # ---------------------------------------------------------------- 3sat-dhampath
@@ -399,7 +390,7 @@ def _build_3sat_dhampath(src: CnfInstance, pairs, gadget):
         else:
             f.append(arc[chain[i][1], chain[i][0]])
     target = DirectedHamPathInstance(len(vtx), tuple(arc), s, t)
-    return ProblemKind.DHAM_PATH, target, f
+    return target, f
 
 
 # ---------------------------------------------------------------- 3sat-2ddp
@@ -507,7 +498,7 @@ def _build_3sat_2ddp(src: CnfInstance, pairs, gadget):
 
     f = [arc[x_s[lit % n], chain[lit][0]] for lit in range(2 * n)]
     target = DisjointPathsInstance(len(vtx), tuple(arc), ((s1, t1), (s2, t2)))
-    return ProblemKind.TWO_DDP, target, f
+    return target, f
 
 
 # ---------------------------------------------------------------- 3sat-steinertree
@@ -560,9 +551,10 @@ def _build_3sat_steinertree(src: CnfInstance, pairs, gadget):
     target = SteinerTreeInstance(
         len(vtx), edges, (1,) * len(edges), tuple(terminals), k
     )
-    return ProblemKind.STEINER_TREE, target, f
+    return target, f
 
 
+# edge -> builder(source, blown pairs, gadget size), returning (target, f)
 _BUILDERS = {
     "sat-3sat": _build_sat_3sat,
     "3sat-vc": functools.partial(_build_3sat_vc_is, kind=ProblemKind.VERTEX_COVER),
@@ -572,3 +564,4 @@ _BUILDERS = {
     "3sat-2ddp": _build_3sat_2ddp,
     "3sat-steinertree": _build_3sat_steinertree,
 }
+BLOWUP_EDGES = tuple(_BUILDERS)

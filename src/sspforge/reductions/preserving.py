@@ -1,13 +1,17 @@
 """Blow-up preserving reductions.
 
-Every builder returns an artifact whose extra target elements are split
-into a mask of always-selected elements (u_on) and never-selected
-elements (u_off); the embedded source universe makes up the rest.
+Every builder returns what it builds: the target, f (the target index of
+each source element) and the split of the extra target elements into a
+mask of always-selected elements (u_on) and never-selected elements
+(u_off); the embedded source universe makes up the rest.
+``build_preserving`` wraps them in the artifact, whose kinds are the
+halves of the edge's name.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Any, Iterable, NamedTuple
 
 from ..core import PreconditionError, mask_of
 from ..problems import (
@@ -34,20 +38,14 @@ from ..problems import (
     connected_undirected,
 )
 from ..problems.graphs import complement_edges, complete_edges
-from .artifact import PRESERVING, ReductionArtifact
+from .artifact import PRESERVING, ReductionArtifact, edge_kinds
 
-def _artifact(edge, src_kind, src, tgt_kind, tgt, f, u_on=0, u_off=0):
-    return ReductionArtifact(
-        edge=edge,
-        kind=PRESERVING,
-        source_kind=src_kind,
-        source=src,
-        target_kind=tgt_kind,
-        target=tgt,
-        f=tuple(f),
-        u_on=u_on,
-        u_off=u_off,
-    )
+
+class _Built(NamedTuple):
+    target: Any
+    f: Iterable[int]
+    u_on: int = 0
+    u_off: int = 0
 
 
 def _vc_ds(src: VertexCoverInstance):
@@ -65,15 +63,7 @@ def _vc_ds(src: VertexCoverInstance):
             mids.append(nxt)
             nxt += 1
     tgt = DominatingSetInstance(nxt, tuple(edges), src.k)
-    return _artifact(
-        "vc-ds",
-        ProblemKind.VERTEX_COVER,
-        src,
-        ProblemKind.DOMINATING_SET,
-        tgt,
-        range(n),
-        u_off=mask_of(mids),
-    )
+    return _Built(tgt, range(n), u_off=mask_of(mids))
 
 
 def _vc_sc(src: VertexCoverInstance):
@@ -81,18 +71,12 @@ def _vc_sc(src: VertexCoverInstance):
     for v in range(src.n):
         subsets.append(tuple(i for i, e in enumerate(src.edges) if v in e))
     tgt = SetCoverInstance(len(src.edges), tuple(subsets), src.k)
-    return _artifact(
-        "vc-sc", ProblemKind.VERTEX_COVER, src, ProblemKind.SET_COVER, tgt,
-        range(src.n),
-    )
+    return _Built(tgt, range(src.n))
 
 
 def _vc_hs(src: VertexCoverInstance):
     tgt = HittingSetInstance(src.n, tuple(tuple(e) for e in src.edges), src.k)
-    return _artifact(
-        "vc-hs", ProblemKind.VERTEX_COVER, src, ProblemKind.HITTING_SET, tgt,
-        range(src.n),
-    )
+    return _Built(tgt, range(src.n))
 
 
 def _vc_fvs(src: VertexCoverInstance):
@@ -101,10 +85,7 @@ def _vc_fvs(src: VertexCoverInstance):
         arcs.append((u, v))
         arcs.append((v, u))
     tgt = FeedbackVertexSetInstance(src.n, tuple(arcs), src.k)
-    return _artifact(
-        "vc-fvs", ProblemKind.VERTEX_COVER, src,
-        ProblemKind.FEEDBACK_VERTEX_SET, tgt, range(src.n),
-    )
+    return _Built(tgt, range(src.n))
 
 
 def _vc_fas(src: VertexCoverInstance):
@@ -122,10 +103,7 @@ def _vc_fas(src: VertexCoverInstance):
                 extra.append((mid, 2 * head))
     all_arcs = arcs + extra
     tgt = FeedbackArcSetInstance(nxt, tuple(all_arcs), src.k)
-    return _artifact(
-        "vc-fas", ProblemKind.VERTEX_COVER, src, ProblemKind.FEEDBACK_ARC_SET,
-        tgt, range(n), u_off=mask_of(range(n, len(all_arcs))),
-    )
+    return _Built(tgt, range(n), u_off=mask_of(range(n, len(all_arcs))))
 
 
 def _vc_facility(src: VertexCoverInstance, kind: ProblemKind):
@@ -138,26 +116,18 @@ def _vc_facility(src: VertexCoverInstance, kind: ProblemKind):
     else:
         # p-center and p-median: p = k facilities, threshold 0
         tgt = KIND_SPECS[kind].cls(n, m, service, src.k, 0)
-    return _artifact(
-        f"vc-{kind.value}", ProblemKind.VERTEX_COVER, src, kind, tgt, range(n)
-    )
+    return _Built(tgt, range(n))
 
 
 def _is_clique(src: IndependentSetInstance):
     tgt = CliqueInstance(src.n, complement_edges(src.n, src.edges), src.k)
-    return _artifact(
-        "is-clique", ProblemKind.INDEPENDENT_SET, src, ProblemKind.CLIQUE, tgt,
-        range(src.n),
-    )
+    return _Built(tgt, range(src.n))
 
 
 def _ss_knapsack(src: SubsetSumInstance):
     items = tuple((a, a) for a in src.values)
     tgt = KnapsackInstance(items, src.target, src.target)
-    return _artifact(
-        "subsetsum-knapsack", ProblemKind.SUBSET_SUM, src, ProblemKind.KNAPSACK,
-        tgt, range(len(src.values)),
-    )
+    return _Built(tgt, range(len(src.values)))
 
 
 def _ss_partition(src: SubsetSumInstance):
@@ -168,20 +138,13 @@ def _ss_partition(src: SubsetSumInstance):
     on_value = total + 1 - src.target
     off_value = src.target + 1
     tgt = PartitionInstance(tuple(src.values) + (on_value, off_value))
-    return _artifact(
-        "subsetsum-partition", ProblemKind.SUBSET_SUM, src,
-        ProblemKind.PARTITION, tgt, range(n),
-        u_on=1 << n, u_off=1 << (n + 1),
-    )
+    return _Built(tgt, range(n), u_on=1 << n, u_off=1 << (n + 1))
 
 
 def _partition_scheduling(src: PartitionInstance):
     total = sum(src.values)
     tgt = SchedulingInstance(tuple(src.values), total // 2)
-    return _artifact(
-        "partition-scheduling", ProblemKind.PARTITION, src,
-        ProblemKind.SCHEDULING, tgt, range(len(src.values)),
-    )
+    return _Built(tgt, range(len(src.values)))
 
 
 def _dhp_dhc(src: DirectedHamPathInstance):
@@ -193,11 +156,7 @@ def _dhp_dhc(src: DirectedHamPathInstance):
         )
     arcs = tuple(src.arcs) + ((src.t, src.s),)
     tgt = DirectedHamCycleInstance(src.n, arcs)
-    return _artifact(
-        "dhampath-dhamcycle", ProblemKind.DHAM_PATH, src,
-        ProblemKind.DHAM_CYCLE, tgt, range(len(src.arcs)),
-        u_on=1 << len(src.arcs),
-    )
+    return _Built(tgt, range(len(src.arcs)), u_on=1 << len(src.arcs))
 
 
 def _dhc_uhc(src: DirectedHamCycleInstance):
@@ -212,10 +171,7 @@ def _dhc_uhc(src: DirectedHamCycleInstance):
         on.append(len(edges))
         edges.append((3 * v + 1, 3 * v + 2))
     tgt = UndirectedHamCycleInstance(3 * n, tuple(edges))
-    return _artifact(
-        "dhamcycle-uhamcycle", ProblemKind.DHAM_CYCLE, src,
-        ProblemKind.UHAM_CYCLE, tgt, range(len(src.arcs)), u_on=mask_of(on),
-    )
+    return _Built(tgt, range(len(src.arcs)), u_on=mask_of(on))
 
 
 def _uhc_tsp(src: UndirectedHamCycleInstance):
@@ -224,10 +180,7 @@ def _uhc_tsp(src: UndirectedHamCycleInstance):
     f = [idx[(u, v) if u < v else (v, u)] for u, v in src.edges]
     off = mask_of(idx[e] for e in complement_edges(src.n, src.edges))
     tgt = TspInstance(src.n, tuple(off >> i & 1 for i in range(len(idx))), 0)
-    return _artifact(
-        "uhamcycle-tsp", ProblemKind.UHAM_CYCLE, src, ProblemKind.TSP, tgt, f,
-        u_off=off,
-    )
+    return _Built(tgt, f, u_off=off)
 
 
 def _ddp_kddp(src: DisjointPathsInstance, k: int = 3):
@@ -247,10 +200,7 @@ def _ddp_kddp(src: DisjointPathsInstance, k: int = 3):
         arcs.append((s_i, t_i))
         pairs.append((s_i, t_i))
     tgt = DisjointPathsInstance(nxt, tuple(arcs), tuple(pairs))
-    return _artifact(
-        "2ddp-kddp", ProblemKind.TWO_DDP, src, ProblemKind.K_DDP, tgt,
-        range(len(src.arcs)), u_on=mask_of(on),
-    )
+    return _Built(tgt, range(len(src.arcs)), u_on=mask_of(on))
 
 
 _BUILDERS = {
@@ -281,4 +231,16 @@ def build_preserving(edge: str, source, params: dict | None = None):
         build = _BUILDERS[edge]
     except KeyError:
         raise PreconditionError(f"unknown preserving edge {edge}") from None
-    return build(source, **(params or {}))
+    source_kind, target_kind = edge_kinds(edge)
+    target, f, u_on, u_off = build(source, **(params or {}))
+    return ReductionArtifact(
+        edge=edge,
+        kind=PRESERVING,
+        source_kind=source_kind,
+        source=source,
+        target_kind=target_kind,
+        target=target,
+        f=tuple(f),
+        u_on=u_on,
+        u_off=u_off,
+    )

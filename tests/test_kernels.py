@@ -11,7 +11,9 @@ permutation walk that listed TSP tours before the undirected cycle search
 did, the undirected cycle search before it turned back from a walk that
 can no longer close, and the three searches that listed dominating sets,
 feedback arc sets and the other hitting-set kinds before the shared
-hitting-set search did.
+hitting-set search did, and the four number-kind searches that ran one
+include/exclude walk with per-kind prune and accept functions before the
+window search did.
 """
 
 import dataclasses
@@ -62,6 +64,7 @@ from sspforge.problems import paths
 from sspforge.problems.covering import _covers, _hits
 from sspforge.problems.graphs import (
     _find_cycle_arcs,
+    _out_arcs,
     complete_edges,
     covers_upto,
     independent_sets_atleast,
@@ -886,6 +889,124 @@ def powerset_filter_any_size(kind, inst):
     return [m for m in range(1 << size) if verify(kind, unbounded, m)]
 
 
+def test_cycle_finder_equals_rebuilding_reference():
+    # the adjacency lists are built once per graph and removed arcs are
+    # skipped in the walk: the same cycle in the same order, or None alike
+    rng = random.Random(31)
+    seen = {"cycle": 0, "none": 0, "removed": 0}
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        arcs = tuple(
+            (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))
+        )
+        out = _out_arcs(n, arcs)
+        for _ in range(4):
+            removed = rng.getrandbits(len(arcs) + 1) & rng.getrandbits(len(arcs) + 1)
+            want = ref_find_cycle_arcs(n, arcs, removed)
+            assert _find_cycle_arcs(out, removed) == want, (n, arcs, removed)
+            seen["cycle" if want else "none"] += 1
+            seen["removed"] += bool(want) and removed & (1 << len(arcs)) - 1 != 0
+    assert min(seen.values()) >= 100, seen
+
+
+# ------------------------------------------------- the number kinds
+
+NUMBER_EDGES = (
+    "3sat-subsetsum",
+    "subsetsum-knapsack",
+    "subsetsum-partition",
+    "partition-scheduling",
+)
+
+
+def number_outcomes(kind, inst, cap):
+    """S(I) by the window search and by the reference, each an outcome."""
+    run = KIND_SPECS[kind].solutions.run
+    return (
+        outcome(lambda: run(inst, cap)),
+        outcome(lambda: ref_number_solutions(kind, inst, cap)),
+    )
+
+
+def assert_number_family_equals_reference(kind, inst):
+    got, want = number_outcomes(kind, inst, CAP)
+    assert got == want, (kind, inst)
+    if want:
+        # one below the family's size, both raise alike
+        got, want = number_outcomes(kind, inst, len(want) - 1)
+        assert got == want == "solution cap exceeded", (kind, inst)
+    return want
+
+
+@pytest.mark.parametrize("edge", NUMBER_EDGES)
+def test_number_kinds_equal_reference_on_corpus_targets(edge):
+    sizes = []
+    for i in range(ACCEPTANCE_SOURCES):
+        rng = random.Random(repr(("acceptance", edge, i)))
+        src = random_source_for_edge(edge, rng)
+        if edge in BLOWUP_EDGES:
+            lb = random_lb(rng, src)
+            arts = [build_blowup(edge, src, lb, m) for m in DistanceMeasure]
+        else:
+            arts = [build_preserving(edge, src)]
+        for art in arts:
+            pairs = ((art.source_kind, art.source), (art.target_kind, art.target))
+            for kind, inst in pairs:
+                if kind is not ProblemKind.THREE_SAT:
+                    sizes.append(len(assert_number_family_equals_reference(kind, inst)))
+    assert 0 in sizes and max(sizes) > 1
+
+
+def random_number_instances(rng):
+    """One instance of each number kind, with repeated values, empty
+    universes, odd partition totals and windows that are empty, lie below
+    0 or above the total, or are reversed (lo > hi)."""
+    n = rng.randint(0, 12)
+    values = tuple(rng.choice((1, 2, 2, 3, 5, 8)) for _ in range(n))
+    total = sum(values)
+    items = tuple((v, rng.randint(1, 5)) for v in values)
+    out = [
+        (ProblemKind.SUBSET_SUM, SubsetSumInstance(values, rng.randint(-2, total + 2))),
+        (
+            ProblemKind.KNAPSACK,
+            KnapsackInstance(items, rng.randint(-2, total + 2), rng.randint(1, 30)),
+        ),
+    ]
+    if n:
+        out += [
+            (ProblemKind.PARTITION, PartitionInstance(values)),
+            (
+                ProblemKind.SCHEDULING,
+                SchedulingInstance(values, rng.randint(-1, total + 1)),
+            ),
+        ]
+    return out
+
+
+def test_number_kinds_equal_reference_on_random_instances():
+    rng = random.Random(37)
+    seen = dict.fromkeys(("lo>hi", "odd", "empty", "listed"), 0)
+    for _ in range(300):
+        for kind, inst in random_number_instances(rng):
+            family = assert_number_family_equals_reference(kind, inst)
+            seen["empty"] += not family
+            seen["listed"] += len(family) > 1
+            if kind is ProblemKind.PARTITION:
+                seen["odd"] += sum(inst.values) % 2
+            if kind is ProblemKind.SCHEDULING:
+                seen["lo>hi"] += sum(inst.times) - inst.deadline > inst.deadline
+    assert min(seen.values()) >= 20, seen
+
+
+def test_knapsack_counts_its_price_feasible_sets_against_the_cap():
+    # all 7 nonempty sets reach the price goal, but only the 3 singletons
+    # stay within the weight cap: a cap of 3 is exceeded before the filter
+    inst = KnapsackInstance(((1, 1), (1, 1), (1, 1)), 1, 1)
+    with pytest.raises(CapacityError, match="solution cap exceeded"):
+        KIND_SPECS[ProblemKind.KNAPSACK].solutions.run(inst, 3)
+    assert KIND_SPECS[ProblemKind.KNAPSACK].solutions.run(inst, 7) == [1, 2, 4]
+
+
 # ------------------------------------------------- reference searches
 #
 # The searches the chain-step and bitset kernels replaced: one recursive
@@ -1052,7 +1173,7 @@ def ref_feedback_arcsets_upto(inst, k, cap):
     out = []
 
     def rec(removed, banned, budget):
-        cyc = _find_cycle_arcs(n, arcs, removed)
+        cyc = ref_find_cycle_arcs(n, arcs, removed)
         if cyc is None:
             free = [
                 i for i in range(len(arcs)) if not ((removed >> i | banned >> i) & 1)
@@ -1070,6 +1191,125 @@ def ref_feedback_arcsets_upto(inst, k, cap):
     rec(0, 0, k)
     out.sort()
     return out
+
+
+def ref_find_cycle_arcs(n, arcs, removed_mask):
+    # the cycle finder before it took adjacency lists built once per graph:
+    # it rebuilt them without the removed arcs at every call
+    out = [[] for _ in range(n)]
+    for idx, (u, v) in enumerate(arcs):
+        if not (removed_mask >> idx) & 1:
+            out[u].append((idx, v))
+    color = [0] * n  # 0 white, 1 gray, 2 black
+    stack_arcs = []
+    path = []
+
+    def dfs(u):
+        color[u] = 1
+        path.append(u)
+        for idx, v in out[u]:
+            if color[v] == 0:
+                stack_arcs.append(idx)
+                r = dfs(v)
+                if r is not None:
+                    return r
+                stack_arcs.pop()
+            elif color[v] == 1:
+                pos = path.index(v)
+                return stack_arcs[pos:] + [idx]
+        color[u] = 2
+        path.pop()
+        return None
+
+    for s in range(n):
+        if color[s] == 0:
+            res = dfs(s)
+            if res is not None:
+                return res
+    return None
+
+
+def ref_subset_dfs(values, accept, prune, cap):
+    # the include/exclude walk the window search replaced: ``prune(cur, i,
+    # suffix)`` may cut a branch after the first i elements, and
+    # ``accept(cur)`` judges full selections
+    n = len(values)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + values[i]
+    out = Capped(cap)
+
+    def rec(i, cur, mask):
+        if prune(cur, i, suffix):
+            return
+        if i == n:
+            if accept(cur):
+                out.append(mask)
+            return
+        rec(i + 1, cur, mask)
+        rec(i + 1, cur + values[i], mask | 1 << i)
+
+    rec(0, 0, 0)
+    out.sort()
+    return out
+
+
+def ref_subsetsum_solutions(inst, cap):
+    M = inst.target
+    return ref_subset_dfs(
+        inst.values,
+        accept=lambda cur: cur == M,
+        prune=lambda cur, i, suf: cur > M or cur + suf[i] < M,
+        cap=cap,
+    )
+
+
+def ref_knapsack_solutions(inst, cap):
+    prices = tuple(p for p, _ in inst.items)
+    sols = ref_subset_dfs(
+        prices,
+        accept=lambda cur: cur >= inst.price_goal,
+        prune=lambda cur, i, suf: cur + suf[i] < inst.price_goal,
+        cap=cap,
+    )
+    return [m for m in sols if inst.weight(m) <= inst.weight_cap]
+
+
+def ref_partition_solutions(inst, cap):
+    total = sum(inst.values)
+    if total % 2:
+        return []
+    half = total // 2
+    head = inst.values[:-1]
+    return ref_subset_dfs(
+        head,
+        accept=lambda cur: cur == half,
+        prune=lambda cur, i, suf: cur > half or cur + suf[i] < half,
+        cap=cap,
+    )
+
+
+def ref_scheduling_solutions(inst, cap):
+    total = sum(inst.times)
+    T = inst.deadline
+    head = inst.times[:-1]
+    return ref_subset_dfs(
+        head,
+        accept=lambda cur: cur <= T and total - cur <= T,
+        prune=lambda cur, i, suf: cur > T or cur + suf[i] < total - T,
+        cap=cap,
+    )
+
+
+def ref_number_solutions(kind, inst, cap):
+    """S(I) of a number kind, by the search that listed it before the
+    window search."""
+    return {
+        ProblemKind.SUBSET_SUM: ref_subsetsum_solutions,
+        ProblemKind.KNAPSACK: ref_knapsack_solutions,
+        ProblemKind.PARTITION: ref_partition_solutions,
+        ProblemKind.SCHEDULING: ref_scheduling_solutions,
+    }[kind](inst, cap)
 
 
 def ref_bounded_subsets(n, k, pred, cap):

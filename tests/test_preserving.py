@@ -3,19 +3,26 @@ import random
 
 import pytest
 
-from sspforge.core import PreconditionError, mask_of
-from sspforge.gen import random_source_for_edge
+from sspforge.core import DistanceMeasure, PreconditionError, mask_of
+from sspforge.gen import random_lb, random_source_for_edge
 from sspforge.problems import (
+    KIND_SPECS,
+    CnfInstance,
     DirectedHamPathInstance,
     IndependentSetInstance,
+    ProblemKind,
     SubsetSumInstance,
     VertexCoverInstance,
     enumerate_solutions,
 )
 from sspforge.reductions import (
+    ALL_EDGES,
+    BLOWUP_EDGES,
     PRESERVING_EDGES,
+    build_blowup,
     build_preserving,
     check_preserving,
+    edge_kinds,
 )
 
 K3 = VertexCoverInstance(3, ((0, 1), (0, 2), (1, 2)), 2)
@@ -117,3 +124,61 @@ def test_preserving_edges_random_sources(edge):
         src_sols = enumerate_solutions(art.source_kind, art.source)
         tgt_sols = enumerate_solutions(art.target_kind, art.target)
         assert len(src_sols) == len(tgt_sols)
+
+
+# every edge, in the order the fuzz report lists them, with its source and
+# target kinds written out by hand
+EDGE_KINDS = {
+    "sat-3sat": (ProblemKind.SAT, ProblemKind.THREE_SAT),
+    "3sat-vc": (ProblemKind.THREE_SAT, ProblemKind.VERTEX_COVER),
+    "3sat-is": (ProblemKind.THREE_SAT, ProblemKind.INDEPENDENT_SET),
+    "3sat-subsetsum": (ProblemKind.THREE_SAT, ProblemKind.SUBSET_SUM),
+    "3sat-dhampath": (ProblemKind.THREE_SAT, ProblemKind.DHAM_PATH),
+    "3sat-2ddp": (ProblemKind.THREE_SAT, ProblemKind.TWO_DDP),
+    "3sat-steinertree": (ProblemKind.THREE_SAT, ProblemKind.STEINER_TREE),
+    "vc-ds": (ProblemKind.VERTEX_COVER, ProblemKind.DOMINATING_SET),
+    "vc-sc": (ProblemKind.VERTEX_COVER, ProblemKind.SET_COVER),
+    "vc-hs": (ProblemKind.VERTEX_COVER, ProblemKind.HITTING_SET),
+    "vc-fvs": (ProblemKind.VERTEX_COVER, ProblemKind.FEEDBACK_VERTEX_SET),
+    "vc-fas": (ProblemKind.VERTEX_COVER, ProblemKind.FEEDBACK_ARC_SET),
+    "vc-ufl": (ProblemKind.VERTEX_COVER, ProblemKind.UFL),
+    "vc-pcenter": (ProblemKind.VERTEX_COVER, ProblemKind.P_CENTER),
+    "vc-pmedian": (ProblemKind.VERTEX_COVER, ProblemKind.P_MEDIAN),
+    "is-clique": (ProblemKind.INDEPENDENT_SET, ProblemKind.CLIQUE),
+    "subsetsum-knapsack": (ProblemKind.SUBSET_SUM, ProblemKind.KNAPSACK),
+    "subsetsum-partition": (ProblemKind.SUBSET_SUM, ProblemKind.PARTITION),
+    "partition-scheduling": (ProblemKind.PARTITION, ProblemKind.SCHEDULING),
+    "dhampath-dhamcycle": (ProblemKind.DHAM_PATH, ProblemKind.DHAM_CYCLE),
+    "dhamcycle-uhamcycle": (ProblemKind.DHAM_CYCLE, ProblemKind.UHAM_CYCLE),
+    "uhamcycle-tsp": (ProblemKind.UHAM_CYCLE, ProblemKind.TSP),
+    "2ddp-kddp": (ProblemKind.TWO_DDP, ProblemKind.K_DDP),
+}
+
+
+@pytest.mark.parametrize("edge", EDGE_KINDS)
+def test_edge_name_gives_the_artifact_kinds(edge):
+    want = EDGE_KINDS[edge]
+    assert edge_kinds(edge) == want
+    for i in range(5):
+        rng = random.Random(repr((edge, i, "kinds")))
+        src = random_source_for_edge(edge, rng)
+        if edge in BLOWUP_EDGES:
+            measure = rng.choice(list(DistanceMeasure))
+            art = build_blowup(edge, src, random_lb(rng, src), measure)
+        else:
+            art = build_preserving(edge, src)
+        assert (art.source_kind, art.target_kind) == want
+        assert isinstance(art.source, KIND_SPECS[want[0]].cls)
+        assert isinstance(art.target, KIND_SPECS[want[1]].cls)
+
+
+def test_edge_order_is_the_listed_one():
+    assert ALL_EDGES == tuple(EDGE_KINDS)
+
+
+def test_builders_refuse_an_edge_of_the_other_family():
+    cnf = CnfInstance(3, ((0, 1, 2),))
+    with pytest.raises(PreconditionError, match="^unknown blow-up edge vc-ds$"):
+        build_blowup("vc-ds", K3, 0, DistanceMeasure.HAMMING)
+    with pytest.raises(PreconditionError, match="^unknown preserving edge 3sat-vc$"):
+        build_preserving("3sat-vc", cnf)

@@ -263,6 +263,20 @@ def test_cli_reduce_rejects_bad_chain(tmp_path):
     assert rc == 3
 
 
+def test_cli_reduce_chain_names_the_source_kind_it_expects(tmp_path, capsys):
+    src = _write_cnf(tmp_path, PHI)
+    assert main(["reduce", src, "--chain", "3sat-vc,vc-ds,vc-hs"]) == 3
+    err = capsys.readouterr().err
+    assert err == "composition error: edge vc-hs expects a vc source, got ds\n"
+
+
+def test_cli_reduce_takes_a_width_3_cnf_into_sat_3sat(tmp_path, capsys):
+    # PHI reads as 3sat, and a CNF flows into either SAT edge
+    src = _write_cnf(tmp_path, PHI)
+    assert main(["reduce", src, "--edge", "sat-3sat"]) == 0
+    assert "reduced 3sat -> 3sat" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("spec", ["x1,abc", "1.5"])
 def test_cli_reduce_bad_lb_token_is_format_error(tmp_path, capsys, spec):
     src = _write_cnf(tmp_path, PHI)
