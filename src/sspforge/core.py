@@ -157,9 +157,14 @@ def _env_count(name: str, default: int) -> int:
 class Bounds:
     """Enumeration limits.
 
-    ``max_universe`` guards powerset-style enumeration; structured
-    enumerators (paths, tours, trees) are instead capped by ``max_solutions``
-    and ``max_vertices``.
+    Each family answers to what its enumerator walks.  A bounded search
+    (covers, hitting sets, paths, cycles, trees, number windows) answers to
+    ``max_vertices`` on the elements it walks.  A scan answers to
+    ``max_universe``: CNF assignments to max(max_universe // 2, 16)
+    variables, UFL and p-median facility masks to ``max_universe``, and TSP
+    tours to a fixed 10 vertices.  A feasible family F(I) is listed whole
+    and answers to ``max_universe``.  Every family also stops at
+    ``max_solutions``.
     """
 
     max_universe: int = 24

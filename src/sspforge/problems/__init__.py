@@ -7,7 +7,6 @@ from .catalog import (
     feasible_keys,
     is_lop,
     lop_cost,
-    universe_labels,
     universe_size,
     verify,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "feasible_keys",
     "is_lop",
     "lop_cost",
-    "universe_labels",
     "universe_size",
     "verify",
     "clear_caches",

@@ -8,6 +8,14 @@ element-cost envelope.  ``enumerate_solutions`` and ``enumerate_feasible``
 realize the families exactly at desk scale.  Results are cached per
 instance since the checkers ask for the same families repeatedly.
 
+A guard answers to what its enumerator walks.  A bounded search answers
+to ``max_vertices`` on the elements it walks, plus the solution cap.  A
+scan answers to ``max_universe``: CNF assignments to max(max_universe //
+2, 16) variables, UFL and p-median masks to the powerset bound, and TSP
+tours to a fixed 10 vertices.  F(I) is listed whole, so it answers to
+the powerset bound; ``_lop_kind`` gives the LOP kinds over a set
+universe both guards.
+
 Every enumerator ``run(inst, cap)`` returns its family as a sorted list
 of element masks, or an iterable of them in increasing order, and raises
 ``CapacityError`` when the family holds more than ``cap`` masks.  The
@@ -17,7 +25,7 @@ kernels state that limit once: they collect their solutions in
 The route kinds share two searches: directed Hamiltonian cycles are
 listed by the Hamiltonian path search, and TSP tours by the undirected
 cycle search on the complete graph.  Dominating set, set cover, hitting
-set, feedback vertex set and feedback arc set share one more:
+set, feedback vertex set, feedback arc set and p-center share one more:
 ``covering.hitting_sets_upto``, with each kind's constraints.
 """
 
@@ -81,20 +89,17 @@ class Guard(NamedTuple):
 
 
 def _powerset(field: str) -> Guard:
-    return Guard(
-        field,
-        attrgetter("max_universe"),
-        "universe of size {size} exceeds the powerset bound {limit}",
-    )
+    message = "universe of size {size} exceeds the powerset bound {limit}"
+    return Guard(field, attrgetter("max_universe"), message)
+
+
+_NOUNS = dict(n="vertices", ground_size="ground elements", n_facilities="facilities")
 
 
 def _structural(field: str) -> Guard:
-    """``max_vertices`` on the instance's ``field``; the message names what
-    it counts: vertices for ``n``, otherwise the field itself."""
-    noun = "vertices" if field == "n" else field
-    return Guard(
-        field, attrgetter("max_vertices"), f"{{size}} {noun} exceed the structural bound"
-    )
+    """``max_vertices`` on the instance's ``field``, named in plain words."""
+    message = f"{{size}} {_NOUNS.get(field, field)} exceed the structural bound"
+    return Guard(field, attrgetter("max_vertices"), message)
 
 
 class Guards(NamedTuple):
@@ -139,37 +144,42 @@ def _zero_cost(cls, run, field: str) -> KindSpec:
     return KindSpec(cls, e, e, lambda inst: ((0,) * _size(inst, field), 0))
 
 
-def _hitting_kind(cls, field: str, guard, unhit) -> KindSpec:
-    """A hitting-set kind over its ``field`` elements: S(I) is the sets of
-    at most k elements that hit every constraint ``unhit(inst)`` names, run
-    behind ``guard``, F(I) the same sets of any size, and every element
-    costs 1 against threshold k."""
-
-    def family(budget):
-        return lambda i, cap: covering.hitting_sets_upto(
-            _size(i, field), unhit(i), budget(i), cap
-        )
-
+def _lop_kind(cls, field: str, solutions, feasible, cost, threshold=None) -> KindSpec:
+    """An LOP kind over its ``field`` elements: S(I) is listed by a bounded
+    search, F(I) whole."""
     return KindSpec(
         cls,
-        Enumerator(guard, family(attrgetter("k"))),
-        Enumerator(_powerset(field), family(lambda i: _size(i, field))),
-        lambda i: ((1,) * _size(i, field), i.k),
+        Enumerator(_structural(field), solutions),
+        Enumerator(_powerset(field), feasible),
+        cost,
+        threshold=threshold,
+    )
+
+
+def _hitting_kind(cls, field: str, unhit) -> KindSpec:
+    """A hitting-set kind over its ``field`` elements: S(I) is the sets of
+    at most k elements that hit every constraint ``unhit(inst)`` names,
+    F(I) the same sets of any size, and every element costs 1 against
+    threshold k."""
+
+    n = functools.partial(_size, field=field)
+
+    def family(budget):
+        return lambda i, cap: covering.hitting_sets_upto(n(i), unhit(i), budget(i), cap)
+
+    return _lop_kind(
+        cls, field, family(attrgetter("k")), family(n), lambda i: ((1,) * n(i), i.k)
     )
 
 
 def _threshold_kind(cls, solutions, field: str, threshold, cost) -> KindSpec:
     """A number kind over its ``field`` elements whose F(I) is the sets
     whose weight sum reaches a threshold, as ``threshold`` gives them."""
-    return KindSpec(
-        cls,
-        Enumerator(_structural(field), solutions),
-        Enumerator(
-            _powerset(field), lambda i, cap: numbers.sum_atleast(*threshold(i), cap)
-        ),
-        cost,
-        threshold=threshold,
-    )
+
+    def feasible(i, cap):
+        return numbers.sum_atleast(*threshold(i), cap)
+
+    return _lop_kind(cls, field, solutions, feasible, cost, threshold)
 
 
 _CNF = Enumerator(
@@ -184,85 +194,68 @@ _CNF = Enumerator(
 )
 _FACILITY = Enumerator(_powerset("n_facilities"), facility.facility_solutions)
 _TSP_VERTICES = Guard("n", lambda bounds: 10, "TSP enumeration limited to 10 vertices")
-# the Steiner kernel builds tables per vertex and terminal, so both of its
-# families also answer to the vertex count
-_STEINER_VERTICES = _structural("n")
 
 # in the enumerators and envelopes, ``i`` is the instance and ``cap`` the
 # solution cap
 KIND_SPECS: dict[ProblemKind, KindSpec] = {
     ProblemKind.SAT: KindSpec(cnf.CnfInstance, _CNF),
     ProblemKind.THREE_SAT: KindSpec(cnf.CnfInstance, _CNF, width=3),
-    ProblemKind.VERTEX_COVER: KindSpec(
+    ProblemKind.VERTEX_COVER: _lop_kind(
         graphs.VertexCoverInstance,
-        Enumerator(
-            _structural("n"), lambda i, cap: graphs.covers_upto(i.n, i.edges, i.k, cap)
-        ),
-        Enumerator(
-            _powerset("n"), lambda i, cap: graphs.covers_upto(i.n, i.edges, i.n, cap)
-        ),
+        "n",
+        lambda i, cap: graphs.covers_upto(i.n, i.edges, i.k, cap),
+        lambda i, cap: graphs.covers_upto(i.n, i.edges, i.n, cap),
         lambda i: ((1,) * i.n, i.k),
     ),
-    ProblemKind.INDEPENDENT_SET: KindSpec(
+    ProblemKind.INDEPENDENT_SET: _lop_kind(
         graphs.IndependentSetInstance,
-        Enumerator(
-            _structural("n"),
-            lambda i, cap: graphs.independent_sets_atleast(i.n, i.edges, i.k, cap),
-        ),
-        Enumerator(
-            _powerset("n"),
-            lambda i, cap: graphs.independent_sets_atleast(i.n, i.edges, 0, cap),
-        ),
+        "n",
+        lambda i, cap: graphs.independent_sets_atleast(i.n, i.edges, i.k, cap),
+        lambda i, cap: graphs.independent_sets_atleast(i.n, i.edges, 0, cap),
         lambda i: ((-1,) * i.n, -i.k),
     ),
-    ProblemKind.CLIQUE: KindSpec(
+    ProblemKind.CLIQUE: _lop_kind(
         graphs.CliqueInstance,
-        Enumerator(
-            _structural("n"),
-            lambda i, cap: graphs.independent_sets_atleast(
-                i.n, i.complement_edges(), i.k, cap
-            ),
+        "n",
+        lambda i, cap: graphs.independent_sets_atleast(
+            i.n, i.complement_edges(), i.k, cap
         ),
-        Enumerator(
-            _powerset("n"),
-            lambda i, cap: graphs.independent_sets_atleast(
-                i.n, i.complement_edges(), 0, cap
-            ),
+        lambda i, cap: graphs.independent_sets_atleast(
+            i.n, i.complement_edges(), 0, cap
         ),
         lambda i: ((-1,) * i.n, -i.k),
     ),
     ProblemKind.DOMINATING_SET: _hitting_kind(
         graphs.DominatingSetInstance,
         "n",
-        _structural("n"),
         lambda i: covering.unhit_masks(i.closed_neighborhoods()),
     ),
     ProblemKind.SET_COVER: _hitting_kind(
         covering.SetCoverInstance,
         "subsets",
-        _powerset("subsets"),
         lambda i: covering.unhit_masks(i.element_masks()),
     ),
     ProblemKind.HITTING_SET: _hitting_kind(
         covering.HittingSetInstance,
         "ground_size",
-        _powerset("ground_size"),
         lambda i: covering.unhit_masks(i.subset_masks()),
     ),
     ProblemKind.FEEDBACK_VERTEX_SET: _hitting_kind(
-        graphs.FeedbackVertexSetInstance,
-        "n",
-        _powerset("n"),
-        graphs.unhit_cycle_vertices,
+        graphs.FeedbackVertexSetInstance, "n", graphs.unhit_cycle_vertices
     ),
     ProblemKind.FEEDBACK_ARC_SET: _hitting_kind(
-        graphs.FeedbackArcSetInstance,
-        "arcs",
-        _structural("arcs"),
-        graphs.unhit_cycle_arcs,
+        graphs.FeedbackArcSetInstance, "arcs", graphs.unhit_cycle_arcs
     ),
     ProblemKind.UFL: KindSpec(facility.FacilityLocationInstance, _FACILITY),
-    ProblemKind.P_CENTER: KindSpec(facility.PCenterInstance, _FACILITY),
+    ProblemKind.P_CENTER: KindSpec(
+        facility.PCenterInstance,
+        Enumerator(
+            _structural("n_facilities"),
+            lambda i, cap: covering.hitting_sets_upto(
+                i.n_facilities, covering.unhit_masks(i.client_masks()), i.p, cap
+            ),
+        ),
+    ),
     ProblemKind.P_MEDIAN: KindSpec(facility.PMedianInstance, _FACILITY),
     ProblemKind.SUBSET_SUM: _threshold_kind(
         numbers.SubsetSumInstance,
@@ -316,14 +309,16 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
     ProblemKind.K_DDP: _zero_cost(
         paths.DisjointPathsInstance, paths.disjoint_path_systems, "arcs"
     ),
+    # the Steiner kernel builds tables per vertex and terminal, so both of
+    # its families also answer to the vertex count
     ProblemKind.STEINER_TREE: KindSpec(
         steiner.SteinerTreeInstance,
         Enumerator(
-            Guards((_structural("edges"), _STEINER_VERTICES)),
+            Guards((_structural("edges"), _structural("n"))),
             lambda i, cap: steiner.steiner_trees_upto(i, i.k, cap),
         ),
         Enumerator(
-            Guards((_powerset("edges"), _STEINER_VERTICES)),
+            Guards((_powerset("edges"), _structural("n"))),
             lambda i, cap: steiner.steiner_trees_upto(i, sum(i.costs), cap),
         ),
         lambda i: (i.costs, i.k),
@@ -333,10 +328,6 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
 
 def is_lop(kind: ProblemKind) -> bool:
     return KIND_SPECS[kind].feasible is not None
-
-
-def universe_labels(inst) -> tuple[str, ...]:
-    return inst.universe_labels()
 
 
 def universe_size(inst) -> int:

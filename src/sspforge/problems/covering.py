@@ -1,14 +1,15 @@
 """Set cover and hitting set, and the hitting-set search they share with
-dominating set, feedback vertex set and feedback arc set.
+dominating set, feedback vertex set, feedback arc set and p-center.
 
-Each of these kinds asks for at most k elements that hit every
+Each of these kinds asks for a bounded number of elements that hit every
 constraint: a set cover's subsets hit every ground element, a hitting
 set's ground elements every subset, a dominating set's vertices every
-closed neighbourhood, and a feedback set's vertices or arcs every
-directed cycle.  ``hitting_sets_upto`` is the bounded search tree for
-hitting set (Niedermeier & Rossmanith, 2003); ``unhit_masks`` names the
-constraints of the first three kinds, ``graphs.unhit_cycle_vertices``
-and ``graphs.unhit_cycle_arcs`` those of the feedback kinds.
+closed neighbourhood, a p-center's facilities every client, and a
+feedback set's vertices or arcs every directed cycle.
+``hitting_sets_upto`` is the bounded search tree for hitting set
+(Niedermeier & Rossmanith, 2003); ``unhit_masks`` names the constraints
+of the first four kinds, ``graphs.unhit_cycle_vertices`` and
+``graphs.unhit_cycle_arcs`` those of the feedback kinds.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ p-median.
 
 These are pure subset-search kinds here (the objective is not linear in
 the chosen facilities), so they carry no feasible/cost/threshold split.
+UFL and p-median scan the facility masks; p-center is a hitting set.
 """
 
 from __future__ import annotations
@@ -93,6 +94,13 @@ class _PInstance:
 
 class PCenterInstance(_PInstance):
     objective = staticmethod(max)
+
+    def client_masks(self):
+        """For each client, the mask of the facilities within k of it."""
+        return tuple(
+            sum(1 << i for i, row in enumerate(self.service) if row[j] <= self.k)
+            for j in range(self.n_clients)
+        )
 
 
 class PMedianInstance(_PInstance):

@@ -141,17 +141,23 @@ def _assignments(n_vars, variables) -> Iterator[int]:
     return map(sum, itertools.product(*literals))
 
 
+def _budgeted(indices: list[int], gamma: int, bounds: Bounds, what: str) -> list[int]:
+    """The masks of the subsets of at most ``gamma`` of ``indices``, listed
+    once their count is found within ``bounds.max_solutions``."""
+    sizes = range(min(gamma, len(indices)) + 1)
+    if sum(math.comb(len(indices), size) for size in sizes) > bounds.max_solutions:
+        raise CapacityError(f"{what} count exceeds the enumeration cap")
+    return list(subsets_upto(indices, gamma))
+
+
 def enumerate_scenarios(inst: CostRrInstance, bounds: Bounds = DEFAULT_BOUNDS):
     """All cost functions of the budgeted set, deduplicated: only elements
     with a strict gap can deviate."""
     gap = [i for i in range(len(inst.c_lo)) if inst.c_hi[i] > inst.c_lo[i]]
-    sizes = range(min(inst.gamma, len(gap)) + 1)
-    if sum(math.comb(len(gap), size) for size in sizes) > bounds.max_solutions:
-        raise CapacityError("scenario count exceeds the enumeration cap")
     lo, hi = inst.c_lo, inst.c_hi
     return [
         (raised, tuple(hi[i] if raised >> i & 1 else lo[i] for i in range(len(lo))))
-        for raised in subsets_upto(gap, inst.gamma)
+        for raised in _budgeted(gap, inst.gamma, bounds, "scenario")
     ]
 
 
@@ -163,7 +169,7 @@ def eval_comb_rr(
     sols = enumerate_solutions(inst.kind, inst.instance, bounds)
     if not sols:
         return False, None
-    blockers = list(subsets_upto(indices_of(inst.blockable), inst.gamma))
+    blockers = _budgeted(indices_of(inst.blockable), inst.gamma, bounds, "blocker")
     for s1 in sols:
         recov = {}
         ok = True

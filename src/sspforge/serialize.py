@@ -29,7 +29,6 @@ from .problems import (
     KIND_SPECS,
     CnfInstance,
     ProblemKind,
-    universe_labels,
     universe_size,
 )
 from .reductions.artifact import BLOWUP, PRESERVING, SSP, ReductionArtifact
@@ -119,7 +118,7 @@ def instance_to_doc(kind: ProblemKind, inst) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": kind.value,
         "payload": instance_payload(kind, inst),
-        "universe_labels": list(universe_labels(inst)),
+        "universe_labels": list(inst.universe_labels()),
     }
 
 

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from sspforge.core import CompositionError, DistanceMeasure, mask_of
-from sspforge.problems import CnfInstance, SubsetSumInstance
+from sspforge.core import MEASURES, Bounds, CompositionError, DistanceMeasure, mask_of
+from sspforge.gen import random_lb, random_source_for_edge
+from sspforge.problems import CnfInstance, SubsetSumInstance, universe_size
 from sspforge.reductions import (
     BLOWUP,
     PRESERVING,
@@ -65,3 +68,37 @@ def test_blowup_compose_blowup_rejected():
     outer = build_blowup("3sat-vc", inner.target, 0, HAM)
     with pytest.raises(CompositionError):
         compose(outer, inner)
+
+
+# the bench bounds; the chain targets below hold 5-80 elements, and their
+# solution families answered to the powerset bound of 24 before they
+# answered to the elements their search walks
+CHAIN_BOUNDS = Bounds(max_universe=24, max_solutions=1 << 20, max_vertices=16384)
+# feedback vertex sets of the 51-80-vertex chain targets take 1-10 s each
+FVS_MAX_VERTICES = 48
+
+
+def chain_from_3sat(i, edge):
+    """3sat-vc on the i-th acceptance source, composed with ``edge``."""
+    rng = random.Random(repr(("acceptance", "3sat-vc", i)))
+    src = random_source_for_edge("3sat-vc", rng)
+    inner = build_blowup("3sat-vc", src, random_lb(rng, src), HAM)
+    return compose(build_preserving(edge, inner.target), inner)
+
+
+@pytest.mark.parametrize(
+    "edge, checked", [("vc-sc", 20), ("vc-hs", 20), ("vc-pcenter", 20), ("vc-fvs", 14)]
+)
+def test_chains_from_3sat_check_past_the_powerset_bound(edge, checked):
+    sizes = []
+    for i in range(20):
+        chained = chain_from_3sat(i, edge)
+        size = universe_size(chained.target)
+        if edge == "vc-fvs" and size > FVS_MAX_VERTICES:
+            continue
+        assert check_ssp(chained, CHAIN_BOUNDS).passed, (edge, i)
+        for measure in MEASURES:
+            assert check_blowup(chained, measure, CHAIN_BOUNDS).passed, (edge, i)
+        sizes.append(size)
+    assert len(sizes) == checked
+    assert max(sizes) > CHAIN_BOUNDS.max_universe

@@ -13,7 +13,8 @@ can no longer close, and the three searches that listed dominating sets,
 feedback arc sets and the other hitting-set kinds before the shared
 hitting-set search did, and the four number-kind searches that ran one
 include/exclude walk with per-kind prune and accept functions before the
-window search did.
+window search did, and the scan of every facility mask that listed
+p-center before the hitting-set search did.
 """
 
 import dataclasses
@@ -44,6 +45,7 @@ from sspforge.problems import (
     HittingSetInstance,
     KnapsackInstance,
     PartitionInstance,
+    PCenterInstance,
     ProblemKind,
     SchedulingInstance,
     SetCoverInstance,
@@ -1007,6 +1009,71 @@ def test_knapsack_counts_its_price_feasible_sets_against_the_cap():
     assert KIND_SPECS[ProblemKind.KNAPSACK].solutions.run(inst, 7) == [1, 2, 4]
 
 
+# ------------------------------------------------- p-center
+
+P_CENTER = ProblemKind.P_CENTER
+
+
+def pcenter_outcomes(inst, cap):
+    """S(I) of a p-center instance, or the message of its CapacityError, by
+    the hitting-set search behind the kind's guard and by the scan."""
+
+    def shared():
+        spec = KIND_SPECS[P_CENTER].solutions
+        spec.guard.check(inst, BOUNDS)
+        return list(spec.run(inst, cap))
+
+    return outcome(shared), outcome(lambda: ref_facility_scan(inst, cap))
+
+
+def assert_pcenter_equals_scan(inst):
+    """Equal families, and equal errors one below the family's size; the
+    family is returned."""
+    family, want = pcenter_outcomes(inst, CAP)
+    assert family == want, inst
+    if family:
+        got, want = pcenter_outcomes(inst, len(family) - 1)
+        assert got == want == "solution cap exceeded", inst
+    return family
+
+
+def test_pcenter_equals_scan_on_corpus_targets():
+    sizes = []
+    for i in range(ACCEPTANCE_SOURCES):
+        rng = random.Random(repr(("acceptance", "vc-pcenter", i)))
+        art = build_preserving("vc-pcenter", random_source_for_edge("vc-pcenter", rng))
+        assert art.target_kind is P_CENTER
+        sizes.append(len(assert_pcenter_equals_scan(art.target)))
+    assert 0 in sizes and max(sizes) > 1
+
+
+def random_pcenter_instance(rng):
+    """Up to 6 facilities and 5 clients, service costs from -2, and p and
+    k from -1 and -2."""
+    n_fac, n_clients = rng.randint(0, 6), rng.randint(0, 5)
+    service = tuple(
+        tuple(rng.randint(-2, 6) for _ in range(n_clients)) for _ in range(n_fac)
+    )
+    return PCenterInstance(
+        n_fac, n_clients, service, rng.randint(-1, n_fac + 1), rng.randint(-2, 6)
+    )
+
+
+def test_pcenter_equals_scan_on_random_instances():
+    rng = random.Random(37)
+    seen = dict.fromkeys(("p<0", "k<0", "no clients", "no facilities", "capped"), 0)
+    for _ in range(2000):
+        inst = random_pcenter_instance(rng)
+        family = assert_pcenter_equals_scan(inst)
+        assert family == powerset_filter(P_CENTER, inst), inst
+        seen["p<0"] += inst.p < 0
+        seen["k<0"] += inst.k < 0
+        seen["no clients"] += not inst.n_clients
+        seen["no facilities"] += not inst.n_facilities
+        seen["capped"] += bool(family)
+    assert min(seen.values()) >= 50, seen
+
+
 # ------------------------------------------------- reference searches
 #
 # The searches the chain-step and bitset kernels replaced: one recursive
@@ -1310,6 +1377,15 @@ def ref_number_solutions(kind, inst, cap):
         ProblemKind.PARTITION: ref_partition_solutions,
         ProblemKind.SCHEDULING: ref_scheduling_solutions,
     }[kind](inst, cap)
+
+
+def ref_facility_scan(inst, cap):
+    # the scan of every facility mask, filtered by verify, that listed
+    # p-center solutions before the hitting-set search did
+    out = Capped(cap)
+    for mask in filter(inst.verify, range(1 << inst.n_facilities)):
+        out.append(mask)
+    return out
 
 
 def ref_bounded_subsets(n, k, pred, cap):

@@ -16,11 +16,14 @@ from sspforge.problems import (
     DirectedHamPathInstance,
     DisjointPathsInstance,
     DominatingSetInstance,
+    FacilityLocationInstance,
     FeedbackArcSetInstance,
     FeedbackVertexSetInstance,
     HittingSetInstance,
     KnapsackInstance,
     PartitionInstance,
+    PCenterInstance,
+    PMedianInstance,
     ProblemKind,
     SchedulingInstance,
     SetCoverInstance,
@@ -150,6 +153,49 @@ def test_capacity_guards_keep_their_bound_size_and_message():
         CapacityError, match="^17 variables exceed the assignment bound$"
     ):
         enumerate_solutions(K.SAT, cnf, Bounds(max_universe=32))
+
+
+def test_bounded_searches_answer_to_the_elements_they_walk():
+    """Set cover, hitting set, feedback vertex set and p-center solutions
+    are listed by the hitting-set search, so they answer to
+    ``max_vertices`` on the elements it walks and pass a powerset bound
+    below their universe; F(I) is listed whole and keeps the powerset
+    bound, and so do the UFL and p-median scans."""
+    few_vertices = Bounds(max_universe=24, max_vertices=2)
+    small_universe = Bounds(max_universe=2, max_vertices=100)
+    powerset = "^universe of size 3 exceeds the powerset bound 2$"
+    # facility i serves client j at cost service[i][j]; only f2 serves both
+    # clients at cost 0
+    service = ((0, 1), (1, 0), (0, 0))
+    searches = (
+        (K.SET_COVER, SetCoverInstance(2, ((0,), (1,), (0, 1)), 2), "subsets"),
+        (K.HITTING_SET, HittingSetInstance(3, ((0, 1), (2,)), 2), "ground elements"),
+        (
+            K.FEEDBACK_VERTEX_SET,
+            FeedbackVertexSetInstance(3, ((0, 1), (1, 2), (2, 0)), 1),
+            "vertices",
+        ),
+        (K.P_CENTER, PCenterInstance(3, 2, service, 1, 0), "facilities"),
+    )
+    solutions = [[3, 4, 5, 6], [5, 6], [1, 2, 4], [4]]
+    for (kind, inst, noun), want in zip(searches, solutions):
+        with pytest.raises(
+            CapacityError, match=f"^3 {noun} exceed the structural bound$"
+        ):
+            enumerate_solutions(kind, inst, few_vertices)
+        assert enumerate_solutions(kind, inst, small_universe) == want
+        if is_lop(kind):
+            with pytest.raises(CapacityError, match=powerset):
+                enumerate_feasible(kind, inst, small_universe)
+            assert len(enumerate_feasible(kind, inst, few_vertices)) > len(want)
+    scans = (
+        (K.UFL, FacilityLocationInstance(3, 2, (1, 1, 1), service, 1)),
+        (K.P_MEDIAN, PMedianInstance(3, 2, service, 1, 0)),
+    )
+    for kind, inst in scans:
+        with pytest.raises(CapacityError, match=powerset):
+            enumerate_solutions(kind, inst, small_universe)
+        assert enumerate_solutions(kind, inst, few_vertices) == [4]
 
 
 def test_steiner_families_answer_to_the_vertex_count():

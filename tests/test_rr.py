@@ -79,6 +79,35 @@ def test_scenarios_over_cap_is_capacity_error():
     assert len(enumerate_scenarios(inst, Bounds(max_solutions=4))) == 4
 
 
+def _star_comb_rr():
+    """A star's centre is its one cover of size 1.  All ten vertices are
+    blockable, so gamma = 2 makes 1 + 10 + 45 = 56 blockers, as many as
+    the scenarios of its cost-RR simulation."""
+    star = VertexCoverInstance(10, tuple((0, v) for v in range(1, 10)), 1)
+    return CombRrInstance(ProblemKind.VERTEX_COVER, star, (1 << 10) - 1, 2, 10, HAM)
+
+
+def test_comb_rr_counts_its_blockers_against_the_cap():
+    # the blockers were listed without a cap, so the star answered at a
+    # cap of 10 where its cost-RR scenarios were refused
+    comb = _star_comb_rr()
+    cost = comb_to_cost_rr(comb)
+    for cap in (10, 55):
+        bounds = Bounds(max_solutions=cap)
+        with pytest.raises(
+            CapacityError, match="^blocker count exceeds the enumeration cap$"
+        ):
+            eval_comb_rr(comb, bounds)
+        with pytest.raises(
+            CapacityError, match="^scenario count exceeds the enumeration cap$"
+        ):
+            enumerate_scenarios(cost, bounds)
+    bounds = Bounds(max_solutions=56)
+    assert len(enumerate_scenarios(cost, bounds)) == 56
+    # blocking the centre leaves no cover of size 1
+    assert eval_comb_rr(comb, bounds) == eval_comb_rr(comb) == (False, None)
+
+
 def test_comb_rr_gamma_zero_yes():
     comb = CombRrInstance(ProblemKind.VERTEX_COVER, K3, 0, 0, 0, HAM)
     ans, wit = eval_comb_rr(comb)

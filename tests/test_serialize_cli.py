@@ -453,6 +453,20 @@ def test_cli_solve_comb_rr(tmp_path, capsys):
     assert "answer: yes" in capsys.readouterr().out
 
 
+def test_cli_solve_comb_rr_past_the_blocker_cap_exits_4(tmp_path, capsys):
+    # 56 blockers of at most 2 of 10 blockable vertices, against a cap of 10
+    star = VertexCoverInstance(10, tuple((0, v) for v in range(1, 10)), 1)
+    comb = CombRrInstance(ProblemKind.VERTEX_COVER, star, (1 << 10) - 1, 2, 10, HAM)
+    p = tmp_path / "comb.json"
+    p.write_text(serialize.dumps(serialize.comb_rr_to_doc(comb)))
+    args = ["solve", str(p), "--problem", "comb-rr"]
+    assert main(args + ["--max-solutions", "10"]) == 4
+    err = capsys.readouterr().err
+    assert err == "capacity error: blocker count exceeds the enumeration cap\n"
+    assert main(args + ["--max-solutions", "56"]) == 0
+    assert "answer: no" in capsys.readouterr().out
+
+
 def test_cli_fuzz_deterministic(tmp_path, capsys):
     args = ["fuzz", "--edges", "3sat-is,subsetsum-partition", "--count", "4",
             "--seed", "9", "--report", str(tmp_path / "r.json")]
