@@ -161,10 +161,9 @@ class Bounds:
     (covers, hitting sets, paths, cycles, trees, number windows) answers to
     ``max_vertices`` on the elements it walks.  A scan answers to
     ``max_universe``: CNF assignments to max(max_universe // 2, 16)
-    variables, UFL and p-median facility masks to ``max_universe``, and TSP
-    tours to a fixed 10 vertices.  A feasible family F(I) is listed whole
-    and answers to ``max_universe``.  Every family also stops at
-    ``max_solutions``.
+    variables, UFL and p-median facility masks to ``max_universe``.  A
+    feasible family F(I), listed whole, answers to ``max_universe`` (a
+    route kind's to ``max_vertices``).  Every family stops at ``max_solutions``.
     """
 
     max_universe: int = 24

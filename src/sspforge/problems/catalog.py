@@ -11,10 +11,10 @@ instance since the checkers ask for the same families repeatedly.
 A guard answers to what its enumerator walks.  A bounded search answers
 to ``max_vertices`` on the elements it walks, plus the solution cap.  A
 scan answers to ``max_universe``: CNF assignments to max(max_universe //
-2, 16) variables, UFL and p-median masks to the powerset bound, and TSP
-tours to a fixed 10 vertices.  F(I) is listed whole, so it answers to
-the powerset bound; ``_lop_kind`` gives the LOP kinds over a set
-universe both guards.
+2, 16) variables, UFL and p-median masks to the powerset bound.  F(I) is
+listed whole, so it answers to the powerset bound, except a route kind's
+search (TSP's at a budget no tour exceeds), which answers to the vertex
+count; ``_lop_kind`` gives the LOP kinds over a set universe both guards.
 
 Every enumerator ``run(inst, cap)`` returns its family as a sorted list
 of element masks, or an iterable of them in increasing order, and raises
@@ -193,7 +193,11 @@ _CNF = Enumerator(
     cnf.enumerate_cnf_solutions,
 )
 _FACILITY = Enumerator(_powerset("n_facilities"), facility.facility_solutions)
-_TSP_VERTICES = Guard("n", lambda bounds: 10, "TSP enumeration limited to 10 vertices")
+
+
+def _tours(i, budget, cap):
+    return paths.ham_cycles_undirected(i.n, i.edge_order(), i.weights, budget, cap)
+
 
 # in the enumerators and envelopes, ``i`` is the instance and ``cap`` the
 # solution cap
@@ -292,15 +296,19 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
         paths.DirectedHamCycleInstance, paths.ham_cycles_directed, "arcs"
     ),
     ProblemKind.UHAM_CYCLE: _zero_cost(
-        paths.UndirectedHamCycleInstance, paths.ham_cycles_undirected, "edges"
+        paths.UndirectedHamCycleInstance,
+        lambda i, cap: paths.ham_cycles_undirected(
+            i.n, i.edges, (0,) * len(i.edges), 0, cap
+        ),
+        "edges",
     ),
     ProblemKind.TSP: KindSpec(
         paths.TspInstance,
+        Enumerator(_structural("n"), lambda i, cap: _tours(i, i.k, cap)),
         Enumerator(
-            _TSP_VERTICES,
-            lambda i, cap: (m for m in paths.tsp_tours(i, cap) if i.weight(m) <= i.k),
+            _structural("n"),
+            lambda i, cap: _tours(i, sum(w for w in i.weights if w > 0), cap),
         ),
-        Enumerator(_TSP_VERTICES, paths.tsp_tours),
         lambda i: (i.weights, i.k),
     ),
     ProblemKind.TWO_DDP: _zero_cost(

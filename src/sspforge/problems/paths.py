@@ -10,13 +10,19 @@ over those steps that the current pair and every later pair can still be
 joined.  The route kinds share two searches, as the reductions between
 them embed one in the next: a directed Hamiltonian cycle is a Hamiltonian
 path of the graph with vertex 0 split in two, and a TSP tour is a
-Hamiltonian cycle of the complete graph.
+Hamiltonian cycle of the complete graph within a weight budget.  The
+cycle search turns back where its path plus the cheapest edges it still
+needs exceeds the budget.  By its degree rule (Rubin, JACM 1974), each
+unvisited neighbour of the end it leaves must keep two neighbours among
+the unvisited vertices and 0: it steps onto the one that would not, and
+turns back where two would not.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 
 from ..core import (
     Capped,
@@ -114,13 +120,6 @@ class UndirectedHamCycleInstance:
 
     def universe_labels(self):
         return _edge_labels(self.edges)
-
-    def adjacency(self):
-        adj = [[] for _ in range(self.n)]
-        for i, (u, v) in enumerate(self.edges):
-            adj[u].append((i, v))
-            adj[v].append((i, u))
-        return adj
 
     def verify(self, mask: int) -> bool:
         if mask >> len(self.edges):
@@ -294,44 +293,50 @@ def ham_cycles_directed(inst: DirectedHamCycleInstance, cap) -> list[int]:
     return _ham_paths(n + 1, arcs, 0, n, cap)
 
 
-def ham_cycles_undirected(inst: UndirectedHamCycleInstance, cap) -> list[int]:
-    """Every cycle once: walked from 0 in the direction that leaves 0 for
-    the smaller of its two neighbours on the cycle.  So the walk from 0's
-    neighbour ``first`` must end at a neighbour of 0 above it, and it
-    turns back once all of those are visited."""
-    n = inst.n
-    if n < 3:
+def ham_cycles_undirected(n, edges, weights, budget, cap) -> list[int]:
+    """The Hamiltonian cycles of weight at most ``budget``, each once:
+    walked from 0 in the direction that leaves 0 for the smaller of its
+    two neighbours on the cycle.  So the walk from 0's neighbour ``first``
+    must end at a neighbour of 0 above it, and it turns back once all of
+    those are visited."""
+    if n < 3 or len(edges) < n:
         return []
-    adj = inst.adjacency()
+    low = [0, *accumulate(sorted(weights))]  # the r cheapest weigh low[r]
+    adj = [[] for _ in range(n)]
+    nbrs = [0] * n
+    for i, (u, v) in enumerate(edges):
+        if weights[i] + low[n - 1] <= budget:
+            adj[u].append((i, v))
+            adj[v].append((i, u))
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
     closing = {v: i for i, v in adj[0]}
     full = (1 << n) - 1
     out = Capped(cap)
 
-    def dfs(cur, visited, edgemask):
+    def dfs(cur, visited, edgemask, weight):
         if visited == full:
-            if above >> cur & 1:
+            if above >> cur & 1 and weight + weights[closing[cur]] <= budget:
                 out.append(edgemask | 1 << closing[cur])
             return
-        if not above & ~visited:
+        if not above & ~visited or weight + low[n + 1 - visited.bit_count()] > budget:
             return
-        for i, v in adj[cur]:
-            if not visited >> v & 1:
-                dfs(v, visited | 1 << v, edgemask | 1 << i)
+        free = ~visited | 1
+        steps = [(i, v) for i, v in adj[cur] if not visited >> v & 1]
+        stranded = [s for s in steps if (nbrs[s[1]] & free).bit_count() < 2]
+        if len(stranded) > 1:
+            return
+        for i, v in stranded or steps:
+            dfs(v, visited | 1 << v, edgemask | 1 << i, weight + weights[i])
 
     try:
         for i, first in adj[0]:
             above = mask_of(v for v in closing if v > first)
-            dfs(first, 1 | 1 << first, 1 << i)
+            dfs(first, 1 | 1 << first, 1 << i, weights[i])
     finally:
         del dfs
     out.sort()
     return out
-
-
-def tsp_tours(inst: TspInstance, cap) -> list[int]:
-    return ham_cycles_undirected(
-        UndirectedHamCycleInstance(inst.n, inst.edge_order()), cap
-    )
 
 
 def disjoint_path_systems(inst: DisjointPathsInstance, cap) -> list[int]:

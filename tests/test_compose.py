@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from sspforge.core import MEASURES, Bounds, CompositionError, DistanceMeasure, mask_of
+from sspforge.core import (
+    MEASURES,
+    Bounds,
+    CapacityError,
+    CompositionError,
+    DistanceMeasure,
+    mask_of,
+)
 from sspforge.gen import random_lb, random_source_for_edge
 from sspforge.problems import CnfInstance, SubsetSumInstance, universe_size
 from sspforge.reductions import (
@@ -78,12 +85,15 @@ CHAIN_BOUNDS = Bounds(max_universe=24, max_solutions=1 << 20, max_vertices=16384
 FVS_MAX_VERTICES = 48
 
 
-def chain_from_3sat(i, edge):
-    """3sat-vc on the i-th acceptance source, composed with ``edge``."""
-    rng = random.Random(repr(("acceptance", "3sat-vc", i)))
-    src = random_source_for_edge("3sat-vc", rng)
-    inner = build_blowup("3sat-vc", src, random_lb(rng, src), HAM)
-    return compose(build_preserving(edge, inner.target), inner)
+def chain_from_3sat(i, chain, blowup="3sat-vc"):
+    """``blowup`` on its i-th acceptance source, composed with each edge of
+    the comma-separated ``chain`` in turn."""
+    rng = random.Random(repr(("acceptance", blowup, i)))
+    src = random_source_for_edge(blowup, rng)
+    chained = build_blowup(blowup, src, random_lb(rng, src), HAM)
+    for edge in chain.split(","):
+        chained = compose(build_preserving(edge, chained.target), chained)
+    return chained
 
 
 @pytest.mark.parametrize(
@@ -102,3 +112,27 @@ def test_chains_from_3sat_check_past_the_powerset_bound(edge, checked):
         sizes.append(size)
     assert len(sizes) == checked
     assert max(sizes) > CHAIN_BOUNDS.max_universe
+
+
+# the uhamcycle and tsp targets of these chains hold 36-282 vertices: every
+# source must check, and none may stop at a capacity guard
+@pytest.mark.parametrize(
+    "chain",
+    [
+        "dhampath-dhamcycle,dhamcycle-uhamcycle",
+        "dhampath-dhamcycle,dhamcycle-uhamcycle,uhamcycle-tsp",
+    ],
+)
+def test_route_chains_from_3sat_check_on_every_source(chain):
+    outcomes = {"pass": 0, "capacity": 0}
+    for i in range(20):
+        chained = chain_from_3sat(i, chain, "3sat-dhampath")
+        try:
+            assert check_ssp(chained, CHAIN_BOUNDS).passed, (chain, i)
+            for measure in MEASURES:
+                assert check_blowup(chained, measure, CHAIN_BOUNDS).passed, (chain, i)
+        except CapacityError:
+            outcomes["capacity"] += 1
+        else:
+            outcomes["pass"] += 1
+    assert outcomes == {"pass": 20, "capacity": 0}

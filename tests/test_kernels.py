@@ -9,7 +9,8 @@ that computed its bound afresh at every step, which the pruned search and
 the interned walk must equal past the generator's size ceilings, the
 permutation walk that listed TSP tours before the undirected cycle search
 did, the undirected cycle search before it turned back from a walk that
-can no longer close, and the three searches that listed dominating sets,
+can no longer close and before it kept the degree rule and a weight
+budget, and the three searches that listed dominating sets,
 feedback arc sets and the other hitting-set kinds before the shared
 hitting-set search did, and the four number-kind searches that ran one
 include/exclude walk with per-kind prune and accept functions before the
@@ -75,9 +76,7 @@ from sspforge.problems.paths import (
     _chains,
     disjoint_path_systems,
     ham_cycles_directed,
-    ham_cycles_undirected,
     ham_paths,
-    tsp_tours,
 )
 from sspforge.problems.steiner import steiner_trees_upto
 from sspforge.reductions import ALL_EDGES, BLOWUP_EDGES, build_blowup, build_preserving
@@ -87,6 +86,9 @@ BOUNDS = Bounds(max_universe=24, max_solutions=1 << 20, max_vertices=16384)
 CAP = 1 << 20
 SOURCES_PER_EDGE = 20
 MAX_POWERSET = 16
+# the two kinds the undirected cycle search lists, TSP at two budgets
+UHC = KIND_SPECS[ProblemKind.UHAM_CYCLE]
+TSP = KIND_SPECS[ProblemKind.TSP]
 
 
 def small_instances():
@@ -660,10 +662,14 @@ def test_cap_is_enforced_by_the_new_kernels():
         5, tuple((u, v) for u in range(5) for v in range(5) if u != v)
     )
     uhc = build_preserving("dhamcycle-uhamcycle", complete)
+    # only the 12 of K_7's 360 tours that use at most one edge of weight 1
+    # count against the cap of S(I)
+    heavy = TspInstance(7, (0, 1) * 10 + (1,), 1)
     for search, inst in (
         (ham_cycles_directed, cyc.target),
-        (ham_cycles_undirected, uhc.target),
-        (tsp_tours, TspInstance(7, (0,) * 21, 0)),
+        (UHC.solutions.run, uhc.target),
+        (TSP.feasible.run, TspInstance(7, (0,) * 21, 0)),
+        (TSP.solutions.run, heavy),
     ):
         routes = search(inst, CAP)
         assert routes
@@ -673,22 +679,52 @@ def test_cap_is_enforced_by_the_new_kernels():
 
 
 def test_tsp_tours_equal_permutation_walk():
-    for n in range(3, 10):
-        inst = TspInstance(n, (0,) * (n * (n - 1) // 2), 0)
-        tours = tsp_tours(inst, CAP)
-        assert len(tours) == math.factorial(n - 1) // 2
-        assert tours == ref_tsp_tours(inst, CAP)
+    """F(I) is every tour the permutation walk lists, whatever the weights;
+    S(I) is the tours of F(I) within k, for weights of either sign and k
+    below the cheapest tour, at it, between, at the dearest and above."""
+    rng = random.Random("tsp-weights")
+    # weights of either sign, and positive ones, which leave the search's
+    # lower bound on the rest of a tour no slack to spare
+    spans = ((-3, 5), (1, 9))
+    for n in range(10):
+        m = n * (n - 1) // 2
+        want = ref_tsp_tours(TspInstance(n, (0,) * m, 0), CAP)
+        assert len(want) == (math.factorial(n - 1) // 2 if n > 2 else 0)
+        draws = [tuple(rng.randint(*span) for _ in range(m)) for span in spans]
+        for weights in ((0,) * m, *draws):
+            tours = TSP.feasible.run(TspInstance(n, weights, -1 << 40), CAP)
+            assert tours == want
+            cost = dict(zip(tours, map(TspInstance(n, weights, 0).weight, tours)))
+            costs = sorted(cost.values()) or [0]
+            low, high = costs[0], costs[-1]
+            for k in (low - 1, low, costs[len(costs) // 2], high, high + 1):
+                got = TSP.solutions.run(TspInstance(n, weights, k), CAP)
+                assert got == [t for t in tours if cost[t] <= k], (n, weights, k)
+        assert n < 3 or got == want
 
 
 # the sources per edge of the acceptance corpus (tests/test_acceptance.py)
 ACCEPTANCE_SOURCES = 500
 
 
+def random_graphs(rng, count, max_n):
+    """``count`` graphs of up to ``max_n`` vertices, of any density, with
+    their edges in random order and orientation."""
+    for _ in range(count):
+        n = rng.randint(0, max_n)
+        p = rng.random()
+        edges = [e for e in complete_edges(n) if rng.random() < p]
+        edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+        rng.shuffle(edges)
+        yield UndirectedHamCycleInstance(n, tuple(edges))
+
+
 def test_undirected_cycles_equal_two_way_walk(monkeypatch):
     """The undirected cycle search turns back from a walk once every
-    neighbour of 0 it may close on is visited; it must append the cycles
-    the two-way walk appended, in the same order, so it reaches a cap at
-    the same cycle."""
+    neighbour of 0 it may close on is visited, and where the degree rule
+    leaves no cycle; it must append the cycles the two-way walk and the
+    search before the degree rule appended, in the same order, so it
+    reaches a cap at the same cycle."""
     appended = []
 
     class Recording(Capped):
@@ -708,12 +744,14 @@ def test_undirected_cycles_equal_two_way_walk(monkeypatch):
             art = build_preserving(edge, random_source_for_edge(edge, rng))
             inst = art.target if edge == "dhamcycle-uhamcycle" else art.source
             instances.setdefault(inst, None)
+    for inst in random_graphs(random.Random("uhc-graphs"), 300, 9):
+        instances.setdefault(inst, None)
     counts = []
     for inst in instances:
         appended.clear()
-        got = ham_cycles_undirected(inst, CAP)
+        got = UHC.solutions.run(inst, CAP)
         want = ref_ham_cycles_undirected(inst, CAP)
-        assert appended == want, inst
+        assert appended == want == ref_turning_back_cycles(inst, CAP), inst
         assert got == sorted(want), inst
         counts.append(len(want))
     assert 0 in counts and max(counts) == math.factorial(8) // 2
@@ -1155,13 +1193,21 @@ def ref_tsp_tours(inst, cap):
     return out
 
 
+def ref_adjacency(inst):
+    adj = [[] for _ in range(inst.n)]
+    for i, (u, v) in enumerate(inst.edges):
+        adj[u].append((i, v))
+        adj[v].append((i, u))
+    return adj
+
+
 def ref_ham_cycles_undirected(inst, cap):
     # the undirected cycle search that walked every cycle in both
     # directions and dropped one at the leaf; the cycles in append order
     n = inst.n
     if n < 3:
         return []
-    adj = inst.adjacency()
+    adj = ref_adjacency(inst)
     closing = {v: i for i, v in adj[0]}
     full = (1 << n) - 1
     out = []
@@ -1180,6 +1226,35 @@ def ref_ham_cycles_undirected(inst, cap):
     for i, first in adj[0]:
         dfs(first, 1 | 1 << first, 1 << i)
     return out
+
+
+def ref_turning_back_cycles(inst, cap):
+    # the undirected cycle search before the degree rule and the weight
+    # budget, which turned back once every neighbour of 0 above the first
+    # was visited; the cycles in append order
+    n = inst.n
+    if n < 3:
+        return []
+    adj = ref_adjacency(inst)
+    closing = {v: i for i, v in adj[0]}
+    full = (1 << n) - 1
+    out = Capped(cap)
+
+    def dfs(cur, visited, edgemask):
+        if visited == full:
+            if above >> cur & 1:
+                out.append(edgemask | 1 << closing[cur])
+            return
+        if not above & ~visited:
+            return
+        for i, v in adj[cur]:
+            if not visited >> v & 1:
+                dfs(v, visited | 1 << v, edgemask | 1 << i)
+
+    for i, first in adj[0]:
+        above = mask_of(v for v in closing if v > first)
+        dfs(first, 1 | 1 << first, 1 << i)
+    return list(out)
 
 
 def ref_dominating_upto(inst, k, cap):

@@ -8,6 +8,7 @@ from sspforge.core import (
     CapacityError,
     FormatError,
     UnsupportedKindError,
+    indices_of,
     mask_of,
 )
 from sspforge.problems import (
@@ -38,6 +39,7 @@ from sspforge.problems import (
     lop_cost,
     verify,
 )
+from sspforge.problems.graphs import complete_edges
 
 K = ProblemKind
 
@@ -130,9 +132,9 @@ def test_capacity_error():
 
 def test_capacity_guards_keep_their_bound_size_and_message():
     """Each family has its own guard: vertex-cover solutions answer to
-    ``max_vertices`` but its feasible sets to ``max_universe``, TSP to a
-    fixed 10 vertices, and CNF enumeration to max(max_universe // 2, 16)
-    variables."""
+    ``max_vertices`` but its feasible sets to ``max_universe``, both TSP
+    families to ``max_vertices`` and the solution cap, and CNF enumeration
+    to max(max_universe // 2, 16) variables."""
     vc = VertexCoverInstance(3, ((0, 1),), 1)
     few_vertices = Bounds(max_universe=24, max_vertices=2)
     small_universe = Bounds(max_universe=2, max_vertices=100)
@@ -146,8 +148,34 @@ def test_capacity_guards_keep_their_bound_size_and_message():
         enumerate_feasible(K.VERTEX_COVER, vc, small_universe)
     tsp = TspInstance(11, (1,) * 55, 11)
     for enumerate_family in (enumerate_solutions, enumerate_feasible):
-        with pytest.raises(CapacityError, match="^TSP enumeration limited to 10"):
-            enumerate_family(K.TSP, tsp, Bounds(max_universe=100, max_vertices=100))
+        with pytest.raises(
+            CapacityError, match="^11 vertices exceed the structural bound$"
+        ):
+            enumerate_family(K.TSP, tsp, Bounds(max_universe=100, max_vertices=10))
+    # K_11 holds 10!/2 tours, all of weight 11: F(I) overflows a small cap,
+    # and S(I) within k = 10 is empty
+    few_solutions = Bounds(max_universe=24, max_solutions=1000, max_vertices=100)
+    with pytest.raises(CapacityError, match="^solution cap exceeded$"):
+        enumerate_feasible(K.TSP, tsp, few_solutions)
+    light = TspInstance(11, (1,) * 55, 10)
+    assert enumerate_solutions(K.TSP, light, few_solutions) == []
+    # 12 vertices, weight 0 on the cycle 0-1-...-11 and two chords: the two
+    # tours within k = 0 are listed
+    light = {(v, v + 1) for v in range(11)} | {(0, 11), (0, 2), (1, 3)}
+    edges = complete_edges(12)
+    tsp = TspInstance(12, tuple(int(e not in light) for e in edges), 0)
+    tours = enumerate_solutions(K.TSP, tsp)
+    assert [[edges[i] for i in indices_of(t)] for t in tours] == [
+        [(0, 2), (0, 11), (1, 2), (1, 3)] + [(v, v + 1) for v in range(3, 11)],
+        [(0, 1), (0, 11), (1, 2), (2, 3)] + [(v, v + 1) for v in range(3, 11)],
+    ]
+    # K_14 within k = 1 holds no tour: with one weight-0 edge every tour
+    # weighs at least 13, and with weight 0 only inside {0..5} a tour uses
+    # at most 5 weight-0 edges.  Both are answered without walking the
+    # 13!/2 tours, though in the second every edge may start a tour
+    edges = complete_edges(14)
+    for weights in ((0,) + (1,) * 90, tuple(int(v > 5) for _, v in edges)):
+        assert enumerate_solutions(K.TSP, TspInstance(14, weights, 1)) == []
     cnf = CnfInstance(17, ((0, 1, 2),))
     with pytest.raises(
         CapacityError, match="^17 variables exceed the assignment bound$"
