@@ -2,6 +2,7 @@ from .catalog import (
     KIND_SPECS,
     ProblemKind,
     clear_caches,
+    element_labels,
     enumerate_feasible,
     enumerate_solutions,
     feasible_keys,
@@ -63,6 +64,7 @@ __all__ = [
     "DisjointPathsInstance",
     "SteinerTreeInstance",
     "connected_undirected",
+    "element_labels",
     "enumerate_solutions",
     "enumerate_feasible",
     "feasible_keys",

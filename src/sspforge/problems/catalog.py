@@ -1,5 +1,11 @@
 """Problem-kind registry: verifiers, enumerators, and LOP envelopes.
 
+A kind's universe is named once, on its instance class: ``universe`` is
+the field its elements are counted from, an int or a tuple with one entry
+per element.  ``universe_size``, the labels of ``element_labels``, the
+range check of ``verify`` and the registry's guards and cost envelopes
+are all read from that field.
+
 Each kind is declared once, by its ``KindSpec`` entry in ``KIND_SPECS``:
 the instance class, the enumerator of the solution family S(I) and the
 capacity guard it runs behind, and, for the LOP kinds, the enumerator of
@@ -36,7 +42,13 @@ import functools
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from ..core import Bounds, CapacityError, DEFAULT_BOUNDS, UnsupportedKindError
+from ..core import (
+    Bounds,
+    CapacityError,
+    DEFAULT_BOUNDS,
+    DomainError,
+    UnsupportedKindError,
+)
 from . import cnf, covering, facility, graphs, numbers, paths, steiner
 
 
@@ -71,6 +83,12 @@ def _size(inst, field: str) -> int:
     """The instance's ``field``, or its length if it is a tuple."""
     v = getattr(inst, field)
     return v if type(v) is int else len(v)
+
+
+def universe_size(inst) -> int:
+    """The number of elements in the universe of ``inst``, counted from the
+    field its class names."""
+    return _size(inst, type(inst).universe)
 
 
 class Guard(NamedTuple):
@@ -137,49 +155,51 @@ class KindSpec(NamedTuple):
     threshold: Callable[[Any], tuple[tuple[int, ...], int]] | None = None
 
 
-def _zero_cost(cls, run, field: str) -> KindSpec:
+def _zero_cost(cls, run) -> KindSpec:
     """A route kind: enumerated behind its vertex count, with zero costs on
-    its ``field`` elements against threshold 0, so F(I) = S(I)."""
+    its elements against threshold 0, so F(I) = S(I)."""
     e = Enumerator(_structural("n"), run)
-    return KindSpec(cls, e, e, lambda inst: ((0,) * _size(inst, field), 0))
+    return KindSpec(cls, e, e, lambda inst: ((0,) * universe_size(inst), 0))
 
 
-def _lop_kind(cls, field: str, solutions, feasible, cost, threshold=None) -> KindSpec:
-    """An LOP kind over its ``field`` elements: S(I) is listed by a bounded
-    search, F(I) whole."""
+def _lop_kind(cls, solutions, feasible, cost, threshold=None) -> KindSpec:
+    """An LOP kind over a set universe: S(I) is listed by a bounded search,
+    F(I) whole."""
     return KindSpec(
         cls,
-        Enumerator(_structural(field), solutions),
-        Enumerator(_powerset(field), feasible),
+        Enumerator(_structural(cls.universe), solutions),
+        Enumerator(_powerset(cls.universe), feasible),
         cost,
         threshold=threshold,
     )
 
 
-def _hitting_kind(cls, field: str, unhit) -> KindSpec:
-    """A hitting-set kind over its ``field`` elements: S(I) is the sets of
-    at most k elements that hit every constraint ``unhit(inst)`` names,
-    F(I) the same sets of any size, and every element costs 1 against
-    threshold k."""
-
-    n = functools.partial(_size, field=field)
+def _hitting_kind(cls, unhit) -> KindSpec:
+    """A hitting-set kind: S(I) is the sets of at most k elements that hit
+    every constraint ``unhit(inst)`` names, F(I) the same sets of any size,
+    and every element costs 1 against threshold k."""
 
     def family(budget):
-        return lambda i, cap: covering.hitting_sets_upto(n(i), unhit(i), budget(i), cap)
+        return lambda i, cap: covering.hitting_sets_upto(
+            universe_size(i), unhit(i), budget(i), cap
+        )
 
     return _lop_kind(
-        cls, field, family(attrgetter("k")), family(n), lambda i: ((1,) * n(i), i.k)
+        cls,
+        family(attrgetter("k")),
+        family(universe_size),
+        lambda i: ((1,) * universe_size(i), i.k),
     )
 
 
-def _threshold_kind(cls, solutions, field: str, threshold, cost) -> KindSpec:
-    """A number kind over its ``field`` elements whose F(I) is the sets
-    whose weight sum reaches a threshold, as ``threshold`` gives them."""
+def _threshold_kind(cls, solutions, threshold, cost) -> KindSpec:
+    """A number kind whose F(I) is the sets whose weight sum reaches a
+    threshold, as ``threshold`` gives them."""
 
     def feasible(i, cap):
         return numbers.sum_atleast(*threshold(i), cap)
 
-    return _lop_kind(cls, field, solutions, feasible, cost, threshold)
+    return _lop_kind(cls, solutions, feasible, cost, threshold)
 
 
 _CNF = Enumerator(
@@ -206,21 +226,18 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
     ProblemKind.THREE_SAT: KindSpec(cnf.CnfInstance, _CNF, width=3),
     ProblemKind.VERTEX_COVER: _lop_kind(
         graphs.VertexCoverInstance,
-        "n",
         lambda i, cap: graphs.covers_upto(i.n, i.edges, i.k, cap),
         lambda i, cap: graphs.covers_upto(i.n, i.edges, i.n, cap),
         lambda i: ((1,) * i.n, i.k),
     ),
     ProblemKind.INDEPENDENT_SET: _lop_kind(
         graphs.IndependentSetInstance,
-        "n",
         lambda i, cap: graphs.independent_sets_atleast(i.n, i.edges, i.k, cap),
         lambda i, cap: graphs.independent_sets_atleast(i.n, i.edges, 0, cap),
         lambda i: ((-1,) * i.n, -i.k),
     ),
     ProblemKind.CLIQUE: _lop_kind(
         graphs.CliqueInstance,
-        "n",
         lambda i, cap: graphs.independent_sets_atleast(
             i.n, i.complement_edges(), i.k, cap
         ),
@@ -231,24 +248,21 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
     ),
     ProblemKind.DOMINATING_SET: _hitting_kind(
         graphs.DominatingSetInstance,
-        "n",
         lambda i: covering.unhit_masks(i.closed_neighborhoods()),
     ),
     ProblemKind.SET_COVER: _hitting_kind(
         covering.SetCoverInstance,
-        "subsets",
         lambda i: covering.unhit_masks(i.element_masks()),
     ),
     ProblemKind.HITTING_SET: _hitting_kind(
         covering.HittingSetInstance,
-        "ground_size",
         lambda i: covering.unhit_masks(i.subset_masks()),
     ),
     ProblemKind.FEEDBACK_VERTEX_SET: _hitting_kind(
-        graphs.FeedbackVertexSetInstance, "n", graphs.unhit_cycle_vertices
+        graphs.FeedbackVertexSetInstance, graphs.unhit_cycle_vertices
     ),
     ProblemKind.FEEDBACK_ARC_SET: _hitting_kind(
-        graphs.FeedbackArcSetInstance, "arcs", graphs.unhit_cycle_arcs
+        graphs.FeedbackArcSetInstance, graphs.unhit_cycle_arcs
     ),
     ProblemKind.UFL: KindSpec(facility.FacilityLocationInstance, _FACILITY),
     ProblemKind.P_CENTER: KindSpec(
@@ -264,43 +278,36 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
     ProblemKind.SUBSET_SUM: _threshold_kind(
         numbers.SubsetSumInstance,
         numbers.subsetsum_solutions,
-        "values",
         numbers.subsetsum_threshold,
         lambda i: (i.values, i.target),
     ),
     ProblemKind.KNAPSACK: _threshold_kind(
         numbers.KnapsackInstance,
         numbers.knapsack_solutions,
-        "items",
         numbers.knapsack_threshold,
         lambda i: (tuple(w for _, w in i.items), i.weight_cap),
     ),
     ProblemKind.PARTITION: _threshold_kind(
         numbers.PartitionInstance,
         numbers.partition_solutions,
-        "values",
         numbers.partition_threshold,
         lambda i: (i.values, sum(i.values) // 2),
     ),
     ProblemKind.SCHEDULING: _threshold_kind(
         numbers.SchedulingInstance,
         numbers.scheduling_solutions,
-        "times",
         numbers.scheduling_threshold,
         lambda i: (i.times, i.deadline),
     ),
-    ProblemKind.DHAM_PATH: _zero_cost(
-        paths.DirectedHamPathInstance, paths.ham_paths, "arcs"
-    ),
+    ProblemKind.DHAM_PATH: _zero_cost(paths.DirectedHamPathInstance, paths.ham_paths),
     ProblemKind.DHAM_CYCLE: _zero_cost(
-        paths.DirectedHamCycleInstance, paths.ham_cycles_directed, "arcs"
+        paths.DirectedHamCycleInstance, paths.ham_cycles_directed
     ),
     ProblemKind.UHAM_CYCLE: _zero_cost(
         paths.UndirectedHamCycleInstance,
         lambda i, cap: paths.ham_cycles_undirected(
             i.n, i.edges, (0,) * len(i.edges), 0, cap
         ),
-        "edges",
     ),
     ProblemKind.TSP: KindSpec(
         paths.TspInstance,
@@ -312,10 +319,10 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
         lambda i: (i.weights, i.k),
     ),
     ProblemKind.TWO_DDP: _zero_cost(
-        paths.DisjointPathsInstance, paths.disjoint_path_systems, "arcs"
+        paths.DisjointPathsInstance, paths.disjoint_path_systems
     ),
     ProblemKind.K_DDP: _zero_cost(
-        paths.DisjointPathsInstance, paths.disjoint_path_systems, "arcs"
+        paths.DisjointPathsInstance, paths.disjoint_path_systems
     ),
     # the Steiner kernel builds tables per vertex and terminal, so both of
     # its families also answer to the vertex count
@@ -338,14 +345,44 @@ def is_lop(kind: ProblemKind) -> bool:
     return KIND_SPECS[kind].feasible is not None
 
 
-def universe_size(inst) -> int:
-    return len(inst.universe_labels())
+def _edge_names(edges):
+    return (f"e{x}:{u}-{v}" for x, (u, v) in enumerate(edges))
+
+
+# the element labels of each universe field, as instance documents write
+# them
+_LABELS: dict[str, Callable[[Any], Iterable[str]]] = {
+    "n": lambda i: (f"v{x}" for x in range(i.n)),
+    "arcs": lambda i: (f"a{x}:{u}->{v}" for x, (u, v) in enumerate(i.arcs)),
+    "edges": lambda i: _edge_names(i.edges),
+    "weights": lambda i: _edge_names(i.edge_order()),
+    "subsets": lambda i: (f"S{x}" for x in range(len(i.subsets))),
+    "ground_size": lambda i: (f"g{x}" for x in range(i.ground_size)),
+    "n_facilities": lambda i: (f"f{x}" for x in range(i.n_facilities)),
+    "values": lambda i: (f"n{x}={v}" for x, v in enumerate(i.values)),
+    "items": lambda i: (f"it{x}=({p},{w})" for x, (p, w) in enumerate(i.items)),
+    "times": lambda i: (f"j{x}={v}" for x, v in enumerate(i.times)),
+    "n_literals": lambda i: (
+        f"{sign}x{x + 1}" for sign in ("", "~") for x in range(i.n_vars)
+    ),
+}
+
+
+def element_labels(inst) -> list[str]:
+    """The labels of the instance's universe elements, in index order."""
+    return list(_LABELS[type(inst).universe](inst))
 
 
 def verify(kind: ProblemKind, inst, mask: int) -> bool:
+    """Whether ``mask`` is a solution of ``inst``; a mask that is negative
+    or holds an element past the universe is refused here, for every kind,
+    so an instance's own ``verify`` tests only its property."""
     width = KIND_SPECS[kind].width
     if width:
         inst.require_width(width)
+    n = universe_size(inst)
+    if mask >> n:
+        raise DomainError(f"candidate outside the universe of {n} elements")
     return inst.verify(mask)
 
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import Capped, DomainError, FormatError, check_count, mask_of
+from ..core import Capped, FormatError, check_count, mask_of
 
 
 @dataclass(frozen=True)
 class CnfInstance:
+    universe = "n_literals"
     n_vars: int
     clauses: tuple[tuple[int, ...], ...]  # literal indices into the universe
 
@@ -26,9 +27,9 @@ class CnfInstance:
                 if not 0 <= lit < 2 * self.n_vars:
                     raise FormatError(f"literal {lit} out of range")
 
-    def universe_labels(self) -> tuple[str, ...]:
-        names = [f"x{i+1}" for i in range(self.n_vars)]
-        return tuple(names + ["~" + s for s in names])
+    @property
+    def n_literals(self) -> int:
+        return 2 * self.n_vars
 
     def require_width(self, w: int) -> None:
         for c in self.clauses:
@@ -44,8 +45,6 @@ class CnfInstance:
 
     def verify(self, mask: int) -> bool:
         n = self.n_vars
-        if mask >> 2 * n:
-            raise DomainError("candidate outside literal universe")
         for i in range(n):
             if ((mask >> i) & 1) + ((mask >> (n + i)) & 1) != 1:
                 return False

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import Capped, DomainError, FormatError, check_count, indices_of, mask_of
+from ..core import Capped, FormatError, check_count, indices_of, mask_of
 
 
 @dataclass(frozen=True)
@@ -47,22 +47,16 @@ class _SetSystem:
 
 
 class SetCoverInstance(_SetSystem):
-    def universe_labels(self):
-        return tuple(f"S{i}" for i in range(len(self.subsets)))
+    universe = "subsets"
 
     def verify(self, mask: int) -> bool:
-        if mask >> len(self.subsets):
-            raise DomainError("candidate outside family universe")
         return mask.bit_count() <= self.k and _covers(self)(mask)
 
 
 class HittingSetInstance(_SetSystem):
-    def universe_labels(self):
-        return tuple(f"g{i}" for i in range(self.ground_size))
+    universe = "ground_size"
 
     def verify(self, mask: int) -> bool:
-        if mask >> self.ground_size:
-            raise DomainError("candidate outside ground universe")
         return mask.bit_count() <= self.k and _hits(self)(mask)
 
 

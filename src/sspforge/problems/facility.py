@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import Capped, DomainError, FormatError, check_count
+from ..core import Capped, FormatError, check_count
 
 _INF = float("inf")
 
@@ -38,6 +38,7 @@ def _service_cost_columns(service, mask, n_clients):
 
 @dataclass(frozen=True)
 class FacilityLocationInstance:
+    universe = "n_facilities"
     n_facilities: int
     n_clients: int
     open_costs: tuple[int, ...]
@@ -49,12 +50,7 @@ class FacilityLocationInstance:
         if len(self.open_costs) != self.n_facilities:
             raise FormatError("one opening cost per facility required")
 
-    def universe_labels(self):
-        return tuple(f"f{i}" for i in range(self.n_facilities))
-
     def verify(self, mask: int) -> bool:
-        if mask >> self.n_facilities:
-            raise DomainError("candidate outside facility universe")
         mins = _service_cost_columns(self.service, mask, self.n_clients)
         if any(m is _INF for m in mins) and self.n_clients:
             return False
@@ -69,6 +65,7 @@ class _PInstance:
     """At most p open facilities whose service costs, combined by
     ``objective``, stay within k."""
 
+    universe = "n_facilities"
     n_facilities: int
     n_clients: int
     service: tuple[tuple[int, ...], ...]
@@ -78,12 +75,7 @@ class _PInstance:
     def __post_init__(self):
         _check_matrix(self.n_facilities, self.n_clients, self.service)
 
-    def universe_labels(self):
-        return tuple(f"f{i}" for i in range(self.n_facilities))
-
     def verify(self, mask: int) -> bool:
-        if mask >> self.n_facilities:
-            raise DomainError("candidate outside facility universe")
         if mask.bit_count() > self.p:
             return False
         if not self.n_clients:

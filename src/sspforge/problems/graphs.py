@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import Capped, DomainError, FormatError, check_count, indices_of, mask_of
+from ..core import Capped, FormatError, check_count, indices_of, mask_of
 from .covering import _pad_supersets
 
 
@@ -48,19 +48,11 @@ def complement_edges(n, edges) -> tuple[tuple[int, int], ...]:
     return tuple(e for e in complete_edges(n) if e not in present)
 
 
-def _arc_labels(arcs):
-    return tuple(f"a{i}:{u}->{v}" for i, (u, v) in enumerate(arcs))
-
-
-def _edge_labels(edges):
-    return tuple(f"e{i}:{u}-{v}" for i, (u, v) in enumerate(edges))
-
-
 @dataclass(frozen=True)
 class _Graph:
-    """An undirected graph over the vertex universe and a size bound k;
-    each kind's ``holds`` tests a mask inside the universe."""
+    """An undirected graph over the vertex universe and a size bound k."""
 
+    universe = "n"
     n: int
     edges: tuple[tuple[int, int], ...]
     k: int
@@ -68,20 +60,12 @@ class _Graph:
     def __post_init__(self):
         _check_edges(self.n, self.edges)
 
-    def universe_labels(self):
-        return tuple(f"v{i}" for i in range(self.n))
-
-    def verify(self, mask: int) -> bool:
-        if mask >> self.n:
-            raise DomainError("candidate outside vertex universe")
-        return self.holds(mask)
-
 
 class VertexCoverInstance(_Graph):
     def is_cover(self, mask: int) -> bool:
         return all((mask >> u | mask >> v) & 1 for u, v in self.edges)
 
-    def holds(self, mask: int) -> bool:
+    def verify(self, mask: int) -> bool:
         return self.is_cover(mask) and mask.bit_count() <= self.k
 
 
@@ -89,7 +73,7 @@ class IndependentSetInstance(_Graph):
     def is_independent(self, mask: int) -> bool:
         return not any((mask >> u & 1) and (mask >> v & 1) for u, v in self.edges)
 
-    def holds(self, mask: int) -> bool:
+    def verify(self, mask: int) -> bool:
         return self.is_independent(mask) and mask.bit_count() >= self.k
 
 
@@ -97,7 +81,7 @@ class CliqueInstance(_Graph):
     def complement_edges(self) -> tuple[tuple[int, int], ...]:
         return complement_edges(self.n, self.edges)
 
-    def holds(self, mask: int) -> bool:
+    def verify(self, mask: int) -> bool:
         # a clique holds no two ends of a missing edge
         missing = self.complement_edges()
         ok = not any(mask >> u & mask >> v & 1 for u, v in missing)
@@ -112,7 +96,7 @@ class DominatingSetInstance(_Graph):
             nb[v] |= 1 << u
         return tuple(nb)
 
-    def holds(self, mask: int) -> bool:
+    def verify(self, mask: int) -> bool:
         if mask.bit_count() > self.k:
             return False
         dominated = 0
@@ -124,15 +108,13 @@ class DominatingSetInstance(_Graph):
 
 @dataclass(frozen=True)
 class FeedbackVertexSetInstance:
+    universe = "n"
     n: int
     arcs: tuple[tuple[int, int], ...]
     k: int
 
     def __post_init__(self):
         _check_edges(self.n, self.arcs, directed=True)
-
-    def universe_labels(self):
-        return tuple(f"v{i}" for i in range(self.n))
 
     def acyclic_after(self, mask: int) -> bool:
         return _is_acyclic(
@@ -145,13 +127,12 @@ class FeedbackVertexSetInstance:
         )
 
     def verify(self, mask: int) -> bool:
-        if mask >> self.n:
-            raise DomainError("candidate outside vertex universe")
         return mask.bit_count() <= self.k and self.acyclic_after(mask)
 
 
 @dataclass(frozen=True)
 class FeedbackArcSetInstance:
+    universe = "arcs"
     n: int
     arcs: tuple[tuple[int, int], ...]
     k: int
@@ -159,17 +140,12 @@ class FeedbackArcSetInstance:
     def __post_init__(self):
         _check_edges(self.n, self.arcs, directed=True)
 
-    def universe_labels(self):
-        return _arc_labels(self.arcs)
-
     def acyclic_after(self, mask: int) -> bool:
         return _is_acyclic(
             self.n, [a for i, a in enumerate(self.arcs) if not (mask >> i & 1)]
         )
 
     def verify(self, mask: int) -> bool:
-        if mask >> len(self.arcs):
-            raise DomainError("candidate outside arc universe")
         return mask.bit_count() <= self.k and self.acyclic_after(mask)
 
 

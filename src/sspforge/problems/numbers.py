@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 from typing import Iterator
 
-from ..core import Capped, CapacityError, DomainError, FormatError
+from ..core import Capped, CapacityError, FormatError, indices_of
 
 
 def subset_sums(values):
@@ -26,18 +26,12 @@ def subset_sums(values):
 
 
 def _masked_sum(values, mask):
-    total = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            total += values[i]
-        mask >>= 1
-        i += 1
-    return total
+    return sum(map(values.__getitem__, indices_of(mask)))
 
 
 @dataclass(frozen=True)
 class SubsetSumInstance:
+    universe = "values"
     values: tuple[int, ...]
     target: int
 
@@ -45,17 +39,13 @@ class SubsetSumInstance:
         if any(v <= 0 for v in self.values):
             raise FormatError("values must be positive")
 
-    def universe_labels(self):
-        return tuple(f"n{i}={v}" for i, v in enumerate(self.values))
-
     def verify(self, mask: int) -> bool:
-        if mask >> len(self.values):
-            raise DomainError("candidate outside number universe")
         return _masked_sum(self.values, mask) == self.target
 
 
 @dataclass(frozen=True)
 class KnapsackInstance:
+    universe = "items"
     items: tuple[tuple[int, int], ...]  # (price, weight)
     price_goal: int
     weight_cap: int
@@ -64,9 +54,6 @@ class KnapsackInstance:
         if any(p <= 0 or w <= 0 for p, w in self.items):
             raise FormatError("prices and weights must be positive")
 
-    def universe_labels(self):
-        return tuple(f"it{i}=({p},{w})" for i, (p, w) in enumerate(self.items))
-
     def price(self, mask):
         return _masked_sum(tuple(p for p, _ in self.items), mask)
 
@@ -74,13 +61,12 @@ class KnapsackInstance:
         return _masked_sum(tuple(w for _, w in self.items), mask)
 
     def verify(self, mask: int) -> bool:
-        if mask >> len(self.items):
-            raise DomainError("candidate outside item universe")
         return self.price(mask) >= self.price_goal and self.weight(mask) <= self.weight_cap
 
 
 @dataclass(frozen=True)
 class PartitionInstance:
+    universe = "values"
     values: tuple[int, ...]
 
     def __post_init__(self):
@@ -89,14 +75,8 @@ class PartitionInstance:
         if not self.values:
             raise FormatError("need at least one number")
 
-    def universe_labels(self):
-        return tuple(f"n{i}={v}" for i, v in enumerate(self.values))
-
     def verify(self, mask: int) -> bool:
-        n = len(self.values)
-        if mask >> n:
-            raise DomainError("candidate outside number universe")
-        if mask >> (n - 1) & 1:
+        if mask >> (len(self.values) - 1) & 1:
             return False  # canonical side excludes the last element
         total = sum(self.values)
         return 2 * _masked_sum(self.values, mask) == total
@@ -104,6 +84,7 @@ class PartitionInstance:
 
 @dataclass(frozen=True)
 class SchedulingInstance:
+    universe = "times"
     times: tuple[int, ...]
     deadline: int
 
@@ -113,14 +94,8 @@ class SchedulingInstance:
         if not self.times:
             raise FormatError("need at least one job")
 
-    def universe_labels(self):
-        return tuple(f"j{i}={v}" for i, v in enumerate(self.times))
-
     def verify(self, mask: int) -> bool:
-        n = len(self.times)
-        if mask >> n:
-            raise DomainError("candidate outside job universe")
-        if mask >> (n - 1) & 1:
+        if mask >> (len(self.times) - 1) & 1:
             return False  # canonical machine-1 set excludes the last job
         total = sum(self.times)
         s1 = _masked_sum(self.times, mask)
@@ -129,11 +104,14 @@ class SchedulingInstance:
 
 def sums_between(values, lo, hi, cap) -> list[int]:
     """All masks over the positive ``values`` whose sum lies in [lo, hi],
-    sorted.  The include/exclude search cuts a branch once its sum passes
-    ``hi`` or can no longer reach ``lo``: it enters a node only if
-    cur <= hi and cur + suffix[i] >= lo, so every leaf it reaches is a
-    solution."""
+    sorted.  The include/exclude search takes the values largest first and
+    cuts a branch once its sum passes ``hi`` or can no longer reach ``lo``:
+    it enters a node only if cur <= hi and cur + suffix[i] >= lo, so every
+    leaf it reaches is a solution.  A large value still pending lets
+    almost any prefix reach the window, so it is decided first."""
     n = len(values)
+    order = sorted(range(n), key=values.__getitem__, reverse=True)
+    values = [values[i] for i in order]
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + values[i]
@@ -148,7 +126,7 @@ def sums_between(values, lo, hi, cap) -> list[int]:
             rec(j, cur, mask)
         cur += values[i]
         if cur <= hi:
-            rec(j, cur, mask | 1 << i)
+            rec(j, cur, mask | 1 << order[i])
 
     # rec recurses through its own closure cell; emptying the cell frees it
     # now instead of at a later cyclic collection

@@ -24,15 +24,8 @@ import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
-from ..core import (
-    Capped,
-    DomainError,
-    FormatError,
-    check_count,
-    indices_of,
-    mask_of,
-)
-from .graphs import _arc_labels, _check_edges, _edge_labels, complete_edges
+from ..core import Capped, FormatError, check_count, indices_of, mask_of
+from .graphs import _check_edges, complete_edges
 from .numbers import _masked_sum
 
 # path searches recurse once per junction or visited vertex on the path,
@@ -54,6 +47,7 @@ def _successors(arcs, mask):
 
 @dataclass(frozen=True)
 class DirectedHamPathInstance:
+    universe = "arcs"
     n: int
     arcs: tuple[tuple[int, int], ...]
     s: int
@@ -64,12 +58,7 @@ class DirectedHamPathInstance:
         if not (0 <= self.s < self.n and 0 <= self.t < self.n) or self.s == self.t:
             raise FormatError("bad s/t")
 
-    def universe_labels(self):
-        return _arc_labels(self.arcs)
-
     def verify(self, mask: int) -> bool:
-        if mask >> len(self.arcs):
-            raise DomainError("candidate outside arc universe")
         succ = _successors(self.arcs, mask)
         if succ is None or len(succ) != self.n - 1:
             return False
@@ -86,18 +75,14 @@ class DirectedHamPathInstance:
 
 @dataclass(frozen=True)
 class DirectedHamCycleInstance:
+    universe = "arcs"
     n: int
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         _check_edges(self.n, self.arcs, directed=True)
 
-    def universe_labels(self):
-        return _arc_labels(self.arcs)
-
     def verify(self, mask: int) -> bool:
-        if mask >> len(self.arcs):
-            raise DomainError("candidate outside arc universe")
         succ = _successors(self.arcs, mask)
         if succ is None or len(succ) != self.n or self.n < 2:
             return False
@@ -110,46 +95,43 @@ class DirectedHamCycleInstance:
         return cur == 0 and len(seen) == self.n
 
 
+def is_ham_cycle(n, edges, mask) -> bool:
+    """Whether the edges in ``mask`` form one cycle through all n vertices."""
+    if n < 3 or mask.bit_count() != n:
+        return False
+    adj = [[] for _ in range(n)]
+    for i in indices_of(mask):
+        u, v = edges[i]
+        adj[u].append(v)
+        adj[v].append(u)
+    if any(len(a) != 2 for a in adj):
+        return False
+    prev, cur, cnt = -1, 0, 0
+    while True:
+        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+        prev, cur = cur, nxt
+        cnt += 1
+        if cur == 0:
+            break
+    return cnt == n
+
+
 @dataclass(frozen=True)
 class UndirectedHamCycleInstance:
+    universe = "edges"
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         _check_edges(self.n, self.edges)
 
-    def universe_labels(self):
-        return _edge_labels(self.edges)
-
     def verify(self, mask: int) -> bool:
-        if mask >> len(self.edges):
-            raise DomainError("candidate outside edge universe")
-        if self.n < 3:
-            return False
-        used = [self.edges[i] for i in range(len(self.edges)) if mask >> i & 1]
-        if len(used) != self.n:
-            return False
-        deg = [0] * self.n
-        adj = [[] for _ in range(self.n)]
-        for u, v in used:
-            deg[u] += 1
-            deg[v] += 1
-            adj[u].append(v)
-            adj[v].append(u)
-        if any(d != 2 for d in deg):
-            return False
-        prev, cur, cnt = -1, 0, 0
-        while True:
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-            cnt += 1
-            if cur == 0:
-                break
-        return cnt == self.n
+        return is_ham_cycle(self.n, self.edges, mask)
 
 
 @dataclass(frozen=True)
 class TspInstance:
+    universe = "weights"
     n: int
     weights: tuple[int, ...]  # aligned with the canonical edge order
     k: int
@@ -162,24 +144,17 @@ class TspInstance:
     def edge_order(self) -> tuple[tuple[int, int], ...]:
         return complete_edges(self.n)
 
-    def universe_labels(self):
-        return _edge_labels(self.edge_order())
-
     def weight(self, mask: int) -> int:
         return _masked_sum(self.weights, mask)
 
-    def is_tour(self, mask: int) -> bool:
-        inst = UndirectedHamCycleInstance(self.n, self.edge_order())
-        return inst.verify(mask)
-
     def verify(self, mask: int) -> bool:
-        if mask >> len(self.weights):
-            raise DomainError("candidate outside edge universe")
-        return self.is_tour(mask) and self.weight(mask) <= self.k
+        edges = self.edge_order()
+        return is_ham_cycle(self.n, edges, mask) and self.weight(mask) <= self.k
 
 
 @dataclass(frozen=True)
 class DisjointPathsInstance:
+    universe = "arcs"
     n: int
     arcs: tuple[tuple[int, int], ...]
     pairs: tuple[tuple[int, int], ...]  # (s_i, t_i)
@@ -195,12 +170,7 @@ class DisjointPathsInstance:
         if len(self.pairs) < 2:
             raise FormatError("need at least two terminal pairs")
 
-    def universe_labels(self):
-        return _arc_labels(self.arcs)
-
     def verify(self, mask: int) -> bool:
-        if mask >> len(self.arcs):
-            raise DomainError("candidate outside arc universe")
         succ = _successors(self.arcs, mask)
         if succ is None:
             return False

@@ -28,13 +28,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from ..core import Capped, DomainError, FormatError
-from .graphs import _check_edges, _edge_labels
+from ..core import Capped, FormatError
+from .graphs import _check_edges
 from .numbers import _masked_sum
 
 
 @dataclass(frozen=True)
 class SteinerTreeInstance:
+    universe = "edges"
     n: int
     edges: tuple[tuple[int, int], ...]
     costs: tuple[int, ...]
@@ -51,9 +52,6 @@ class SteinerTreeInstance:
         _check_edges(self.n, self.edges)
         if any(c < 0 for c in self.costs):
             raise FormatError("negative edge cost")
-
-    def universe_labels(self):
-        return _edge_labels(self.edges)
 
     def cost(self, mask: int) -> int:
         return _masked_sum(self.costs, mask)
@@ -86,8 +84,6 @@ class SteinerTreeInstance:
         return all(find(x) == root for x in touched)
 
     def verify(self, mask: int) -> bool:
-        if mask >> len(self.edges):
-            raise DomainError("candidate outside edge universe")
         return self.cost(mask) <= self.k and self.is_terminal_tree(mask)
 
 

@@ -29,6 +29,7 @@ from .problems import (
     KIND_SPECS,
     CnfInstance,
     ProblemKind,
+    element_labels,
     universe_size,
 )
 from .reductions.artifact import BLOWUP, PRESERVING, SSP, ReductionArtifact
@@ -118,7 +119,7 @@ def instance_to_doc(kind: ProblemKind, inst) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": kind.value,
         "payload": instance_payload(kind, inst),
-        "universe_labels": list(inst.universe_labels()),
+        "universe_labels": element_labels(inst),
     }
 
 

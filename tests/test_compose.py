@@ -114,19 +114,27 @@ def test_chains_from_3sat_check_past_the_powerset_bound(edge, checked):
     assert max(sizes) > CHAIN_BOUNDS.max_universe
 
 
-# the uhamcycle and tsp targets of these chains hold 36-282 vertices: every
-# source must check, and none may stop at a capacity guard
-@pytest.mark.parametrize(
-    "chain",
-    [
-        "dhampath-dhamcycle,dhamcycle-uhamcycle",
-        "dhampath-dhamcycle,dhamcycle-uhamcycle,uhamcycle-tsp",
-    ],
+# (blow-up edge, chain): the uhamcycle and tsp targets of the route chains
+# hold 36-282 vertices, the partition and scheduling targets of the number
+# chains 10-46 values; every source must check, and none may stop at a
+# capacity guard
+ROUTE_AND_NUMBER_CHAINS = (
+    ("3sat-dhampath", "dhampath-dhamcycle,dhamcycle-uhamcycle"),
+    ("3sat-dhampath", "dhampath-dhamcycle,dhamcycle-uhamcycle,uhamcycle-tsp"),
+    ("3sat-subsetsum", "subsetsum-partition"),
+    ("3sat-subsetsum", "subsetsum-partition,partition-scheduling"),
 )
-def test_route_chains_from_3sat_check_on_every_source(chain):
+
+
+@pytest.mark.parametrize(
+    "blowup, chain",
+    ROUTE_AND_NUMBER_CHAINS,
+    ids=[chain for _, chain in ROUTE_AND_NUMBER_CHAINS],
+)
+def test_route_chains_from_3sat_check_on_every_source(blowup, chain):
     outcomes = {"pass": 0, "capacity": 0}
     for i in range(20):
-        chained = chain_from_3sat(i, chain, "3sat-dhampath")
+        chained = chain_from_3sat(i, chain, blowup)
         try:
             assert check_ssp(chained, CHAIN_BOUNDS).passed, (chain, i)
             for measure in MEASURES:

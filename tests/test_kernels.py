@@ -14,7 +14,8 @@ budget, and the three searches that listed dominating sets,
 feedback arc sets and the other hitting-set kinds before the shared
 hitting-set search did, and the four number-kind searches that ran one
 include/exclude walk with per-kind prune and accept functions before the
-window search did, and the scan of every facility mask that listed
+window search did, the window search in index order before it took the
+values largest first, and the scan of every facility mask that listed
 p-center before the hitting-set search did.
 """
 
@@ -27,6 +28,7 @@ import random
 
 import pytest
 
+from sspforge import serialize
 from sspforge.core import (
     Bounds,
     CapacityError,
@@ -72,6 +74,7 @@ from sspforge.problems.graphs import (
     covers_upto,
     independent_sets_atleast,
 )
+from sspforge.problems.numbers import sums_between
 from sspforge.problems.paths import (
     _chains,
     disjoint_path_systems,
@@ -125,9 +128,13 @@ def test_enumeration_equals_verify_filter_on_every_kind():
 
 
 def test_verify_refuses_masks_outside_the_universe():
-    # each instance class checks the range itself, before its own test
+    # problems.verify checks the range once for every kind, before the
+    # instance's own test; the universe it checks against is the one the
+    # instance's document labels
     kinds = set()
     for kind, inst in small_instances():
+        labels = serialize.instance_to_doc(kind, inst)["universe_labels"]
+        assert universe_size(inst) == len(labels), (kind, inst)
         for mask in (1 << universe_size(inst), -1):
             with pytest.raises(DomainError):
                 verify(kind, inst, mask)
@@ -1047,6 +1054,24 @@ def test_knapsack_counts_its_price_feasible_sets_against_the_cap():
     assert KIND_SPECS[ProblemKind.KNAPSACK].solutions.run(inst, 7) == [1, 2, 4]
 
 
+def test_largest_first_window_search_equals_index_order():
+    rng = random.Random(41)
+    listed = 0
+    for _ in range(400):
+        n = rng.randint(0, 14)
+        values = tuple(rng.choice((1, 2, 2, 3, 5, 8, 13, 21)) for _ in range(n))
+        total = sum(values)
+        lo, hi = rng.randint(-2, total + 2), rng.randint(-2, total + 2)
+        want = ref_sums_between(values, lo, hi, CAP)
+        # the cap counts the whole family, whatever the branch order
+        assert sums_between(values, lo, hi, len(want)) == want, (values, lo, hi)
+        if want:
+            with pytest.raises(CapacityError, match="^solution cap exceeded$"):
+                sums_between(values, lo, hi, len(want) - 1)
+        listed += len(want) > 1
+    assert listed >= 100
+
+
 # ------------------------------------------------- p-center
 
 P_CENTER = ProblemKind.P_CENTER
@@ -1392,6 +1417,32 @@ def ref_subset_dfs(values, accept, prune, cap):
         rec(i + 1, cur + values[i], mask | 1 << i)
 
     rec(0, 0, 0)
+    out.sort()
+    return out
+
+
+def ref_sums_between(values, lo, hi, cap):
+    # the window search before it took the values largest first: it
+    # branches on the values in index order
+    n = len(values)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + values[i]
+    out = Capped(cap)
+
+    def rec(i, cur, mask):
+        if i == n:
+            out.append(mask)
+            return
+        j = i + 1
+        if cur + suffix[j] >= lo:
+            rec(j, cur, mask)
+        cur += values[i]
+        if cur <= hi:
+            rec(j, cur, mask | 1 << i)
+
+    if 0 <= hi and suffix[0] >= lo:
+        rec(0, 0, 0)
     out.sort()
     return out
 
