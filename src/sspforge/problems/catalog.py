@@ -9,10 +9,13 @@ are all read from that field.
 Each kind is declared once, by its ``KindSpec`` entry in ``KIND_SPECS``:
 the instance class, the enumerator of the solution family S(I) and the
 capacity guard it runs behind, and, for the LOP kinds, the enumerator of
-F(I) (which ignores the cost threshold) with its own guard and the
-element-cost envelope.  ``enumerate_solutions`` and ``enumerate_feasible``
-realize the families exactly at desk scale.  Results are cached per
-instance since the checkers ask for the same families repeatedly.
+F(I) with its own guard and the cost envelope (d, t), with S(I) = {F in
+F(I) : d(F) <= t}.  An LOP kind states one search of the members of F(I)
+within a cost budget: S(I) is that search at t, F(I) at the sum of the
+positive costs, which every set meets.  ``enumerate_solutions`` and
+``enumerate_feasible`` realize the families exactly at desk scale.
+Results are cached per instance since the checkers ask for the same
+families repeatedly.
 
 A guard answers to what its enumerator walks.  A bounded search answers
 to ``max_vertices`` on the elements it walks, plus the solution cap.  A
@@ -26,8 +29,8 @@ Every enumerator ``run(inst, cap)`` returns its family as a sorted list
 of element masks, or an iterable of them in increasing order, and raises
 ``CapacityError`` when the family holds more than ``cap`` masks.  The
 kernels state that limit once: they collect their solutions in
-``core.Capped(cap)``, whose append raises.  One kernel counts instead:
-``numbers._half_tables`` counts a threshold family before it builds it.
+``core.Capped(cap)``, whose append raises.  ``feasible_keys`` alone
+counts a threshold family, under the same rule, before it streams it.
 The route kinds share two searches: directed Hamiltonian cycles are
 listed by the Hamiltonian path search, and TSP tours by the undirected
 cycle search on the complete graph.  Dominating set, set cover, hitting
@@ -162,44 +165,66 @@ def _zero_cost(cls, run) -> KindSpec:
     return KindSpec(cls, e, e, lambda inst: ((0,) * universe_size(inst), 0))
 
 
-def _lop_kind(cls, solutions, feasible, cost, threshold=None) -> KindSpec:
-    """An LOP kind over a set universe: S(I) is listed by a bounded search,
-    F(I) whole."""
+def _lop(cls, search, cost, guard, feasible_guard, threshold=None) -> KindSpec:
+    """An LOP kind from its one search ``search(inst, budget, cap)``, the
+    members of F(I) whose element cost is at most ``budget``: S(I) is the
+    search at the threshold t, behind ``guard``, and F(I) the search at the
+    sum of the positive costs, a threshold every set meets, behind
+    ``feasible_guard``."""
+
+    def solutions(i, cap):
+        return search(i, cost(i)[1], cap)
+
+    def feasible(i, cap):
+        return search(i, sum(max(c, 0) for c in cost(i)[0]), cap)
+
     return KindSpec(
         cls,
-        Enumerator(_structural(cls.universe), solutions),
-        Enumerator(_powerset(cls.universe), feasible),
+        Enumerator(guard, solutions),
+        Enumerator(feasible_guard, feasible),
         cost,
         threshold=threshold,
     )
 
 
+def _lop_kind(cls, search, cost, threshold=None) -> KindSpec:
+    """An LOP kind over a set universe: S(I) is listed by a bounded search,
+    F(I) whole."""
+    guards = _structural(cls.universe), _powerset(cls.universe)
+    return _lop(cls, search, cost, *guards, threshold)
+
+
 def _hitting_kind(cls, unhit) -> KindSpec:
-    """A hitting-set kind: S(I) is the sets of at most k elements that hit
-    every constraint ``unhit(inst)`` names, F(I) the same sets of any size,
-    and every element costs 1 against threshold k."""
-
-    def family(budget):
-        return lambda i, cap: covering.hitting_sets_upto(
-            universe_size(i), unhit(i), budget(i), cap
-        )
-
+    """A hitting-set kind: its search lists the sets of at most ``budget``
+    elements that hit every constraint ``unhit(inst)`` names, and every
+    element costs 1 against threshold k."""
     return _lop_kind(
         cls,
-        family(attrgetter("k")),
-        family(universe_size),
+        lambda i, budget, cap: covering.hitting_sets_upto(
+            universe_size(i), unhit(i), budget, cap
+        ),
         lambda i: ((1,) * universe_size(i), i.k),
     )
 
 
-def _threshold_kind(cls, solutions, threshold, cost) -> KindSpec:
+def _threshold_kind(cls, threshold, cost) -> KindSpec:
     """A number kind whose F(I) is the sets whose weight sum reaches a
-    threshold, as ``threshold`` gives them."""
+    threshold, as ``threshold`` gives them, costed by those weights: its
+    search is the window from the threshold to the budget."""
+    return _lop_kind(
+        cls,
+        lambda i, budget, cap: numbers.sums_between(*threshold(i), budget, cap),
+        cost,
+        threshold,
+    )
 
-    def feasible(i, cap):
-        return numbers.sum_atleast(*threshold(i), cap)
 
-    return _lop_kind(cls, solutions, feasible, cost, threshold)
+def _knapsacks(i, budget, cap):
+    # the sets that reach the price goal, within the weight budget: the
+    # price-feasible sets count against the cap before the weight filter
+    prices = tuple(p for p, _ in i.items)
+    packed = numbers.sums_between(prices, i.price_goal, sum(prices), cap)
+    return [m for m in packed if i.weight(m) <= budget]
 
 
 _CNF = Enumerator(
@@ -215,10 +240,6 @@ _CNF = Enumerator(
 _FACILITY = Enumerator(_powerset("n_facilities"), facility.facility_solutions)
 
 
-def _tours(i, budget, cap):
-    return paths.ham_cycles_undirected(i.n, i.edge_order(), i.weights, budget, cap)
-
-
 # in the enumerators and envelopes, ``i`` is the instance and ``cap`` the
 # solution cap
 KIND_SPECS: dict[ProblemKind, KindSpec] = {
@@ -226,23 +247,22 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
     ProblemKind.THREE_SAT: KindSpec(cnf.CnfInstance, _CNF, width=3),
     ProblemKind.VERTEX_COVER: _lop_kind(
         graphs.VertexCoverInstance,
-        lambda i, cap: graphs.covers_upto(i.n, i.edges, i.k, cap),
-        lambda i, cap: graphs.covers_upto(i.n, i.edges, i.n, cap),
+        lambda i, budget, cap: graphs.covers_upto(i.n, i.edges, budget, cap),
         lambda i: ((1,) * i.n, i.k),
     ),
+    # the independent sets and cliques of at least k vertices: each vertex
+    # costs -1 against threshold -k
     ProblemKind.INDEPENDENT_SET: _lop_kind(
         graphs.IndependentSetInstance,
-        lambda i, cap: graphs.independent_sets_atleast(i.n, i.edges, i.k, cap),
-        lambda i, cap: graphs.independent_sets_atleast(i.n, i.edges, 0, cap),
+        lambda i, budget, cap: graphs.independent_sets_atleast(
+            i.n, i.edges, -budget, cap
+        ),
         lambda i: ((-1,) * i.n, -i.k),
     ),
     ProblemKind.CLIQUE: _lop_kind(
         graphs.CliqueInstance,
-        lambda i, cap: graphs.independent_sets_atleast(
-            i.n, i.complement_edges(), i.k, cap
-        ),
-        lambda i, cap: graphs.independent_sets_atleast(
-            i.n, i.complement_edges(), 0, cap
+        lambda i, budget, cap: graphs.independent_sets_atleast(
+            i.n, i.complement_edges(), -budget, cap
         ),
         lambda i: ((-1,) * i.n, -i.k),
     ),
@@ -277,26 +297,25 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
     ProblemKind.P_MEDIAN: KindSpec(facility.PMedianInstance, _FACILITY),
     ProblemKind.SUBSET_SUM: _threshold_kind(
         numbers.SubsetSumInstance,
-        numbers.subsetsum_solutions,
-        numbers.subsetsum_threshold,
+        lambda i: (i.values, i.target),
         lambda i: (i.values, i.target),
     ),
-    ProblemKind.KNAPSACK: _threshold_kind(
+    ProblemKind.KNAPSACK: _lop_kind(
         numbers.KnapsackInstance,
-        numbers.knapsack_solutions,
-        numbers.knapsack_threshold,
+        _knapsacks,
         lambda i: (tuple(w for _, w in i.items), i.weight_cap),
+        lambda i: (tuple(p for p, _ in i.items), i.price_goal),
     ),
+    # the last element lies outside every set: 2 * sum reaches the total,
+    # and the other machine's load, total - sum, is within the deadline
     ProblemKind.PARTITION: _threshold_kind(
         numbers.PartitionInstance,
-        numbers.partition_solutions,
-        numbers.partition_threshold,
+        lambda i: (i.values[:-1], (sum(i.values) + 1) // 2),
         lambda i: (i.values, sum(i.values) // 2),
     ),
     ProblemKind.SCHEDULING: _threshold_kind(
         numbers.SchedulingInstance,
-        numbers.scheduling_solutions,
-        numbers.scheduling_threshold,
+        lambda i: (i.times[:-1], sum(i.times) - i.deadline),
         lambda i: (i.times, i.deadline),
     ),
     ProblemKind.DHAM_PATH: _zero_cost(paths.DirectedHamPathInstance, paths.ham_paths),
@@ -309,14 +328,14 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
             i.n, i.edges, (0,) * len(i.edges), 0, cap
         ),
     ),
-    ProblemKind.TSP: KindSpec(
+    ProblemKind.TSP: _lop(
         paths.TspInstance,
-        Enumerator(_structural("n"), lambda i, cap: _tours(i, i.k, cap)),
-        Enumerator(
-            _structural("n"),
-            lambda i, cap: _tours(i, sum(w for w in i.weights if w > 0), cap),
+        lambda i, budget, cap: paths.ham_cycles_undirected(
+            i.n, i.edge_order(), i.weights, budget, cap
         ),
         lambda i: (i.weights, i.k),
+        _structural("n"),
+        _structural("n"),
     ),
     ProblemKind.TWO_DDP: _zero_cost(
         paths.DisjointPathsInstance, paths.disjoint_path_systems
@@ -326,17 +345,12 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
     ),
     # the Steiner kernel builds tables per vertex and terminal, so both of
     # its families also answer to the vertex count
-    ProblemKind.STEINER_TREE: KindSpec(
+    ProblemKind.STEINER_TREE: _lop(
         steiner.SteinerTreeInstance,
-        Enumerator(
-            Guards((_structural("edges"), _structural("n"))),
-            lambda i, cap: steiner.steiner_trees_upto(i, i.k, cap),
-        ),
-        Enumerator(
-            Guards((_powerset("edges"), _structural("n"))),
-            lambda i, cap: steiner.steiner_trees_upto(i, sum(i.costs), cap),
-        ),
+        steiner.steiner_trees_upto,
         lambda i: (i.costs, i.k),
+        Guards((_structural("edges"), _structural("n"))),
+        Guards((_powerset("edges"), _structural("n"))),
     ),
 }
 

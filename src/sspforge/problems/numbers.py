@@ -131,7 +131,8 @@ def sums_between(values, lo, hi, cap) -> list[int]:
     # rec recurses through its own closure cell; emptying the cell frees it
     # now instead of at a later cyclic collection
     try:
-        if 0 <= hi and suffix[0] >= lo:
+        # a window that holds no reachable sum is answered without a walk
+        if max(lo, 0) <= min(hi, suffix[0]):
             rec(0, 0, 0)
     finally:
         del rec
@@ -144,7 +145,8 @@ def _half_tables(values, threshold, cap):
     tables of subset sums, the low masks sorted by (sum, mask) with their
     sums, and for each high mask H the position in that order from which
     the low masks L give low[L] + high[H] >= threshold.  The family is
-    counted against ``cap`` before anything is built from it.
+    counted before anything is built from it, and raises as a
+    ``core.Capped(cap)`` would: when it holds more than max(cap, 0) masks.
 
     Returns (h, high sums, sorted low masks, their sums, start positions)."""
     h = len(values) // 2
@@ -152,21 +154,9 @@ def _half_tables(values, threshold, cap):
     by_sum = sorted(range(len(low)), key=low.__getitem__)
     sums = [low[m] for m in by_sum]
     starts = [bisect_left(sums, threshold - s) for s in high]
-    if len(high) * len(low) - sum(starts) > cap:
+    if len(high) * len(low) - sum(starts) > max(cap, 0):
         raise CapacityError("solution cap exceeded")
     return h, high, by_sum, sums, starts
-
-
-def sum_atleast(values, threshold, cap) -> list[int]:
-    """All masks over ``values`` whose sum reaches ``threshold``, sorted.
-
-    For each high mask H, in mask order, the low masks from H's start
-    position on, in mask order, continue the sorted output as H << h | L."""
-    h, _, by_sum, _, starts = _half_tables(values, threshold, cap)
-    out: list[int] = []
-    for hi, start in enumerate(starts):
-        out += map((hi << h).__or__, sorted(by_sum[start:]))
-    return out
 
 
 def sum_atleast_keys(values, threshold, shift, cap) -> Iterator[int]:
@@ -174,7 +164,7 @@ def sum_atleast_keys(values, threshold, shift, cap) -> Iterator[int]:
     keys sum(S) << shift | S in increasing order, that is in (sum, mask)
     order; ``shift`` is at least len(values).
 
-    The checks of ``sum_atleast`` run at the call; the keys come lazily.
+    The cap check runs at the call; the keys come lazily.
     Each high mask H owns one run of keys, its low masks in (sum, mask)
     order from H's start position on, and a heap over the runs' heads
     merges them (Horowitz and Sahni, JACM 1974): the k cheapest keys cost
@@ -203,47 +193,3 @@ def _merge_runs(heap, low_keys):
             heapreplace(heap, (base + low_keys[pos], pos, base))
         else:
             heappop(heap)
-
-
-def subsetsum_threshold(inst: SubsetSumInstance):
-    return inst.values, inst.target
-
-
-def knapsack_threshold(inst: KnapsackInstance):
-    return tuple(p for p, _ in inst.items), inst.price_goal
-
-
-def partition_threshold(inst: PartitionInstance):
-    # 2 * sum >= total, with the last element on the other side
-    return inst.values[:-1], (sum(inst.values) + 1) // 2
-
-
-def scheduling_threshold(inst: SchedulingInstance):
-    # the other machine's load, total - sum, is at most the deadline; the
-    # last job runs there
-    return inst.times[:-1], sum(inst.times) - inst.deadline
-
-
-def subsetsum_solutions(inst: SubsetSumInstance, cap) -> list[int]:
-    return sums_between(inst.values, inst.target, inst.target, cap)
-
-
-def knapsack_solutions(inst: KnapsackInstance, cap) -> list[int]:
-    # the price-feasible sets count against the cap before the weight filter
-    prices = tuple(p for p, _ in inst.items)
-    sols = sums_between(prices, inst.price_goal, sum(prices), cap)
-    return [m for m in sols if inst.weight(m) <= inst.weight_cap]
-
-
-def partition_solutions(inst: PartitionInstance, cap) -> list[int]:
-    total = sum(inst.values)
-    if total % 2:
-        return []
-    return sums_between(inst.values[:-1], total // 2, total // 2, cap)
-
-
-def scheduling_solutions(inst: SchedulingInstance, cap) -> list[int]:
-    # machine 1 takes at most the deadline, and so does machine 2, which
-    # runs the last job
-    total, T = sum(inst.times), inst.deadline
-    return sums_between(inst.times[:-1], total - T, T, cap)

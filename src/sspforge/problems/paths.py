@@ -21,6 +21,7 @@ turns back where two would not.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -148,8 +149,15 @@ class TspInstance:
         return _masked_sum(self.weights, mask)
 
     def verify(self, mask: int) -> bool:
-        edges = self.edge_order()
-        return is_ham_cycle(self.n, edges, mask) and self.weight(mask) <= self.k
+        # a tour's edges by index: row u of the edge order starts at
+        # u * n - u * (u + 1) // 2 and holds (u, u + 1), ..., (u, n - 1)
+        n = self.n
+        if mask.bit_count() != n:
+            return False
+        starts = [u * n - u * (u + 1) // 2 for u in range(n)]
+        rows = {x: bisect_right(starts, x) - 1 for x in indices_of(mask)}
+        edges = {x: (u, u + 1 + x - starts[u]) for x, u in rows.items()}
+        return is_ham_cycle(n, edges, mask) and self.weight(mask) <= self.k
 
 
 @dataclass(frozen=True)

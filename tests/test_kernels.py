@@ -127,6 +127,25 @@ def test_enumeration_equals_verify_filter_on_every_kind():
         ), (kind, inst)
 
 
+def test_lop_identity_on_every_lop_kind():
+    # S(I) = {F in F(I) : d(F) <= t}, where the registry lists S(I) and
+    # F(I) by one search at two budgets
+    kinds = set()
+    for kind, inst in small_instances():
+        if not is_lop(kind):
+            continue
+        d, t = lop_cost(kind, inst)
+        want = [
+            f
+            for f in enumerate_feasible(kind, inst, BOUNDS)
+            if sum(d[i] for i in range(len(d)) if f >> i & 1) <= t
+        ]
+        assert enumerate_solutions(kind, inst, BOUNDS) == want, (kind, inst)
+        kinds.add(kind)
+    assert kinds == {kind for kind in ProblemKind if is_lop(kind)}
+    assert len(kinds) == 19
+
+
 def test_verify_refuses_masks_outside_the_universe():
     # problems.verify checks the range once for every kind, before the
     # instance's own test; the universe it checks against is the one the
@@ -411,6 +430,11 @@ def test_threshold_key_stream_raises_what_the_listing_raises():
                 Bounds(max_universe=24, max_solutions=size - 1),
             ):
                 if len(costs) <= bounds.max_universe and size <= bounds.max_solutions:
+                    continue
+                if bounds.max_solutions < 0 and not size:
+                    # a cap below 0 counts as 0, which an empty family meets
+                    assert enumerate_feasible(kind, inst, bounds) == []
+                    assert list(feasible_keys(kind, inst, costs, bounds)) == []
                     continue
                 with pytest.raises(CapacityError) as listed:
                     enumerate_feasible(kind, inst, bounds)
