@@ -29,8 +29,9 @@ Every enumerator ``run(inst, cap)`` returns its family as a sorted list
 of element masks, or an iterable of them in increasing order, and raises
 ``CapacityError`` when the family holds more than ``cap`` masks.  The
 kernels state that limit once: they collect their solutions in
-``core.Capped(cap)``, whose append raises.  ``feasible_keys`` alone
-counts a threshold family, under the same rule, before it streams it.
+``core.Capped(cap)``, whose append raises.  ``feasible_keys`` streams a
+threshold family window by window by the kind's window search, so it
+answers to the guard of S(I) and to the cap on the windows it has listed.
 The route kinds share two searches: directed Hamiltonian cycles are
 listed by the Hamiltonian path search, and TSP tours by the undirected
 cycle search on the complete graph.  Dominating set, set cover, hitting
@@ -223,8 +224,9 @@ def _knapsacks(i, budget, cap):
     # the sets that reach the price goal, within the weight budget: the
     # price-feasible sets count against the cap before the weight filter
     prices = tuple(p for p, _ in i.items)
+    weights = tuple(w for _, w in i.items)
     packed = numbers.sums_between(prices, i.price_goal, sum(prices), cap)
-    return [m for m in packed if i.weight(m) <= budget]
+    return [m for m in packed if numbers._masked_sum(weights, m) <= budget]
 
 
 _CNF = Enumerator(
@@ -432,17 +434,19 @@ def feasible_keys(
     kind: ProblemKind, inst, costs: tuple[int, ...], bounds: Bounds = DEFAULT_BOUNDS
 ) -> Iterator[int] | None:
     """F(I) as the keys c(S) << n | S, n = len(costs), in increasing order,
-    streamed from half tables without listing F(I); None unless ``kind`` is
-    a threshold kind and ``costs`` equal its weights where F(I) can hold an
-    element.  Raises what ``enumerate_feasible`` raises, at the call."""
+    listed window by window of sums as they are read; None unless ``kind``
+    is a threshold kind and ``costs`` equal its weights where F(I) can hold
+    an element.  The stream is the kind's bounded window search, so it
+    answers to the guard of S(I) at the call, and to the solution cap on
+    the windows it has listed."""
     spec = KIND_SPECS[kind]
     if spec.threshold is None:
         return None
     weights, threshold = spec.threshold(inst)
     if costs[: len(weights)] != weights:
         return None
-    spec.feasible.guard.check(inst, bounds)
-    return numbers.sum_atleast_keys(
+    spec.solutions.guard.check(inst, bounds)
+    return numbers.threshold_keys(
         weights, threshold, len(costs), bounds.max_solutions
     )
 

@@ -9,12 +9,9 @@ bipartition is represented exactly once.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heapify, heappop, heapreplace
-from typing import Iterator
 
-from ..core import Capped, CapacityError, FormatError, indices_of
+from ..core import Capped, FormatError, indices_of
 
 
 def subset_sums(values):
@@ -140,56 +137,22 @@ def sums_between(values, lo, hi, cap) -> list[int]:
     return out
 
 
-def _half_tables(values, threshold, cap):
-    """Meet in the middle over the low h and the high n - h values: two
-    tables of subset sums, the low masks sorted by (sum, mask) with their
-    sums, and for each high mask H the position in that order from which
-    the low masks L give low[L] + high[H] >= threshold.  The family is
-    counted before anything is built from it, and raises as a
-    ``core.Capped(cap)`` would: when it holds more than max(cap, 0) masks.
+def threshold_keys(values, threshold, shift, cap):
+    """The masks S over the positive ``values`` whose sum reaches
+    ``threshold``, as the keys sum(S) << shift | S in increasing order, that
+    is in (sum, mask) order; ``shift`` is at least len(values).
 
-    Returns (h, high sums, sorted low masks, their sums, start positions)."""
-    h = len(values) // 2
-    low, high = subset_sums(values[:h]), subset_sums(values[h:])
-    by_sum = sorted(range(len(low)), key=low.__getitem__)
-    sums = [low[m] for m in by_sum]
-    starts = [bisect_left(sums, threshold - s) for s in high]
-    if len(high) * len(low) - sum(starts) > max(cap, 0):
-        raise CapacityError("solution cap exceeded")
-    return h, high, by_sum, sums, starts
-
-
-def sum_atleast_keys(values, threshold, shift, cap) -> Iterator[int]:
-    """The masks S over ``values`` whose sum reaches ``threshold``, as the
-    keys sum(S) << shift | S in increasing order, that is in (sum, mask)
-    order; ``shift`` is at least len(values).
-
-    The cap check runs at the call; the keys come lazily.
-    Each high mask H owns one run of keys, its low masks in (sum, mask)
-    order from H's start position on, and a heap over the runs' heads
-    merges them (Horowitz and Sahni, JACM 1974): the k cheapest keys cost
-    the two half tables plus k heap steps over at most 2^ceil(n/2) runs,
-    and the rest of the family is never built."""
-    h, high, by_sum, sums, starts = _half_tables(values, threshold, cap)
-    low_keys = [(s << shift) + m for s, m in zip(sums, by_sum)]
-    # the key of H << h | L is H's base, (high[H] << shift) + (H << h),
-    # plus L's low key; a heap entry is (key, position of L, base)
-    heads = []
-    for hi, (s, start) in enumerate(zip(high, starts)):
-        if start < len(low_keys):
-            base = (s << shift) + (hi << h)
-            heads.append((base + low_keys[start], start, base))
-    return _merge_runs(heads, low_keys)
-
-
-def _merge_runs(heap, low_keys):
-    heapify(heap)
-    end = len(low_keys)
-    while heap:
-        key, pos, base = heap[0]
-        yield key
-        pos += 1
-        if pos < end:
-            heapreplace(heap, (base + low_keys[pos], pos, base))
-        else:
-            heappop(heap)
+    The family is listed lazily, window by window of sums, each by
+    ``sums_between``: the first window holds the 16 sums from
+    max(threshold, 0) on, each later one starts past the last and is four
+    times as wide, and the walk ends past the sum of all values.  Only the
+    windows a reader reaches are listed; they raise as one
+    ``core.Capped(cap)`` would, once they hold more than ``cap`` masks
+    between them."""
+    lo, width, total = max(threshold, 0), 16, sum(values)
+    while lo <= total:
+        hi = lo + width - 1
+        masks = sums_between(values, lo, hi, cap)
+        cap -= len(masks)
+        yield from sorted(_masked_sum(values, m) << shift | m for m in masks)
+        lo, width = hi + 1, 4 * width

@@ -218,8 +218,9 @@ def _cost_orders(inst: CostRrInstance, bounds: Bounds) -> tuple[_Prefix, _Prefix
     """F(I) in increasing (c_lo(S), S) order for the recoveries and in
     increasing (c1(S), S) order for the first stages, each as keys
     c(S) << n | S.  A threshold family priced by its own weights in both
-    stages is streamed from half tables (``feasible_keys``); otherwise F(I)
-    is listed and sorted, and its two orders are one when c1 = c_lo."""
+    stages is streamed window by window from the kind's window search
+    (``feasible_keys``); otherwise F(I) is listed and sorted, and its two
+    orders are one when c1 = c_lo."""
     if inst.c1 == inst.c_lo:
         stream = feasible_keys(inst.kind, inst.instance, inst.c_lo, bounds)
         if stream is not None:
@@ -247,9 +248,10 @@ def eval_cost_rr(
     F(I) is read in two orders (``_cost_orders``): recoveries in increasing
     (c_lo(S2), S2) order and first stages in increasing (c1(S1), S1)
     order.  For a threshold family priced by its own weights (subset sum,
-    knapsack, partition, scheduling, with c1 = c_lo) both are one stream
-    merged from half tables, read only as far as the search gets; any
-    other kind or cost vector lists F(I) and sorts it.
+    knapsack, partition, scheduling, with c1 = c_lo) both are one stream,
+    listed window by window of sums only as far as the search reads, and
+    it counts against the solution cap only the windows it has listed;
+    any other kind or cost vector lists F(I) and sorts it.
 
     A recovery scan stops as soon as c1(S1) + c_lo(S2) reaches the best
     recovery so far; c2(S2) is c_lo(S2) plus the gaps of the at most gamma

@@ -419,30 +419,73 @@ def test_threshold_key_stream_equals_sorted_listing():
     assert min(seen.values()) > 10, seen
 
 
-def test_threshold_key_stream_raises_what_the_listing_raises():
+def stream_windows(threshold, total):
+    """The sum windows the key stream lists, in order: 16 sums from
+    max(threshold, 0) on, each later window four times as wide."""
+    lo, width = max(threshold, 0), 16
+    while lo <= total:
+        yield lo, lo + width - 1
+        lo, width = lo + width, 4 * width
+
+
+def read_stream(stream):
+    """The keys a stream yields before it ends or raises, and its error."""
+    keys = []
+    try:
+        for key in stream:
+            keys.append(key)
+    except CapacityError as e:
+        return keys, str(e)
+    return keys, None
+
+
+def test_threshold_key_stream_raises_on_what_it_reads():
+    # the stream is the kind's window search: past the powerset bound it
+    # still answers, past max_vertices it raises the structural message at
+    # the call, and it raises "solution cap exceeded" only once the windows
+    # it has listed hold more than the cap
     rng = random.Random(23)
-    raised = set()
+    seen = {"powerset": 0, "structural": 0, "cap": 0, "cheap end": 0}
     for _ in range(80):
         for kind, inst, costs in stream_instances(rng):
-            size = len(listed_keys(kind, inst, costs))
-            for bounds in (
-                Bounds(max_universe=len(costs) - 1, max_solutions=CAP),
-                Bounds(max_universe=24, max_solutions=size - 1),
-            ):
-                if len(costs) <= bounds.max_universe and size <= bounds.max_solutions:
-                    continue
-                if bounds.max_solutions < 0 and not size:
-                    # a cap below 0 counts as 0, which an empty family meets
-                    assert enumerate_feasible(kind, inst, bounds) == []
-                    assert list(feasible_keys(kind, inst, costs, bounds)) == []
-                    continue
-                with pytest.raises(CapacityError) as listed:
+            n = len(costs)
+            want = listed_keys(kind, inst, costs)
+            if n:
+                bounds = Bounds(max_universe=n - 1, max_solutions=CAP, max_vertices=n)
+                with pytest.raises(CapacityError, match="powerset bound"):
                     enumerate_feasible(kind, inst, bounds)
+                assert list(feasible_keys(kind, inst, costs, bounds)) == want
+                seen["powerset"] += 1
+                bounds = Bounds(max_universe=24, max_solutions=CAP, max_vertices=n - 1)
+                with pytest.raises(CapacityError) as listed:
+                    enumerate_solutions(kind, inst, bounds)
                 with pytest.raises(CapacityError) as streamed:
                     feasible_keys(kind, inst, costs, bounds)
+                assert "structural bound" in str(streamed.value)
                 assert str(streamed.value) == str(listed.value)
-                raised.add(str(listed.value).split()[0])
-    assert raised == {"universe", "solution"}
+                seen["structural"] += 1
+            weights, threshold = KIND_SPECS[kind].threshold(inst)
+            counts = [
+                sum(lo <= key >> n <= hi for key in want)
+                for lo, hi in stream_windows(threshold, sum(weights))
+            ]
+            assert sum(counts) == len(want)
+            for cap in range(-1, len(want)):
+                bounds = Bounds(max_universe=24, max_solutions=cap)
+                keys, error = read_stream(feasible_keys(kind, inst, costs, bounds))
+                listed = 0
+                for count in counts:
+                    if listed + count > max(cap, 0):
+                        break
+                    listed += count
+                assert keys == want[:listed]
+                if listed < len(want):
+                    assert error == "solution cap exceeded"
+                    seen["cap"] += 1
+                    seen["cheap end"] += listed > 0
+                else:
+                    assert error is None
+    assert min(seen.values()) > 10, seen
 
 
 # ------------------------------------------------- large reduction targets

@@ -604,13 +604,14 @@ def test_cost_rr_on_large_subsetsum_pipelines(seed, draw, measure, by_loop):
     assert eval_cost_rr(cost)[1] == solve_radjsat(game)[0]
 
 
-def test_cost_rr_family_cap_error_precedes_scenario_cap_error():
+def test_cost_rr_raises_the_first_cap_each_path_reaches():
     # both the feasible family and the scenario set exceed the cap of 50;
-    # the family is counted first, on the streamed path as on the listed
+    # the streamed family (c1 = c_lo) lists no window before the scenarios
+    # are counted, while the listed family (c1 = hi) is counted first
     values = (5, 1, 5, 1, 6, 21, 5, 8, 19, 3, 2, 5)
     hi = tuple(v + 1 for v in values)
     bounds = Bounds(max_solutions=50)
-    for c1 in (values, hi):
+    for c1, first in ((values, "scenario count"), (hi, "solution cap exceeded")):
         inst = CostRrInstance(
             ProblemKind.SUBSET_SUM, SubsetSumInstance(values, 19),
             c1, values, hi, 100, 3, 8, HAM,
@@ -618,4 +619,35 @@ def test_cost_rr_family_cap_error_precedes_scenario_cap_error():
         with pytest.raises(CapacityError, match="scenario count"):
             enumerate_scenarios(inst, bounds)
         with pytest.raises(CapacityError, match="solution cap exceeded"):
+            enumerate_feasible(inst.kind, inst.instance, bounds)
+        with pytest.raises(CapacityError, match=first):
             eval_cost_rr(inst, bounds)
+
+
+# the 3sat-subsetsum cost-RR targets of 20 elements and more that the
+# games random_radjsat(Random(seed), max_part=2) for seeds 0-39 give under
+# all three measures, by element count (all 92 are yes-instances)
+WIDE_TARGETS = {
+    20: 5, 22: 16, 26: 9, 32: 8, 34: 10, 40: 12, 46: 14, 54: 5, 64: 6, 74: 7
+}
+
+
+def test_cost_rr_agrees_with_the_game_on_wide_subsetsum_targets():
+    # most are past the powerset bound, and the 22-element ones' threshold
+    # families past the solution cap: the stream reads only their cheap ends
+    bounds = Bounds(max_universe=24, max_solutions=1 << 20, max_vertices=16384)
+    sizes = {}
+    for seed in range(40):
+        game = random_radjsat(
+            random.Random(seed), max_part=2, max_clauses=3, max_gamma=2
+        )
+        want = solve_radjsat(game, bounds)[0]
+        for measure in (ADD, DEL, HAM):
+            comb = radjsat_to_comb_rr(game, "3sat-subsetsum", measure)
+            n = universe_size(comb.instance)
+            if n < 20:
+                continue
+            sizes[n] = sizes.get(n, 0) + 1
+            got = eval_cost_rr(comb_to_cost_rr(comb), bounds)[1]
+            assert got == want, (seed, measure)
+    assert sizes == WIDE_TARGETS
