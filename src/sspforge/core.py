@@ -163,10 +163,10 @@ class Bounds:
     ``max_universe``: CNF assignments to max(max_universe // 2, 16)
     variables, UFL and p-median facility masks to ``max_universe``.  A
     feasible family F(I), listed whole, answers to ``max_universe`` (a
-    route kind's to ``max_vertices``); the cost-RR key stream of a
-    threshold family, the window search read window by window, answers to
+    route kind's to ``max_vertices``); the cost-RR key stream of any LOP
+    kind, its own search read window by window of budgets, answers to
     ``max_vertices``.  Every family stops at ``max_solutions``, a stream
-    on the windows it has listed.
+    at the first search it runs that lists more.
     """
 
     max_universe: int = 24

@@ -11,8 +11,10 @@ the instance class, the enumerator of the solution family S(I) and the
 capacity guard it runs behind, and, for the LOP kinds, the enumerator of
 F(I) with its own guard and the cost envelope (d, t), with S(I) = {F in
 F(I) : d(F) <= t}.  An LOP kind states one search of the members of F(I)
-within a cost budget: S(I) is that search at t, F(I) at the sum of the
-positive costs, which every set meets.  ``enumerate_solutions`` and
+within a cost budget, ``KindSpec.search``: S(I) is that search at t,
+F(I) at the sum of the positive costs, which every set meets, and the
+cost-RR key stream of ``feasible_keys`` that search at growing budgets.
+``enumerate_solutions`` and
 ``enumerate_feasible`` realize the families exactly at desk scale.
 Results are cached per instance since the checkers ask for the same
 families repeatedly.
@@ -29,9 +31,9 @@ Every enumerator ``run(inst, cap)`` returns its family as a sorted list
 of element masks, or an iterable of them in increasing order, and raises
 ``CapacityError`` when the family holds more than ``cap`` masks.  The
 kernels state that limit once: they collect their solutions in
-``core.Capped(cap)``, whose append raises.  ``feasible_keys`` streams a
-threshold family window by window by the kind's window search, so it
-answers to the guard of S(I) and to the cap on the windows it has listed.
+``core.Capped(cap)``, whose append raises.  ``feasible_keys`` streams
+F(I) of any LOP kind priced by its own costs window by window of budgets,
+so it answers to the guard of S(I), and to the cap on each search it runs.
 The route kinds share two searches: directed Hamiltonian cycles are
 listed by the Hamiltonian path search, and TSP tours by the undirected
 cycle search on the complete graph.  Dominating set, set cover, hitting
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -153,20 +156,24 @@ class KindSpec(NamedTuple):
     cost: Callable[[Any], tuple[tuple[int, ...], int]] | None = None
     # the clause width every instance must have
     width: int | None = None
-    # for the threshold kinds, F(I) as the sets whose weight sum reaches a
-    # threshold: (weights, threshold) of an instance; elements past the
-    # weights never lie in F(I)
-    threshold: Callable[[Any], tuple[tuple[int, ...], int]] | None = None
+    # for the LOP kinds, ``search(inst, budget, cap)``: the members of F(I)
+    # whose element cost is at most ``budget``
+    search: Callable[[Any, int, int], Iterable[int]] | None = None
 
 
 def _zero_cost(cls, run) -> KindSpec:
     """A route kind: enumerated behind its vertex count, with zero costs on
-    its elements against threshold 0, so F(I) = S(I)."""
+    its elements against threshold 0, so F(I) = S(I), which its search lists
+    whole at every budget from 0 on."""
+
+    def search(i, budget, cap):
+        return run(i, cap) if budget >= 0 else []
+
     e = Enumerator(_structural("n"), run)
-    return KindSpec(cls, e, e, lambda inst: ((0,) * universe_size(inst), 0))
+    return KindSpec(cls, e, e, lambda i: ((0,) * universe_size(i), 0), search=search)
 
 
-def _lop(cls, search, cost, guard, feasible_guard, threshold=None) -> KindSpec:
+def _lop(cls, search, cost, guard, feasible_guard) -> KindSpec:
     """An LOP kind from its one search ``search(inst, budget, cap)``, the
     members of F(I) whose element cost is at most ``budget``: S(I) is the
     search at the threshold t, behind ``guard``, and F(I) the search at the
@@ -184,15 +191,15 @@ def _lop(cls, search, cost, guard, feasible_guard, threshold=None) -> KindSpec:
         Enumerator(guard, solutions),
         Enumerator(feasible_guard, feasible),
         cost,
-        threshold=threshold,
+        search=search,
     )
 
 
-def _lop_kind(cls, search, cost, threshold=None) -> KindSpec:
+def _lop_kind(cls, search, cost) -> KindSpec:
     """An LOP kind over a set universe: S(I) is listed by a bounded search,
     F(I) whole."""
     guards = _structural(cls.universe), _powerset(cls.universe)
-    return _lop(cls, search, cost, *guards, threshold)
+    return _lop(cls, search, cost, *guards)
 
 
 def _hitting_kind(cls, unhit) -> KindSpec:
@@ -216,17 +223,14 @@ def _threshold_kind(cls, threshold, cost) -> KindSpec:
         cls,
         lambda i, budget, cap: numbers.sums_between(*threshold(i), budget, cap),
         cost,
-        threshold,
     )
 
 
 def _knapsacks(i, budget, cap):
-    # the sets that reach the price goal, within the weight budget: the
-    # price-feasible sets count against the cap before the weight filter
+    # the sets that reach the price goal, within the weight budget
     prices = tuple(p for p, _ in i.items)
     weights = tuple(w for _, w in i.items)
-    packed = numbers.sums_between(prices, i.price_goal, sum(prices), cap)
-    return [m for m in packed if numbers._masked_sum(weights, m) <= budget]
+    return numbers.packings(prices, i.price_goal, weights, budget, cap)
 
 
 _CNF = Enumerator(
@@ -306,7 +310,6 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
         numbers.KnapsackInstance,
         _knapsacks,
         lambda i: (tuple(w for _, w in i.items), i.weight_cap),
-        lambda i: (tuple(p for p, _ in i.items), i.price_goal),
     ),
     # the last element lies outside every set: 2 * sum reaches the total,
     # and the other machine's load, total - sum, is within the deadline
@@ -358,7 +361,7 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
 
 
 def is_lop(kind: ProblemKind) -> bool:
-    return KIND_SPECS[kind].feasible is not None
+    return KIND_SPECS[kind].search is not None
 
 
 def _edge_names(edges):
@@ -432,23 +435,38 @@ def enumerate_feasible(kind: ProblemKind, inst, bounds: Bounds = DEFAULT_BOUNDS)
 
 def feasible_keys(
     kind: ProblemKind, inst, costs: tuple[int, ...], bounds: Bounds = DEFAULT_BOUNDS
-) -> Iterator[int] | None:
+) -> Iterator[tuple[int | float, list[int]]] | None:
     """F(I) as the keys c(S) << n | S, n = len(costs), in increasing order,
-    listed window by window of sums as they are read; None unless ``kind``
-    is a threshold kind and ``costs`` equal its weights where F(I) can hold
-    an element.  The stream is the kind's bounded window search, so it
-    answers to the guard of S(I) at the call, and to the solution cap on
-    the windows it has listed."""
+    read window by window of budgets from the kind's own search; None
+    unless ``costs`` are the kind's own, ``lop_cost(kind, inst)[0]``.
+
+    The first window is the search at the threshold t; each later one
+    starts past the last, at width 1, and is four times as wide as the one
+    before, up to the sum of the positive costs.  A window is yielded as
+    (floor, keys): the sorted keys of the sets its search lists that no
+    earlier window yielded, and the least cost any unread key can have.
+    The stream answers to the guard of S(I) at the call, and to the
+    solution cap on each search it runs."""
     spec = KIND_SPECS[kind]
-    if spec.threshold is None:
-        return None
-    weights, threshold = spec.threshold(inst)
-    if costs[: len(weights)] != weights:
+    d, t = lop_cost(kind, inst)
+    if costs != d:
         return None
     spec.solutions.guard.check(inst, bounds)
-    return numbers.threshold_keys(
-        weights, threshold, len(costs), bounds.max_solutions
-    )
+    return _windows(spec.search, inst, d, t, bounds.max_solutions)
+
+
+def _windows(search, inst, costs, budget, cap):
+    n, top = len(costs), sum(max(c, 0) for c in costs)
+    seen = set()
+    width = 1
+    while True:
+        fresh = [m for m in search(inst, budget, cap) if m not in seen]
+        seen.update(fresh)
+        floor = budget + 1 if budget < top else math.inf
+        yield floor, sorted(numbers._masked_sum(costs, m) << n | m for m in fresh)
+        if budget >= top:
+            return
+        budget, width = budget + width, 4 * width
 
 
 def lop_cost(kind: ProblemKind, inst) -> tuple[tuple[int, ...], int]:

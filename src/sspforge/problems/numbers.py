@@ -10,20 +10,21 @@ bipartition is represented exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from ..core import Capped, FormatError, indices_of
+from ..core import Capped, DomainError, FormatError
 
 
-def subset_sums(values):
-    """sum(values[i] for i in S), indexed by the mask S."""
-    table = [0]
-    for v in values:
-        table += [t + v for t in table]
-    return table
+# the binary digits of a mask, as the bytes 0 and 1
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _masked_sum(values, mask):
-    return sum(map(values.__getitem__, indices_of(mask)))
+    """sum(values[i] for i in the non-negative ``mask``): its binary
+    digits, lowest first, select the values."""
+    if mask < 0:
+        raise DomainError(f"negative element set {mask}")
+    return sum(compress(values, f"{mask:b}".encode()[::-1].translate(_DIGITS)))
 
 
 @dataclass(frozen=True)
@@ -99,60 +100,47 @@ class SchedulingInstance:
         return s1 <= self.deadline and total - s1 <= self.deadline
 
 
-def sums_between(values, lo, hi, cap) -> list[int]:
-    """All masks over the positive ``values`` whose sum lies in [lo, hi],
-    sorted.  The include/exclude search takes the values largest first and
-    cuts a branch once its sum passes ``hi`` or can no longer reach ``lo``:
-    it enters a node only if cur <= hi and cur + suffix[i] >= lo, so every
-    leaf it reaches is a solution.  A large value still pending lets
-    almost any prefix reach the window, so it is decided first."""
-    n = len(values)
-    order = sorted(range(n), key=values.__getitem__, reverse=True)
-    values = [values[i] for i in order]
+def packings(prices, goal, weights, budget, cap) -> list[int]:
+    """All masks over the positive ``prices`` and ``weights`` whose price
+    reaches ``goal`` and whose weight is within ``budget``, sorted.  The
+    include/exclude search enters a node only if its weight is within
+    ``budget`` and its price plus the prices still pending reaches
+    ``goal``, so only solutions count against ``cap``.  It takes the
+    prices largest first: a large price still pending lets almost any
+    prefix reach the goal."""
+    n = len(prices)
+    order = sorted(range(n), key=prices.__getitem__, reverse=True)
+    weights = [weights[i] for i in order]
+    prices = [prices[i] for i in order]
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + values[i]
+        suffix[i] = suffix[i + 1] + prices[i]
     out = Capped(cap)
 
-    def rec(i, cur, mask):
+    def rec(i, price, weight, mask):
         if i == n:
             out.append(mask)
             return
         j = i + 1
-        if cur + suffix[j] >= lo:
-            rec(j, cur, mask)
-        cur += values[i]
-        if cur <= hi:
-            rec(j, cur, mask | 1 << order[i])
+        if price + suffix[j] >= goal:
+            rec(j, price, weight, mask)
+        weight += weights[i]
+        if weight <= budget:
+            rec(j, price + prices[i], weight, mask | 1 << order[i])
 
     # rec recurses through its own closure cell; emptying the cell frees it
     # now instead of at a later cyclic collection
     try:
-        # a window that holds no reachable sum is answered without a walk
-        if max(lo, 0) <= min(hi, suffix[0]):
-            rec(0, 0, 0)
+        if goal <= suffix[0] and budget >= 0:
+            rec(0, 0, 0, 0)
     finally:
         del rec
     out.sort()
     return out
 
 
-def threshold_keys(values, threshold, shift, cap):
-    """The masks S over the positive ``values`` whose sum reaches
-    ``threshold``, as the keys sum(S) << shift | S in increasing order, that
-    is in (sum, mask) order; ``shift`` is at least len(values).
-
-    The family is listed lazily, window by window of sums, each by
-    ``sums_between``: the first window holds the 16 sums from
-    max(threshold, 0) on, each later one starts past the last and is four
-    times as wide, and the walk ends past the sum of all values.  Only the
-    windows a reader reaches are listed; they raise as one
-    ``core.Capped(cap)`` would, once they hold more than ``cap`` masks
-    between them."""
-    lo, width, total = max(threshold, 0), 16, sum(values)
-    while lo <= total:
-        hi = lo + width - 1
-        masks = sums_between(values, lo, hi, cap)
-        cap -= len(masks)
-        yield from sorted(_masked_sum(values, m) << shift | m for m in masks)
-        lo, width = hi + 1, 4 * width
+def sums_between(values, lo, hi, cap) -> list[int]:
+    """All masks over the positive ``values`` whose sum lies in [lo, hi],
+    sorted: the packings priced and weighed by the values.  A window that
+    holds no sum is answered without a walk."""
+    return packings(values, lo, values, hi, cap) if lo <= hi else []

@@ -38,7 +38,7 @@ from .problems import (
     lop_cost,
     universe_size,
 )
-from .problems.numbers import subset_sums
+from .problems.numbers import _masked_sum
 from .reductions import build_blowup
 
 INFEASIBLE = float("inf")
@@ -122,17 +122,6 @@ class RrWitness:
     objective: int | float | None = None
 
 
-def _set_costs(costs, sets):
-    """Costs of the sets in ``sets``, lazily in order: two tables of partial
-    sums, over the low and the high half of the universe, give
-    c(S) = low[S & m] + high[S >> half] with at most 2 * 2^ceil(n/2)
-    table entries."""
-    half = len(costs) // 2
-    low, high = subset_sums(costs[:half]), subset_sums(costs[half:])
-    m = (1 << half) - 1
-    return (low[s & m] + high[s >> half] for s in sets)
-
-
 def _assignments(n_vars, variables) -> Iterator[int]:
     """The literal masks of all assignments to the distinct ``variables``,
     lazily, in the order of the integers ``bits`` where bit ``pos`` of
@@ -192,35 +181,35 @@ def eval_comb_rr(
 
 class _Prefix:
     """Keys c(S) << n | S of F(I) in increasing order: ``keys``, a plain
-    list, holds the keys read so far, and ``grow`` appends the next stretch
-    of the stream behind them, if there is one."""
+    list, holds the keys read so far, ``floor`` the least cost any unread
+    key can have, and ``grow`` appends the next non-empty window of the
+    stream ``rest`` of (floor, keys) windows behind them, if there is one."""
 
-    __slots__ = ("keys", "_rest")
+    __slots__ = ("keys", "floor", "_rest")
 
-    def __init__(self, keys, rest=None):
+    def __init__(self, keys, rest=()):
         self.keys = keys
-        self._rest = rest
+        self.floor = -INFEASIBLE if rest else INFEASIBLE  # keys alone are all F(I)
+        self._rest = iter(rest)
 
     def grow(self) -> bool:
-        """Read about as many keys again as ``keys`` holds; False once the
-        stream has none left."""
-        if self._rest is None:
-            return False
-        before = len(self.keys)
-        self.keys += itertools.islice(self._rest, max(before, 16))
-        if len(self.keys) == before:
-            self._rest = None
-            return False
-        return True
+        """Read up to the next non-empty window; False once the stream has
+        none left."""
+        for self.floor, window in self._rest:
+            if window:
+                self.keys += window
+                return True
+        self.floor = INFEASIBLE
+        return False
 
 
 def _cost_orders(inst: CostRrInstance, bounds: Bounds) -> tuple[_Prefix, _Prefix]:
     """F(I) in increasing (c_lo(S), S) order for the recoveries and in
     increasing (c1(S), S) order for the first stages, each as keys
-    c(S) << n | S.  A threshold family priced by its own weights in both
-    stages is streamed window by window from the kind's window search
-    (``feasible_keys``); otherwise F(I) is listed and sorted, and its two
-    orders are one when c1 = c_lo."""
+    c(S) << n | S.  Priced by the kind's own costs in both stages, F(I) is
+    one stream, read window by window from the kind's search
+    (``feasible_keys``); otherwise F(I) is listed, each set priced by its
+    own bits, and sorted, and its two orders are one when c1 = c_lo."""
     if inst.c1 == inst.c_lo:
         stream = feasible_keys(inst.kind, inst.instance, inst.c_lo, bounds)
         if stream is not None:
@@ -230,10 +219,7 @@ def _cost_orders(inst: CostRrInstance, bounds: Bounds) -> tuple[_Prefix, _Prefix
     n = len(inst.c_lo)
 
     def order(costs):
-        # element i weighs (c << n) + 2^i, so a set's price is its key
-        return _Prefix(
-            sorted(_set_costs([(c << n) + (1 << i) for i, c in enumerate(costs)], feas))
-        )
+        return _Prefix(sorted(_masked_sum(costs, s) << n | s for s in feas))
 
     lo = order(inst.c_lo)
     return lo, lo if inst.c1 == inst.c_lo else order(inst.c1)
@@ -247,20 +233,25 @@ def eval_cost_rr(
 
     F(I) is read in two orders (``_cost_orders``): recoveries in increasing
     (c_lo(S2), S2) order and first stages in increasing (c1(S1), S1)
-    order.  For a threshold family priced by its own weights (subset sum,
-    knapsack, partition, scheduling, with c1 = c_lo) both are one stream,
-    listed window by window of sums only as far as the search reads, and
-    it counts against the solution cap only the windows it has listed;
-    any other kind or cost vector lists F(I) and sorts it.
+    order.  For any LOP kind priced by its own costs in both stages, as
+    every cost-RR instance of the hardness pipeline is, both are one
+    stream, read from the kind's search window by window of budgets only
+    as far as the walk needs, and it counts against the solution cap only
+    the searches it has run; any other cost vector lists F(I) and sorts it.
 
-    A recovery scan stops as soon as c1(S1) + c_lo(S2) reaches the best
-    recovery so far; c2(S2) is c_lo(S2) plus the gaps of the at most gamma
-    raised elements in S2.  The first-stage walk stops once c1(S1) plus the
-    cheapest c_lo exceeds the best value, since no later first stage can
-    reach it.  A first stage whose worst case ties the best value wins if
-    its mask is smaller, so the witness is the least mask among the
-    optimal first stages, as in a walk in mask order; an infinite worst
-    case is never a witness."""
+    Each first stage S1 sets a cut: the best value so far, or one above it
+    when S1's mask is smaller than the best one's, since a first stage
+    whose worst case reaches the cut loses.  A recovery scan stops as soon
+    as c1(S1) + c_lo(S2) reaches the best recovery so far, starting from
+    the cut, and it reads no further window once c1(S1) plus the stream's
+    floor does; c2(S2) is c_lo(S2) plus the gaps of the at most gamma
+    raised elements in S2.  A scan that finds nothing below the cut counts
+    as the cut.  The first-stage walk stops once c1(S1) plus the cheapest
+    c_lo exceeds the best value, since no later first stage can reach it.
+    A first stage whose worst case ties the best value wins if its mask is
+    smaller, so the witness is the least mask among the optimal first
+    stages, as in a walk in mask order; an infinite worst case is never a
+    witness."""
     if not is_lop(inst.kind):
         raise UnsupportedKindError(
             f"cost recoverable robustness needs an LOP kind, got {inst.kind.value}"
@@ -281,7 +272,7 @@ def eval_cost_rr(
     lo_floor = lo_keys[0] >> n if lo_keys else 0
     full = (1 << n) - 1
     i = 0
-    while i < len(stages) or first.grow():
+    while i < len(stages) or first.floor + lo_floor <= best and first.grow():
         c1v, s1 = stages[i] >> n, stages[i] & full
         i += 1
         if c1v + lo_floor > best:
@@ -290,8 +281,9 @@ def eval_cost_rr(
             continue  # at most a tie, which the smaller mask holds
         worst: int | float = -INFEASIBLE
         recov = {}
+        cut = best + 1 if s1 < best_s1 else best
         for raised, gaps in raises:
-            inner: int | float = INFEASIBLE
+            inner = cut
             inner_s2 = None
             start = 0
             while True:
@@ -310,7 +302,7 @@ def eval_cost_rr(
                         inner_s2 = s2
                 else:
                     start = len(lo_keys)
-                    if lo.grow():
+                    if c1v + lo.floor < inner and lo.grow():
                         continue  # scan on through the keys just read
                 break
             if inner > worst:

@@ -74,7 +74,7 @@ from sspforge.problems.graphs import (
     covers_upto,
     independent_sets_atleast,
 )
-from sspforge.problems.numbers import sums_between
+from sspforge.problems.numbers import _masked_sum, packings, sums_between
 from sspforge.problems.paths import (
     _chains,
     disjoint_path_systems,
@@ -352,40 +352,36 @@ def test_threshold_families_equal_powerset_filter():
             assert feasible(inst, len(want)) == want
 
 
-def stream_instances(rng):
-    """(kind, instance, costs equal to the threshold weights where F(I) can
-    hold an element) for each threshold kind, with repeated values, empty
-    universes and thresholds from below 0 to above the total."""
-    n = rng.randint(0, 10)
-    values = tuple(rng.choice((1, 2, 2, 3, 5, 8)) for _ in range(n))
-    total = sum(values)
-    out = [
-        (
-            ProblemKind.SUBSET_SUM,
-            SubsetSumInstance(values, rng.randint(-2, total + 2)),
-            values,
-        ),
-        (
-            ProblemKind.KNAPSACK,
-            KnapsackInstance(
-                tuple((v, rng.randint(1, 5)) for v in values),
-                rng.randint(-2, total + 2),
-                rng.randint(1, 20),
-            ),
-            values,
-        ),
-    ]
-    if n:
-        # the last element lies outside every set; its cost is free
-        last = (rng.randint(-3, 9),)
+def stream_instances():
+    """(kind, instance) of every LOP kind: the LOP instances of
+    ``small_instances()``, among them the negative costs of independent set
+    and clique, and random number-kind instances with repeated values,
+    empty universes and thresholds from below 0 to above the total."""
+    out = [(kind, inst) for kind, inst in small_instances() if is_lop(kind)]
+    rng = random.Random(19)
+    for _ in range(60):
+        n = rng.randint(0, 10)
+        values = tuple(rng.choice((1, 2, 2, 3, 5, 8)) for _ in range(n))
+        total = sum(values)
         out += [
-            (ProblemKind.PARTITION, PartitionInstance(values), values[:-1] + last),
+            (ProblemKind.SUBSET_SUM, SubsetSumInstance(values, rng.randint(-2, total + 2))),
             (
-                ProblemKind.SCHEDULING,
-                SchedulingInstance(values, rng.randint(-1, total + 1)),
-                values[:-1] + last,
+                ProblemKind.KNAPSACK,
+                KnapsackInstance(
+                    tuple((v, rng.randint(1, 5)) for v in values),
+                    rng.randint(-2, total + 2),
+                    rng.randint(-1, 20),
+                ),
             ),
         ]
+        if n:
+            out += [
+                (ProblemKind.PARTITION, PartitionInstance(values)),
+                (
+                    ProblemKind.SCHEDULING,
+                    SchedulingInstance(values, rng.randint(-1, total + 1)),
+                ),
+            ]
     return out
 
 
@@ -397,94 +393,102 @@ def listed_keys(kind, inst, costs, bounds=BOUNDS):
     )
 
 
-def test_threshold_key_stream_equals_sorted_listing():
-    rng = random.Random(19)
-    seen = {"tie": 0, "empty": 0, "threshold<=0": 0, "n<=1": 0}
-    for _ in range(250):
-        for kind, inst, costs in stream_instances(rng):
-            want = listed_keys(kind, inst, costs)
-            got = list(feasible_keys(kind, inst, costs, BOUNDS))
-            assert got == want, (kind, inst)
-            n = len(costs)
-            prices = [k >> n for k in want]
-            weights, threshold = KIND_SPECS[kind].threshold(inst)
-            seen["tie"] += len(set(prices)) < len(prices)
-            seen["empty"] += not want
-            seen["threshold<=0"] += threshold <= 0
-            seen["n<=1"] += n <= 1
-            # any other price on the support takes the listed path
-            if weights:
-                other = (costs[0] + 1,) + costs[1:]
-                assert feasible_keys(kind, inst, other, BOUNDS) is None
-    assert min(seen.values()) > 10, seen
-
-
-def stream_windows(threshold, total):
-    """The sum windows the key stream lists, in order: 16 sums from
-    max(threshold, 0) on, each later window four times as wide."""
-    lo, width = max(threshold, 0), 16
-    while lo <= total:
-        yield lo, lo + width - 1
-        lo, width = lo + width, 4 * width
+def stream_budgets(t, costs):
+    """The budgets the key stream searches at, in order: t, then windows
+    that each start past the last, at width 1, each four times as wide as
+    the one before, up to the sum of the positive costs."""
+    top = sum(c for c in costs if c > 0)
+    budget, width = t, 1
+    yield budget
+    while budget < top:
+        budget, width = budget + width, 4 * width
+        yield budget
 
 
 def read_stream(stream):
     """The keys a stream yields before it ends or raises, and its error."""
     keys = []
     try:
-        for key in stream:
-            keys.append(key)
+        for _, window in stream:
+            keys += window
     except CapacityError as e:
         return keys, str(e)
     return keys, None
 
 
-def test_threshold_key_stream_raises_on_what_it_reads():
-    # the stream is the kind's window search: past the powerset bound it
-    # still answers, past max_vertices it raises the structural message at
-    # the call, and it raises "solution cap exceeded" only once the windows
-    # it has listed hold more than the cap
-    rng = random.Random(23)
+def test_key_stream_equals_sorted_listing_on_every_lop_kind():
+    # the stream reads F(I) from the kind's own search, window by window of
+    # budgets, each window with the least cost its unread keys can have;
+    # any cost vector but the kind's own takes the listed path
+    kinds = set()
+    seen = {"negative": 0, "tie": 0, "empty": 0, "one window": 0, "windows": 0}
+    for kind, inst in stream_instances():
+        d, t = lop_cost(kind, inst)
+        n = len(d)
+        want = listed_keys(kind, inst, d)
+        windows = list(feasible_keys(kind, inst, d, BOUNDS))
+        assert [key for _, keys in windows for key in keys] == want, (kind, inst)
+        floors = [floor for floor, _ in windows]
+        budgets = list(stream_budgets(t, d))
+        assert floors == [b + 1 for b in budgets[:-1]] + [math.inf], (kind, inst)
+        for floor, (_, keys) in zip(floors, windows[1:]):
+            assert all(key >> n >= floor for key in keys), (kind, inst)
+        if n:
+            other = (d[0] + 1,) + d[1:]
+            assert feasible_keys(kind, inst, other, BOUNDS) is None, (kind, inst)
+        kinds.add(kind)
+        prices = [key >> n for key in want]
+        seen["negative"] += min(d, default=0) < 0 and len(want) > 1
+        seen["tie"] += len(set(prices)) < len(prices)
+        seen["empty"] += not want
+        seen["one window"] += len(windows) == 1 and bool(want)
+        seen["windows"] += sum(bool(keys) for _, keys in windows) > 2
+    assert kinds == {kind for kind in ProblemKind if is_lop(kind)}
+    assert min(seen.values()) > 10, seen
+
+
+def test_key_stream_raises_on_what_it_reads():
+    # the stream answers to the guard of S(I) at the call, so it answers
+    # where the listing hits the powerset bound and raises the structural
+    # message of S(I) past max_vertices; each window's search counts every
+    # set within its budget against the cap, so the stream yields exactly
+    # the windows whose search fits the cap and then raises "solution cap
+    # exceeded".  Between two caps of ``caps`` the outcome cannot change.
     seen = {"powerset": 0, "structural": 0, "cap": 0, "cheap end": 0}
-    for _ in range(80):
-        for kind, inst, costs in stream_instances(rng):
-            n = len(costs)
-            want = listed_keys(kind, inst, costs)
-            if n:
-                bounds = Bounds(max_universe=n - 1, max_solutions=CAP, max_vertices=n)
-                with pytest.raises(CapacityError, match="powerset bound"):
-                    enumerate_feasible(kind, inst, bounds)
-                assert list(feasible_keys(kind, inst, costs, bounds)) == want
-                seen["powerset"] += 1
-                bounds = Bounds(max_universe=24, max_solutions=CAP, max_vertices=n - 1)
-                with pytest.raises(CapacityError) as listed:
-                    enumerate_solutions(kind, inst, bounds)
-                with pytest.raises(CapacityError) as streamed:
-                    feasible_keys(kind, inst, costs, bounds)
-                assert "structural bound" in str(streamed.value)
-                assert str(streamed.value) == str(listed.value)
-                seen["structural"] += 1
-            weights, threshold = KIND_SPECS[kind].threshold(inst)
-            counts = [
-                sum(lo <= key >> n <= hi for key in want)
-                for lo, hi in stream_windows(threshold, sum(weights))
-            ]
-            assert sum(counts) == len(want)
-            for cap in range(-1, len(want)):
-                bounds = Bounds(max_universe=24, max_solutions=cap)
-                keys, error = read_stream(feasible_keys(kind, inst, costs, bounds))
-                listed = 0
-                for count in counts:
-                    if listed + count > max(cap, 0):
-                        break
-                    listed += count
-                assert keys == want[:listed]
-                if listed < len(want):
-                    assert error == "solution cap exceeded"
-                    seen["cap"] += 1
-                    seen["cheap end"] += listed > 0
-                else:
-                    assert error is None
+    for kind, inst in stream_instances():
+        d, t = lop_cost(kind, inst)
+        n = len(d)
+        want = listed_keys(kind, inst, d)
+        wide = Bounds(max_universe=0, max_solutions=CAP, max_vertices=BOUNDS.max_vertices)
+        if n and outcome(lambda: enumerate_feasible(kind, inst, wide)) == (
+            f"universe of size {n} exceeds the powerset bound 0"
+        ):
+            assert read_stream(feasible_keys(kind, inst, d, wide)) == (want, None)
+            seen["powerset"] += 1
+        narrow = Bounds(max_universe=24, max_solutions=CAP, max_vertices=0)
+        listed = outcome(lambda: enumerate_solutions(kind, inst, narrow))
+        if type(listed) is str:
+            with pytest.raises(CapacityError) as streamed:
+                feasible_keys(kind, inst, d, narrow)
+            assert str(streamed.value) == listed
+            seen["structural"] += 1
+        within = [sum(key >> n <= b for key in want) for b in stream_budgets(t, d)]
+        caps = {-1, 0, *within, *(count - 1 for count in within)}
+        for cap in sorted(caps):
+            bounds = Bounds(max_universe=24, max_solutions=cap)
+            keys, error = read_stream(feasible_keys(kind, inst, d, bounds))
+            read = 0
+            for count in within:
+                if count > max(cap, 0):
+                    break
+                read = count
+            assert keys == want[:read], (kind, inst, cap)
+            if read < len(want):
+                assert error == "solution cap exceeded", (kind, inst, cap)
+                seen["cap"] += 1
+                seen["cheap end"] += read > 0
+            else:
+                assert error is None, (kind, inst, cap)
     assert min(seen.values()) > 10, seen
 
 
@@ -1112,13 +1116,56 @@ def test_number_kinds_equal_reference_on_random_instances():
     assert min(seen.values()) >= 20, seen
 
 
-def test_knapsack_counts_its_price_feasible_sets_against_the_cap():
+def test_knapsack_counts_only_its_solutions_against_the_cap():
     # all 7 nonempty sets reach the price goal, but only the 3 singletons
-    # stay within the weight cap: a cap of 3 is exceeded before the filter
+    # stay within the weight cap, and the walk prunes on the weight: a cap
+    # of 3 lists them, and only a cap of 2 is exceeded
     inst = KnapsackInstance(((1, 1), (1, 1), (1, 1)), 1, 1)
+    assert KIND_SPECS[ProblemKind.KNAPSACK].solutions.run(inst, 3) == [1, 2, 4]
     with pytest.raises(CapacityError, match="solution cap exceeded"):
-        KIND_SPECS[ProblemKind.KNAPSACK].solutions.run(inst, 3)
-    assert KIND_SPECS[ProblemKind.KNAPSACK].solutions.run(inst, 7) == [1, 2, 4]
+        KIND_SPECS[ProblemKind.KNAPSACK].solutions.run(inst, 2)
+
+
+def test_packings_equal_powerset_filter():
+    # the include/exclude walk lists the sets whose price reaches the goal
+    # and whose weight is within the budget, and raises only once more
+    # than the cap of them are listed
+    rng = random.Random(43)
+    seen = {"listed": 0, "weight cuts": 0, "empty": 0}
+    for _ in range(400):
+        n = rng.randint(0, 12)
+        prices = tuple(rng.choice((1, 2, 2, 3, 5, 8, 13)) for _ in range(n))
+        weights = tuple(rng.randint(1, 9) for _ in range(n))
+        goal = rng.randint(-2, sum(prices) + 2)
+        budget = rng.randint(-2, sum(weights) + 2)
+
+        def total(values, m):
+            return sum(v for i, v in enumerate(values) if m >> i & 1)
+
+        reach = [m for m in range(1 << n) if total(prices, m) >= goal]
+        want = [m for m in reach if total(weights, m) <= budget]
+        assert packings(prices, goal, weights, budget, len(want)) == want
+        if want:
+            with pytest.raises(CapacityError, match="^solution cap exceeded$"):
+                packings(prices, goal, weights, budget, len(want) - 1)
+        seen["listed"] += len(want) > 1
+        seen["weight cuts"] += len(want) < len(reach)
+        seen["empty"] += not want
+    assert min(seen.values()) >= 50, seen
+
+
+def test_masked_sum_equals_bit_loop():
+    # the mask's binary digits select the values, on masks up to 100 bits
+    # wide; a negative mask is refused
+    rng = random.Random(47)
+    for _ in range(500):
+        n = rng.randint(0, 100)
+        values = tuple(rng.randint(-5, 1 << 70) for _ in range(n))
+        mask = rng.getrandbits(n) if n else 0
+        want = sum(v for i, v in enumerate(values) if mask >> i & 1)
+        assert _masked_sum(values, mask) == want, (values, mask)
+    with pytest.raises(DomainError, match="negative element set"):
+        _masked_sum((1, 2), -1)
 
 
 def test_largest_first_window_search_equals_index_order():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ from sspforge.problems import (
     universe_size,
 )
 from sspforge.problems.numbers import _masked_sum
+from sspforge.reductions import build_blowup, build_preserving, compose
 from sspforge.rr import (
     INFEASIBLE,
     CombRrInstance,
@@ -651,3 +653,108 @@ def test_cost_rr_agrees_with_the_game_on_wide_subsetsum_targets():
             got = eval_cost_rr(comb_to_cost_rr(comb), bounds)[1]
             assert got == want, (seed, measure)
     assert sizes == WIDE_TARGETS
+
+
+def test_cost_rr_reads_no_window_past_the_one_that_settles_it():
+    # a star's centre is its one cover of size 1, and the stream's second
+    # window, the covers of at most 2 vertices, holds 5 sets: at a cap of 1
+    # only the first window's floor can stop the recovery scan and the
+    # first-stage walk before they list the second
+    star = VertexCoverInstance(5, tuple((0, v) for v in range(1, 5)), 1)
+    inst = _cost_instance(star, gamma=0, kappa=0)
+    value, ok, wit = eval_cost_rr(inst, Bounds(max_solutions=1))
+    assert (value, ok, wit.s1, wit.recoveries) == (2, True, 1, {0: 1})
+    with pytest.raises(CapacityError, match="solution cap exceeded"):
+        enumerate_feasible(inst.kind, star, Bounds(max_solutions=1))
+
+
+# the 3sat-subsetsum cost-RR no-instances of 20 elements and more that the
+# games random_radjsat(Random(seed), max_part=2, max_clauses=10) for seeds
+# 0-59 give under all three measures, by element count
+WIDE_NO_TARGETS = {38: 2, 46: 2, 50: 2, 56: 1, 68: 1, 74: 1}
+
+
+def test_cost_rr_cuts_the_recovery_scans_of_wide_no_instances():
+    # a first stage loses once one scenario's recoveries cannot come in
+    # below the best value so far, so its scans stop there; without that
+    # cut the three seed-19 targets took 7-10 s each
+    bounds = Bounds(max_universe=24, max_solutions=1 << 20, max_vertices=16384)
+    sizes = {}
+    elapsed = 0.0
+    for seed in range(60):
+        game = random_radjsat(
+            random.Random(seed), max_part=2, max_clauses=10, max_gamma=2
+        )
+        if solve_radjsat(game, bounds)[0]:
+            continue
+        for measure in (ADD, DEL, HAM):
+            comb = radjsat_to_comb_rr(game, "3sat-subsetsum", measure)
+            n = universe_size(comb.instance)
+            if n < 20:
+                continue
+            sizes[n] = sizes.get(n, 0) + 1
+            start = time.perf_counter()
+            value, ok, wit = eval_cost_rr(comb_to_cost_rr(comb), bounds)
+            elapsed += time.perf_counter() - start
+            assert not ok and wit is not None and value > 2 * lop_cost(
+                comb.kind, comb.instance
+            )[1], (seed, measure)
+    assert sizes == WIDE_NO_TARGETS
+    assert elapsed < 5, elapsed
+
+
+# every chain from 3SAT whose target is an LOP kind with non-negative
+# costs: a blow-up edge, then the preserving edges composed onto it
+LOP_CHAINS = (
+    "3sat-vc",
+    "3sat-vc,vc-sc",
+    "3sat-vc,vc-hs",
+    "3sat-vc,vc-fvs",
+    "3sat-dhampath,dhampath-dhamcycle",
+    "3sat-dhampath,dhampath-dhamcycle,dhamcycle-uhamcycle,uhamcycle-tsp",
+    "3sat-subsetsum",
+    "3sat-subsetsum,subsetsum-knapsack",
+    "3sat-subsetsum,subsetsum-partition,partition-scheduling",
+    "3sat-2ddp,2ddp-kddp",
+    "3sat-steinertree",
+)
+
+
+def chain_comb_rr(game, chain, measure):
+    """The hardness pipeline through ``chain``: the blow-up of the game's
+    X-literals, composed with each preserving edge in turn; the images of
+    the Y variables are blockable, and the composed factor is kappa."""
+    n = game.cnf.n_vars
+    blowup, *rest = chain.split(",")
+    l_b = mask_of([*game.x_vars, *(n + v for v in game.x_vars)])
+    art = build_blowup(blowup, game.cnf, l_b, measure)
+    for edge in rest:
+        art = compose(build_preserving(edge, art.target), art)
+    return CombRrInstance(
+        art.target_kind,
+        art.target,
+        mask_of(art.f[v] for v in game.y_vars),
+        game.gamma,
+        art.beta_for(measure),
+        measure,
+    )
+
+
+def test_cost_rr_agrees_with_the_game_through_every_lop_chain():
+    # the targets hold 14-30,135 elements, past the powerset bound on all
+    # but the number chains; each is read as one key stream from its kind's
+    # own search, so cost-RR answers on every case
+    bounds = Bounds(max_universe=24, max_solutions=1 << 20, max_vertices=16384)
+    start = time.perf_counter()
+    agree = {}
+    for chain in LOP_CHAINS:
+        rng = random.Random(repr(("rr-chain", chain)))
+        for _ in range(8):
+            game = random_radjsat(rng, max_part=1, max_clauses=2, max_gamma=1)
+            want = solve_radjsat(game, bounds)[0]
+            for measure in (ADD, DEL, HAM):
+                cost = comb_to_cost_rr(chain_comb_rr(game, chain, measure))
+                assert eval_cost_rr(cost, bounds)[1] == want, (chain, measure)
+                agree[chain] = agree.get(chain, 0) + 1
+    assert agree == dict.fromkeys(LOP_CHAINS, 24)
+    assert time.perf_counter() - start < 10
