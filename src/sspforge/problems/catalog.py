@@ -17,7 +17,9 @@ cost-RR key stream of ``feasible_keys`` that search at growing budgets.
 ``enumerate_solutions`` and
 ``enumerate_feasible`` realize the families exactly at desk scale.
 Results are cached per instance since the checkers ask for the same
-families repeatedly.
+families repeatedly.  One helper, ``cached``, builds every cache of the
+package (these two and the blow-up targets of ``reductions.blowup``), and
+one call, ``clear_caches``, empties them all.
 
 A guard answers to what its enumerator walks.  A bounded search answers
 to ``max_vertices`` on the elements it walks, plus the solution cap.  A
@@ -405,7 +407,18 @@ def verify(kind: ProblemKind, inst, mask: int) -> bool:
     return inst.verify(mask)
 
 
-@functools.lru_cache(maxsize=4096)
+_CACHES = []
+
+
+def cached(fn):
+    """``fn`` behind an LRU cache of 4096 entries, which ``clear_caches``
+    empties."""
+    memo = functools.lru_cache(maxsize=4096)(fn)
+    _CACHES.append(memo)
+    return memo
+
+
+@cached
 def _solutions_cached(kind: ProblemKind, inst, bounds: Bounds) -> tuple[int, ...]:
     spec = KIND_SPECS[kind]
     spec.solutions.guard.check(inst, bounds)
@@ -418,7 +431,7 @@ def enumerate_solutions(kind: ProblemKind, inst, bounds: Bounds = DEFAULT_BOUNDS
     return list(_solutions_cached(kind, inst, bounds))
 
 
-@functools.lru_cache(maxsize=4096)
+@cached
 def _feasible_cached(kind: ProblemKind, inst, bounds: Bounds) -> tuple[int, ...]:
     spec = KIND_SPECS[kind]
     if spec.feasible is None:
@@ -478,5 +491,5 @@ def lop_cost(kind: ProblemKind, inst) -> tuple[tuple[int, ...], int]:
 
 
 def clear_caches():
-    _solutions_cached.cache_clear()
-    _feasible_cached.cache_clear()
+    for memo in _CACHES:
+        memo.cache_clear()

@@ -6,7 +6,8 @@ lower bounds that never cut a valid solution.  Vertex sets and
 neighbourhoods are bitmasks.  The cover search (which also serves
 independent sets and cliques, as complements) branches on the lowest free
 vertex with a free neighbour, forces a banned vertex's neighbourhood into
-the cover, and bounds the rest by a greedy matching over the free
+the cover, and bounds the rest by a greedy packing of vertex-disjoint
+triangles (two cover vertices each) and edges (one each) over the free
 vertices.  Dominating sets and feedback vertex and arc sets are hitting
 sets: ``covering.hitting_sets_upto`` lists them, from the closed
 neighbourhoods and from the constraint functions ``unhit_cycle_vertices``
@@ -172,8 +173,15 @@ def covers_upto(n, edges, k, cap) -> list[int]:
 
     Branches on the lowest free vertex that has a free neighbour: take it,
     or ban it and take its whole neighbourhood.  Every edge at a banned
-    vertex is thus covered, so the free vertices carry all uncovered edges;
-    a greedy matching among them bounds the vertices still needed.
+    vertex is thus covered, so the free vertices carry all uncovered edges.
+    A greedy packing of vertex-disjoint triangles and edges among them
+    bounds the vertices still needed: it takes the lowest free vertex u and
+    its lowest free neighbour v, and a triangle, which needs two cover
+    vertices, if u and v have a common free neighbour w (the lowest),
+    else the edge, which needs one; the 3SAT gadgets put a triangle on
+    every clause.  The bound cuts only branches that hold no cover within
+    the budget, so the family, its append order and the point where the
+    cap raises do not depend on it.
     """
     if k < 0:
         return []
@@ -200,17 +208,24 @@ def covers_upto(n, edges, k, cap) -> list[int]:
             return
         x = low.bit_length() - 1
         # the free vertices below x have no free neighbour, so the greedy
-        # matching starts at x; it matches at most half of the vertices in
-        # m, so it can exceed the budget only if 2 * budget is below that
-        if 2 * budget < m.bit_count():
+        # packing starts at x; it needs at most two of every three
+        # vertices in m, so it can exceed the budget only if 3 * budget is
+        # below twice their number
+        if 3 * budget < 2 * m.bit_count():
             need = 0
             while m:
                 low = m & -m
                 m ^= low
-                mate = nb[low.bit_length() - 1] & m
-                if mate:
-                    m ^= mate & -mate
-                    need += 1
+                mates = nb[low.bit_length() - 1] & m
+                if mates:
+                    v = mates & -mates
+                    m ^= v
+                    common = mates & nb[v.bit_length() - 1]
+                    if common:
+                        m ^= common & -common
+                        need += 2
+                    else:
+                        need += 1
                     if need > budget:
                         return
         rec(chosen | 1 << x, banned, budget - 1)

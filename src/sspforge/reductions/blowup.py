@@ -12,6 +12,13 @@ applies the per-edge overrides where desk verification showed the
 published formula misses a term (the override table is the documented
 deviation mechanism).  Builders size their gadgets by the effective
 factor of the requested measure.
+
+There is one shared target per distinct factor: a builder reads only the
+edge, the source, the blown pairs and the gadget size, so ``build_blowup``
+takes (target, f) from a cache keyed by exactly those.  The measures
+whose factors agree (κ-addition and κ-deletion on every edge, all three
+on 3sat-vc) get one frozen target, and the family caches find it by
+identity; ``problems.clear_caches`` empties this cache with theirs.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from ..problems import (
     SteinerTreeInstance,
     SubsetSumInstance,
 )
+from ..problems.catalog import cached
 from .artifact import BLOWUP, ReductionArtifact, edge_kinds
 
 _ADD = DistanceMeasure.KAPPA_ADDITION
@@ -46,7 +54,7 @@ class _Ids(dict):
         return number
 
 
-def _blown_pairs(src: CnfInstance, l_b: int) -> list[int]:
+def _blown_pairs(src: CnfInstance, l_b: int) -> tuple[int, ...]:
     """Variable indices whose literal pair is blown up; l_b must be closed
     under negation."""
     n = src.n_vars
@@ -60,7 +68,7 @@ def _blown_pairs(src: CnfInstance, l_b: int) -> list[int]:
             raise PreconditionError("L_b must be closed under negation")
         if p:
             pairs.append(i)
-    return pairs
+    return tuple(pairs)
 
 
 def _sat3sat_helpers(src: CnfInstance) -> int:
@@ -148,10 +156,8 @@ def build_blowup(
     measure: DistanceMeasure,
     beta_override: int | None = None,
 ) -> ReductionArtifact:
-    try:
-        builder = _BUILDERS[edge]
-    except KeyError:
-        raise PreconditionError(f"unknown blow-up edge {edge}") from None
+    if edge not in _BUILDERS:
+        raise PreconditionError(f"unknown blow-up edge {edge}")
     source_kind, target_kind = edge_kinds(edge)
     width = KIND_SPECS[source_kind].width
     if width:
@@ -163,7 +169,7 @@ def build_blowup(
         table = {m: beta_override for m in (_ADD, _DEL, _HAM)}
     else:
         table = effective_beta(edge, source, l_b)
-    target, f = builder(source, pairs, table[measure])
+    target, f = _target(edge, source, pairs, table[measure])
     return ReductionArtifact(
         edge=edge,
         kind=BLOWUP,
@@ -171,10 +177,18 @@ def build_blowup(
         source=source,
         target_kind=target_kind,
         target=target,
-        f=tuple(f),
+        f=f,
         l_b=l_b,
         beta=tuple((m, table[m]) for m in MEASURES),
     )
+
+
+@cached
+def _target(edge: str, source: CnfInstance, pairs: tuple[int, ...], gadget: int):
+    """The edge builder's (target, f), with f as a tuple; cached, so every
+    build with these inputs shares one target."""
+    target, f = _BUILDERS[edge](source, pairs, gadget)
+    return target, tuple(f)
 
 
 # ---------------------------------------------------------------- sat-3sat

@@ -174,6 +174,11 @@ def artifact_from_doc(doc: dict) -> ReductionArtifact:
                 f"bad artifact document: 'f' must hold {n_src} indices, "
                 f"one per source element, not {len(f)}"
             )
+        if len(set(f)) != n_src:
+            raise FormatError(
+                "bad artifact document: 'f' must map the source elements "
+                "to distinct target elements"
+            )
         kind = doc["kind"]
         if kind not in _ARTIFACT_KINDS:
             raise FormatError(

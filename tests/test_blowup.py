@@ -12,7 +12,12 @@ from sspforge.core import (
     mask_of,
 )
 from sspforge.gen import random_cnf, random_lb
-from sspforge.problems import CnfInstance, ProblemKind, enumerate_solutions
+from sspforge.problems import (
+    CnfInstance,
+    ProblemKind,
+    clear_caches,
+    enumerate_solutions,
+)
 from sspforge.reductions import (
     BLOWUP_EDGES,
     build_blowup,
@@ -194,6 +199,38 @@ def test_blowup_edges_random_sources(edge):
             art = build_blowup(edge, src, lb, measure)
             assert check_ssp(art).passed, (edge, i, measure)
             assert check_blowup(art, measure).passed, (edge, i, measure)
+
+
+# two clauses of width 3, with the pair x1 blown up
+SHARED_SOURCE = CnfInstance(2, ((0, 1, 3), (2, 1, 1)))
+SHARED_LB = mask_of([0, 2])
+
+
+@pytest.mark.parametrize("edge", BLOWUP_EDGES)
+def test_measures_with_one_factor_share_one_target(edge):
+    """A build takes its target from a cache keyed by the gadget size, so
+    the measures whose factors agree share one target object, which a
+    cleared cache builds anew and equal."""
+    clear_caches()
+    arts = {
+        m: build_blowup(edge, SHARED_SOURCE, SHARED_LB, m) for m in DistanceMeasure
+    }
+    kappa = arts[ADD]
+    assert arts[DEL].target is kappa.target and arts[DEL].f is kappa.f
+    assert (arts[HAM].target is kappa.target) == (edge == "3sat-vc")
+    assert (arts[HAM].beta_for(HAM) == kappa.beta_for(ADD)) == (edge == "3sat-vc")
+    clear_caches()
+    again = build_blowup(edge, SHARED_SOURCE, SHARED_LB, ADD)
+    assert again.target is not kappa.target and again.target == kappa.target
+    assert (again.f, again.l_b, again.beta) == (kappa.f, kappa.l_b, kappa.beta)
+    # an override sizes the gadget under every measure, so it keys the build
+    beta = kappa.beta_for(ADD)
+    same = build_blowup(edge, SHARED_SOURCE, SHARED_LB, HAM, beta_override=beta)
+    assert same.target is again.target and same.beta_for(HAM) == beta
+    wider = build_blowup(edge, SHARED_SOURCE, SHARED_LB, ADD, beta_override=beta + 1)
+    assert wider.target != again.target
+    widened = build_blowup(edge, SHARED_SOURCE, SHARED_LB, DEL, beta_override=beta + 1)
+    assert widened.target is wider.target
 
 
 # ------------------------------------------------- grouped biconditional

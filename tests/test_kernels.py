@@ -46,6 +46,7 @@ from sspforge.problems import (
     FeedbackArcSetInstance,
     FeedbackVertexSetInstance,
     HittingSetInstance,
+    IndependentSetInstance,
     KnapsackInstance,
     PartitionInstance,
     PCenterInstance,
@@ -56,6 +57,7 @@ from sspforge.problems import (
     SubsetSumInstance,
     TspInstance,
     UndirectedHamCycleInstance,
+    VertexCoverInstance,
     clear_caches,
     enumerate_feasible,
     enumerate_solutions,
@@ -555,13 +557,37 @@ def test_kernels_equal_reference_on_large_targets(edge, i):
 # (max_part, max_clauses, games): the plain search takes about a second on
 # a two-part game's 75-vertex cover target, and several on two clauses
 COMB_RR_GAMES = ((1, 3, 8), (2, 1, 5))
+# triangle-rich graphs drawn per COMB_RR_GAMES row, and their largest size
+TRIANGLE_GRAPHS = 75
+TRIANGLE_MAX_N = 13
+
+
+def triangle_rich_graphs(rng, count, max_n):
+    """``count`` graphs of up to ``max_n`` vertices, each with planted
+    vertex-disjoint triangles and K4s over random sparse edges, as (n,
+    edges, need): a cover takes all but one vertex of each planted clique,
+    ``need`` vertices in all."""
+    for _ in range(count):
+        n = rng.randint(3, max_n)
+        order = rng.sample(range(n), n)
+        edges, need = set(), 0
+        while len(order) >= 3 and rng.random() < 0.8:
+            size = min(rng.choice((3, 3, 4)), len(order))
+            clique = [order.pop() for _ in range(size)]
+            edges.update(itertools.combinations(sorted(clique), 2))
+            need += size - 1
+        p = 0.3 * rng.random()
+        edges.update(e for e in complete_edges(n) if rng.random() < p)
+        yield n, tuple(edges), need
 
 
 @pytest.mark.parametrize("max_part, max_clauses, games", COMB_RR_GAMES)
 def test_cover_kernels_equal_reference_on_comb_rr_targets(max_part, max_clauses, games):
     """The cover search lists what the plain search lists on the comb-RR
-    targets of random games, under every measure, and overflows the
-    solution cap exactly one below the family's size."""
+    targets of random games, under every measure, and on triangle-rich
+    random graphs at their planted need and one vertex more, where leaves
+    pad; it overflows the solution cap exactly one below the family's
+    size."""
     searches = {
         "3sat-vc": (covers_upto, ref_covers_upto),
         "3sat-is": (independent_sets_atleast, ref_independent_sets_atleast),
@@ -579,6 +605,11 @@ def test_cover_kernels_equal_reference_on_comb_rr_targets(max_part, max_clauses,
         for edge in searches
         for measure in DistanceMeasure
     }
+    graphs = random.Random(repr(("triangle-rich graphs", max_part)))
+    for n, edges, need in triangle_rich_graphs(graphs, TRIANGLE_GRAPHS, TRIANGLE_MAX_N):
+        for k in (need, need + 1):
+            targets["3sat-vc", VertexCoverInstance(n, edges, k)] = None
+            targets["3sat-is", IndependentSetInstance(n, edges, n - k)] = None
     sizes = []
     for edge, t in targets:
         kernel, ref = searches[edge]

@@ -339,10 +339,11 @@ def _set_payload_k(doc):
         (_blowup_doc, {"beta": {"hamming": 2}}, "'beta'"),
         (_blowup_doc, {"beta": {"hamming": -1, "kappa_addition": 2,
                                 "kappa_deletion": 2}}, "'beta'"),
+        (_preserving_doc, {"f": [0, 0, 2]}, "'f'"),
     ],
     ids=["f-str", "f-99", "payload-k-str", "l_b-neg", "l_b-99", "kind-5",
          "beta-str", "f-bool", "f-short", "u_on-3", "u_off-str",
-         "beta-partial", "beta-neg"],
+         "beta-partial", "beta-neg", "f-repeat"],
 )
 def test_cli_check_malformed_artifact_is_format_error(tmp_path, capsys, base,
                                                       change, key):
