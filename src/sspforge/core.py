@@ -159,13 +159,11 @@ class Bounds:
 
     Each family answers to what its enumerator walks.  A bounded search
     (covers, hitting sets, paths, cycles, trees, number windows) answers to
-    ``max_vertices`` on the elements it walks.  A scan answers to
-    ``max_universe``: CNF assignments to max(max_universe // 2, 16)
-    variables, UFL and p-median facility masks to ``max_universe``.  A
-    feasible family F(I), listed whole, answers to ``max_universe`` (a
-    route kind's to ``max_vertices``); the cost-RR key stream of any LOP
-    kind, its own search read window by window of budgets, answers to
-    ``max_vertices``.  Every family stops at ``max_solutions``, a stream
+    ``max_vertices`` on the elements it walks, and so does every family of
+    an LOP kind: S(I), the listed F(I) and the cost-RR key stream.  Only a
+    scan answers to ``max_universe``: CNF assignments to max(max_universe
+    // 2, 16) variables, UFL and p-median facility masks to
+    ``max_universe``.  Every family stops at ``max_solutions``, a stream
     at the first search it runs that lists more.
     """
 

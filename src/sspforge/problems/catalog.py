@@ -8,26 +8,25 @@ are all read from that field.
 
 Each kind is declared once, by its ``KindSpec`` entry in ``KIND_SPECS``:
 the instance class, the enumerator of the solution family S(I) and the
-capacity guard it runs behind, and, for the LOP kinds, the enumerator of
-F(I) with its own guard and the cost envelope (d, t), with S(I) = {F in
-F(I) : d(F) <= t}.  An LOP kind states one search of the members of F(I)
-within a cost budget, ``KindSpec.search``: S(I) is that search at t,
-F(I) at the sum of the positive costs, which every set meets, and the
-cost-RR key stream of ``feasible_keys`` that search at growing budgets.
-``enumerate_solutions`` and
-``enumerate_feasible`` realize the families exactly at desk scale.
-Results are cached per instance since the checkers ask for the same
-families repeatedly.  One helper, ``cached``, builds every cache of the
-package (these two and the blow-up targets of ``reductions.blowup``), and
-one call, ``clear_caches``, empties them all.
+one capacity guard it runs behind, and, for the LOP kinds, the cost
+envelope (d, t), with S(I) = {F in F(I) : d(F) <= t}.  An LOP kind states
+one search of the members of F(I) within a cost budget,
+``KindSpec.search``: S(I) is that search at t, the listed F(I) of
+``enumerate_feasible`` that search at the sum of the positive costs,
+which every set meets, and the cost-RR key stream of ``feasible_keys``
+that search at growing budgets.  All are exact, at desk scale.  S(I) is
+cached per instance, since the checkers ask for it repeatedly; F(I)
+shares that entry where t meets every set, as on the route kinds.  One
+helper, ``cached``, builds every cache of the package (this one and the
+blow-up targets of ``reductions.blowup``), and one call,
+``clear_caches``, empties them all.
 
 A guard answers to what its enumerator walks.  A bounded search answers
-to ``max_vertices`` on the elements it walks, plus the solution cap.  A
-scan answers to ``max_universe``: CNF assignments to max(max_universe //
-2, 16) variables, UFL and p-median masks to the powerset bound.  F(I) is
-listed whole, so it answers to the powerset bound, except a route kind's
-search (TSP's at a budget no tour exceeds), which answers to the vertex
-count; ``_lop_kind`` gives the LOP kinds over a set universe both guards.
+to ``max_vertices`` on the elements it walks, plus the solution cap; so
+every family of an LOP kind, S(I), the listed F(I) and the stream,
+answers to the one guard of S(I).  Only a scan answers to
+``max_universe``: CNF assignments to max(max_universe // 2, 16)
+variables, UFL and p-median masks to the powerset bound.
 
 Every enumerator ``run(inst, cap)`` returns its family as a sorted list
 of element masks, or an iterable of them in increasing order, and raises
@@ -35,7 +34,7 @@ of element masks, or an iterable of them in increasing order, and raises
 kernels state that limit once: they collect their solutions in
 ``core.Capped(cap)``, whose append raises.  ``feasible_keys`` streams
 F(I) of any LOP kind priced by its own costs window by window of budgets,
-so it answers to the guard of S(I), and to the cap on each search it runs.
+and answers to the cap on each search it runs.
 The route kinds share two searches: directed Hamiltonian cycles are
 listed by the Hamiltonian path search, and TSP tours by the undirected
 cycle search on the complete graph.  Dominating set, set cover, hitting
@@ -139,21 +138,13 @@ class Guards(NamedTuple):
             guard.check(inst, bounds)
 
 
-class Enumerator(NamedTuple):
-    """A family enumerator ``run(inst, cap)``, called once ``guard`` passes."""
-
-    guard: Guard | Guards
-    run: Callable[[Any, int], Iterable[int]]
-
-
 class KindSpec(NamedTuple):
-    """Everything kind-specific about one problem kind."""
+    """Everything kind-specific about one problem kind: its S(I) is
+    ``run(inst, cap)``, called once ``guard`` passes."""
 
     cls: type
-    solutions: Enumerator
-    # F(I), ignoring the cost threshold; None for the pure-SSP kinds.  It is
-    # ``solutions`` itself where all costs are zero, so F(I) = S(I).
-    feasible: Enumerator | None = None
+    guard: Guard | Guards
+    run: Callable[[Any, int], Iterable[int]]
     # the envelope: element costs d and threshold t of an instance
     cost: Callable[[Any], tuple[tuple[int, ...], int]] | None = None
     # the clause width every instance must have
@@ -171,44 +162,29 @@ def _zero_cost(cls, run) -> KindSpec:
     def search(i, budget, cap):
         return run(i, cap) if budget >= 0 else []
 
-    e = Enumerator(_structural("n"), run)
-    return KindSpec(cls, e, e, lambda i: ((0,) * universe_size(i), 0), search=search)
+    def cost(i):
+        return (0,) * universe_size(i), 0
+
+    return KindSpec(cls, _structural("n"), run, cost, search=search)
 
 
-def _lop(cls, search, cost, guard, feasible_guard) -> KindSpec:
+def _lop(cls, search, cost, guard=None) -> KindSpec:
     """An LOP kind from its one search ``search(inst, budget, cap)``, the
     members of F(I) whose element cost is at most ``budget``: S(I) is the
-    search at the threshold t, behind ``guard``, and F(I) the search at the
-    sum of the positive costs, a threshold every set meets, behind
-    ``feasible_guard``."""
+    search at the threshold t, behind ``guard``, by default the structural
+    bound on the kind's universe."""
 
-    def solutions(i, cap):
+    def run(i, cap):
         return search(i, cost(i)[1], cap)
 
-    def feasible(i, cap):
-        return search(i, sum(max(c, 0) for c in cost(i)[0]), cap)
-
-    return KindSpec(
-        cls,
-        Enumerator(guard, solutions),
-        Enumerator(feasible_guard, feasible),
-        cost,
-        search=search,
-    )
-
-
-def _lop_kind(cls, search, cost) -> KindSpec:
-    """An LOP kind over a set universe: S(I) is listed by a bounded search,
-    F(I) whole."""
-    guards = _structural(cls.universe), _powerset(cls.universe)
-    return _lop(cls, search, cost, *guards)
+    return KindSpec(cls, guard or _structural(cls.universe), run, cost, search=search)
 
 
 def _hitting_kind(cls, unhit) -> KindSpec:
     """A hitting-set kind: its search lists the sets of at most ``budget``
     elements that hit every constraint ``unhit(inst)`` names, and every
     element costs 1 against threshold k."""
-    return _lop_kind(
+    return _lop(
         cls,
         lambda i, budget, cap: covering.hitting_sets_upto(
             universe_size(i), unhit(i), budget, cap
@@ -221,7 +197,7 @@ def _threshold_kind(cls, threshold, cost) -> KindSpec:
     """A number kind whose F(I) is the sets whose weight sum reaches a
     threshold, as ``threshold`` gives them, costed by those weights: its
     search is the window from the threshold to the budget."""
-    return _lop_kind(
+    return _lop(
         cls,
         lambda i, budget, cap: numbers.sums_between(*threshold(i), budget, cap),
         cost,
@@ -235,9 +211,9 @@ def _knapsacks(i, budget, cap):
     return numbers.packings(prices, i.price_goal, weights, budget, cap)
 
 
-_CNF = Enumerator(
-    # enumeration walks assignments (2^n), not literal subsets, so the
-    # bound applies to the variable count
+# the scans, as (guard, run); CNF enumeration walks assignments (2^n), not
+# literal subsets, so its bound applies to the variable count
+_CNF = (
     Guard(
         "n_vars",
         lambda bounds: max(bounds.max_universe // 2, 16),
@@ -245,29 +221,29 @@ _CNF = Enumerator(
     ),
     cnf.enumerate_cnf_solutions,
 )
-_FACILITY = Enumerator(_powerset("n_facilities"), facility.facility_solutions)
+_FACILITY = _powerset("n_facilities"), facility.facility_solutions
 
 
 # in the enumerators and envelopes, ``i`` is the instance and ``cap`` the
 # solution cap
 KIND_SPECS: dict[ProblemKind, KindSpec] = {
-    ProblemKind.SAT: KindSpec(cnf.CnfInstance, _CNF),
-    ProblemKind.THREE_SAT: KindSpec(cnf.CnfInstance, _CNF, width=3),
-    ProblemKind.VERTEX_COVER: _lop_kind(
+    ProblemKind.SAT: KindSpec(cnf.CnfInstance, *_CNF),
+    ProblemKind.THREE_SAT: KindSpec(cnf.CnfInstance, *_CNF, width=3),
+    ProblemKind.VERTEX_COVER: _lop(
         graphs.VertexCoverInstance,
         lambda i, budget, cap: graphs.covers_upto(i.n, i.edges, budget, cap),
         lambda i: ((1,) * i.n, i.k),
     ),
     # the independent sets and cliques of at least k vertices: each vertex
     # costs -1 against threshold -k
-    ProblemKind.INDEPENDENT_SET: _lop_kind(
+    ProblemKind.INDEPENDENT_SET: _lop(
         graphs.IndependentSetInstance,
         lambda i, budget, cap: graphs.independent_sets_atleast(
             i.n, i.edges, -budget, cap
         ),
         lambda i: ((-1,) * i.n, -i.k),
     ),
-    ProblemKind.CLIQUE: _lop_kind(
+    ProblemKind.CLIQUE: _lop(
         graphs.CliqueInstance,
         lambda i, budget, cap: graphs.independent_sets_atleast(
             i.n, i.complement_edges(), -budget, cap
@@ -292,23 +268,21 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
     ProblemKind.FEEDBACK_ARC_SET: _hitting_kind(
         graphs.FeedbackArcSetInstance, graphs.unhit_cycle_arcs
     ),
-    ProblemKind.UFL: KindSpec(facility.FacilityLocationInstance, _FACILITY),
+    ProblemKind.UFL: KindSpec(facility.FacilityLocationInstance, *_FACILITY),
     ProblemKind.P_CENTER: KindSpec(
         facility.PCenterInstance,
-        Enumerator(
-            _structural("n_facilities"),
-            lambda i, cap: covering.hitting_sets_upto(
-                i.n_facilities, covering.unhit_masks(i.client_masks()), i.p, cap
-            ),
+        _structural("n_facilities"),
+        lambda i, cap: covering.hitting_sets_upto(
+            i.n_facilities, covering.unhit_masks(i.client_masks()), i.p, cap
         ),
     ),
-    ProblemKind.P_MEDIAN: KindSpec(facility.PMedianInstance, _FACILITY),
+    ProblemKind.P_MEDIAN: KindSpec(facility.PMedianInstance, *_FACILITY),
     ProblemKind.SUBSET_SUM: _threshold_kind(
         numbers.SubsetSumInstance,
         lambda i: (i.values, i.target),
         lambda i: (i.values, i.target),
     ),
-    ProblemKind.KNAPSACK: _lop_kind(
+    ProblemKind.KNAPSACK: _lop(
         numbers.KnapsackInstance,
         _knapsacks,
         lambda i: (tuple(w for _, w in i.items), i.weight_cap),
@@ -342,7 +316,6 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
         ),
         lambda i: (i.weights, i.k),
         _structural("n"),
-        _structural("n"),
     ),
     ProblemKind.TWO_DDP: _zero_cost(
         paths.DisjointPathsInstance, paths.disjoint_path_systems
@@ -350,14 +323,13 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
     ProblemKind.K_DDP: _zero_cost(
         paths.DisjointPathsInstance, paths.disjoint_path_systems
     ),
-    # the Steiner kernel builds tables per vertex and terminal, so both of
-    # its families also answer to the vertex count
+    # the Steiner kernel builds tables per vertex and terminal, so its
+    # search also answers to the vertex count
     ProblemKind.STEINER_TREE: _lop(
         steiner.SteinerTreeInstance,
         steiner.steiner_trees_upto,
         lambda i: (i.costs, i.k),
         Guards((_structural("edges"), _structural("n"))),
-        Guards((_powerset("edges"), _structural("n"))),
     ),
 }
 
@@ -421,29 +393,29 @@ def cached(fn):
 @cached
 def _solutions_cached(kind: ProblemKind, inst, bounds: Bounds) -> tuple[int, ...]:
     spec = KIND_SPECS[kind]
-    spec.solutions.guard.check(inst, bounds)
+    spec.guard.check(inst, bounds)
     if spec.width:
         inst.require_width(spec.width)
-    return tuple(spec.solutions.run(inst, bounds.max_solutions))
+    return tuple(spec.run(inst, bounds.max_solutions))
 
 
 def enumerate_solutions(kind: ProblemKind, inst, bounds: Bounds = DEFAULT_BOUNDS):
     return list(_solutions_cached(kind, inst, bounds))
 
 
-@cached
-def _feasible_cached(kind: ProblemKind, inst, bounds: Bounds) -> tuple[int, ...]:
-    spec = KIND_SPECS[kind]
-    if spec.feasible is None:
-        raise UnsupportedKindError(f"{kind.value} has no feasible-set structure")
-    if spec.feasible is spec.solutions:
-        return _solutions_cached(kind, inst, bounds)
-    spec.feasible.guard.check(inst, bounds)
-    return tuple(spec.feasible.run(inst, bounds.max_solutions))
-
-
 def enumerate_feasible(kind: ProblemKind, inst, bounds: Bounds = DEFAULT_BOUNDS):
-    return list(_feasible_cached(kind, inst, bounds))
+    """F(I): the kind's search at the sum of the positive costs, which every
+    set meets, behind the guard of S(I); S(I) itself where the threshold
+    already meets that sum."""
+    spec = KIND_SPECS[kind]
+    if spec.search is None:
+        raise UnsupportedKindError(f"{kind.value} has no feasible-set structure")
+    d, t = spec.cost(inst)
+    top = _top(d)
+    if t >= top:
+        return enumerate_solutions(kind, inst, bounds)
+    spec.guard.check(inst, bounds)
+    return list(spec.search(inst, top, bounds.max_solutions))
 
 
 def feasible_keys(
@@ -464,12 +436,17 @@ def feasible_keys(
     d, t = lop_cost(kind, inst)
     if costs != d:
         return None
-    spec.solutions.guard.check(inst, bounds)
+    spec.guard.check(inst, bounds)
     return _windows(spec.search, inst, d, t, bounds.max_solutions)
 
 
+def _top(costs) -> int:
+    """The sum of the positive costs: a budget every set meets."""
+    return sum(max(c, 0) for c in costs)
+
+
 def _windows(search, inst, costs, budget, cap):
-    n, top = len(costs), sum(max(c, 0) for c in costs)
+    n, top = len(costs), _top(costs)
     seen = set()
     width = 1
     while True:

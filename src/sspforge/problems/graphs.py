@@ -174,12 +174,13 @@ def covers_upto(n, edges, k, cap) -> list[int]:
     Branches on the lowest free vertex that has a free neighbour: take it,
     or ban it and take its whole neighbourhood.  Every edge at a banned
     vertex is thus covered, so the free vertices carry all uncovered edges.
-    A greedy packing of vertex-disjoint triangles and edges among them
-    bounds the vertices still needed: it takes the lowest free vertex u and
-    its lowest free neighbour v, and a triangle, which needs two cover
-    vertices, if u and v have a common free neighbour w (the lowest),
-    else the edge, which needs one; the 3SAT gadgets put a triangle on
-    every clause.  The bound cuts only branches that hold no cover within
+    A branch with a free edge left and no budget ends at once.  Above
+    budget 0, a greedy packing of vertex-disjoint triangles and edges among
+    them bounds the vertices still needed: it takes the lowest free vertex
+    u and its lowest free neighbour v, and a triangle, which needs two
+    cover vertices, if u and v have a common free neighbour w (the
+    lowest), else the edge, which needs one; the 3SAT gadgets put a
+    triangle on every clause.  The bound cuts only branches that hold no cover within
     the budget, so the family, its append order and the point where the
     cap raises do not depend on it.
     """
@@ -205,6 +206,9 @@ def covers_upto(n, edges, k, cap) -> list[int]:
                 _pad_supersets(chosen, indices_of(free), budget, out)
             else:
                 out.append(chosen)
+            return
+        # a free edge is left, and no vertex to cover it
+        if not budget:
             return
         x = low.bit_length() - 1
         # the free vertices below x have no free neighbour, so the greedy

@@ -17,8 +17,8 @@ There is one shared target per distinct factor: a builder reads only the
 edge, the source, the blown pairs and the gadget size, so ``build_blowup``
 takes (target, f) from a cache keyed by exactly those.  The measures
 whose factors agree (κ-addition and κ-deletion on every edge, all three
-on 3sat-vc) get one frozen target, and the family caches find it by
-identity; ``problems.clear_caches`` empties this cache with theirs.
+on 3sat-vc) get one frozen target, and the family cache finds it by
+identity; ``problems.clear_caches`` empties this cache with that one.
 """
 
 from __future__ import annotations

@@ -324,7 +324,7 @@ def solve_eae_sat(
     Z-assignment satisfying the formula."""
     # a game walks assignments, as the 3SAT enumerator does, so its formula
     # answers to that enumerator's variable guard
-    KIND_SPECS[ProblemKind.THREE_SAT].solutions.guard.check(cnf, bounds)
+    KIND_SPECS[ProblemKind.THREE_SAT].guard.check(cnf, bounds)
     n = cnf.n_vars
     masks = cnf.clause_masks()
     for mx in _assignments(n, x_vars):
@@ -349,7 +349,7 @@ def solve_radjsat(
     Returns the winning X-assignment as a literal mask when the answer is
     yes."""
     cnf = inst.cnf
-    KIND_SPECS[ProblemKind.THREE_SAT].solutions.guard.check(cnf, bounds)
+    KIND_SPECS[ProblemKind.THREE_SAT].guard.check(cnf, bounds)
     n = cnf.n_vars
     masks = cnf.clause_masks()
     zs = list(_assignments(n, inst.z_vars))

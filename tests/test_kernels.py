@@ -347,11 +347,70 @@ def test_threshold_families_equal_powerset_filter():
                 if sum(c for i, c in enumerate(cost) if m >> i & 1) <= t
             ]
             assert within == powerset_filter(kind, inst), (kind, inst)
-            feasible = KIND_SPECS[kind].feasible.run
+            search, top = KIND_SPECS[kind].search, sum(max(c, 0) for c in cost)
             if want:
                 with pytest.raises(CapacityError):
-                    feasible(inst, len(want) - 1)
-            assert feasible(inst, len(want)) == want
+                    search(inst, top, len(want) - 1)
+            assert search(inst, top, len(want)) == want
+
+
+# the threshold each number kind whose verify pins a sum starts F(I) from,
+# over the values its sets are drawn from (partition and scheduling keep
+# the last element on the other side)
+SUM_THRESHOLDS = {
+    ProblemKind.SUBSET_SUM: lambda i: (i.values, i.target),
+    ProblemKind.PARTITION: lambda i: (i.values[:-1], (sum(i.values) + 1) // 2),
+    ProblemKind.SCHEDULING: lambda i: (i.times[:-1], sum(i.times) - i.deadline),
+}
+
+
+def feasible_filter(kind, inst):
+    """F(I) over the powerset: the sets the kind's verify accepts once its
+    threshold is the sum of the positive costs, which every set meets, or,
+    for a kind whose verify pins a sum, the sets whose sum reaches its
+    threshold."""
+    if kind in SUM_THRESHOLDS:
+        values, goal = SUM_THRESHOLDS[kind](inst)
+        return [m for m in range(1 << len(values)) if _masked_sum(values, m) >= goal]
+    d, t = lop_cost(kind, inst)
+    top = sum(max(c, 0) for c in d)
+    if t < top:
+        field = "weight_cap" if kind is ProblemKind.KNAPSACK else "k"
+        inst = dataclasses.replace(inst, **{field: top})
+    return powerset_filter(kind, inst)
+
+
+def test_one_guard_per_lop_kind():
+    # S(I), the listed F(I) and the key stream are one search behind one
+    # guard: past max_vertices all three raise the message of S(I), and
+    # none of them answers to the powerset bound
+    raised = set()
+    for kind, inst in small_instances():
+        if not is_lop(kind):
+            continue
+        d, _ = lop_cost(kind, inst)
+        n = len(d)
+        for max_vertices in {max(n - 1, 0), 0}:
+            narrow = Bounds(max_universe=24, max_solutions=CAP, max_vertices=max_vertices)
+            listed = outcome(lambda: enumerate_solutions(kind, inst, narrow))
+            for other in (
+                outcome(lambda: enumerate_feasible(kind, inst, narrow)),
+                outcome(lambda: feasible_keys(kind, inst, d, narrow)),
+            ):
+                if type(listed) is str:
+                    assert other == listed, (kind, inst, max_vertices)
+                else:
+                    assert type(other) is not str, (kind, inst, max_vertices)
+            if type(listed) is str:
+                raised.add(kind)
+        no_powerset = Bounds(max_universe=0, max_solutions=CAP, max_vertices=16384)
+        assert enumerate_solutions(kind, inst, no_powerset) == powerset_filter(
+            kind, inst
+        ), (kind, inst)
+        assert enumerate_feasible(kind, inst, no_powerset) == feasible_filter(
+            kind, inst
+        ), (kind, inst)
+    assert raised == {kind for kind in ProblemKind if is_lop(kind)}
 
 
 def stream_instances():
@@ -450,29 +509,30 @@ def test_key_stream_equals_sorted_listing_on_every_lop_kind():
 
 
 def test_key_stream_raises_on_what_it_reads():
-    # the stream answers to the guard of S(I) at the call, so it answers
-    # where the listing hits the powerset bound and raises the structural
-    # message of S(I) past max_vertices; each window's search counts every
-    # set within its budget against the cap, so the stream yields exactly
-    # the windows whose search fits the cap and then raises "solution cap
+    # the stream and the listed F(I) answer to the guard of S(I), so both
+    # list F(I) at a powerset bound of 0 and raise the structural message
+    # of S(I) past max_vertices; each window's search counts every set
+    # within its budget against the cap, so the stream yields exactly the
+    # windows whose search fits the cap and then raises "solution cap
     # exceeded".  Between two caps of ``caps`` the outcome cannot change.
-    seen = {"powerset": 0, "structural": 0, "cap": 0, "cheap end": 0}
+    seen = {"listed": 0, "structural": 0, "cap": 0, "cheap end": 0}
     for kind, inst in stream_instances():
         d, t = lop_cost(kind, inst)
         n = len(d)
         want = listed_keys(kind, inst, d)
         wide = Bounds(max_universe=0, max_solutions=CAP, max_vertices=BOUNDS.max_vertices)
-        if n and outcome(lambda: enumerate_feasible(kind, inst, wide)) == (
-            f"universe of size {n} exceeds the powerset bound 0"
-        ):
-            assert read_stream(feasible_keys(kind, inst, d, wide)) == (want, None)
-            seen["powerset"] += 1
+        assert read_stream(feasible_keys(kind, inst, d, wide)) == (want, None)
+        masks = sorted(key & ((1 << n) - 1) for key in want)
+        assert enumerate_feasible(kind, inst, wide) == masks, (kind, inst)
+        seen["listed"] += bool(n and masks)
         narrow = Bounds(max_universe=24, max_solutions=CAP, max_vertices=0)
         listed = outcome(lambda: enumerate_solutions(kind, inst, narrow))
         if type(listed) is str:
-            with pytest.raises(CapacityError) as streamed:
-                feasible_keys(kind, inst, d, narrow)
-            assert str(streamed.value) == listed
+            for family in (
+                lambda: enumerate_feasible(kind, inst, narrow),
+                lambda: feasible_keys(kind, inst, d, narrow),
+            ):
+                assert outcome(family) == listed, (kind, inst)
             seen["structural"] += 1
         within = [sum(key >> n <= b for key in want) for b in stream_budgets(t, d)]
         caps = {-1, 0, *within, *(count - 1 for count in within)}
@@ -776,9 +836,9 @@ def test_cap_is_enforced_by_the_new_kernels():
     heavy = TspInstance(7, (0, 1) * 10 + (1,), 1)
     for search, inst in (
         (ham_cycles_directed, cyc.target),
-        (UHC.solutions.run, uhc.target),
-        (TSP.feasible.run, TspInstance(7, (0,) * 21, 0)),
-        (TSP.solutions.run, heavy),
+        (UHC.run, uhc.target),
+        (TSP.run, TspInstance(7, (0,) * 21, 0)),
+        (TSP.run, heavy),
     ):
         routes = search(inst, CAP)
         assert routes
@@ -801,13 +861,14 @@ def test_tsp_tours_equal_permutation_walk():
         assert len(want) == (math.factorial(n - 1) // 2 if n > 2 else 0)
         draws = [tuple(rng.randint(*span) for _ in range(m)) for span in spans]
         for weights in ((0,) * m, *draws):
-            tours = TSP.feasible.run(TspInstance(n, weights, -1 << 40), CAP)
+            top = sum(max(w, 0) for w in weights)
+            tours = TSP.search(TspInstance(n, weights, -1 << 40), top, CAP)
             assert tours == want
             cost = dict(zip(tours, map(TspInstance(n, weights, 0).weight, tours)))
             costs = sorted(cost.values()) or [0]
             low, high = costs[0], costs[-1]
             for k in (low - 1, low, costs[len(costs) // 2], high, high + 1):
-                got = TSP.solutions.run(TspInstance(n, weights, k), CAP)
+                got = TSP.run(TspInstance(n, weights, k), CAP)
                 assert got == [t for t in tours if cost[t] <= k], (n, weights, k)
         assert n < 3 or got == want
 
@@ -858,7 +919,7 @@ def test_undirected_cycles_equal_two_way_walk(monkeypatch):
     counts = []
     for inst in instances:
         appended.clear()
-        got = UHC.solutions.run(inst, CAP)
+        got = UHC.run(inst, CAP)
         want = ref_ham_cycles_undirected(inst, CAP)
         assert appended == want == ref_turning_back_cycles(inst, CAP), inst
         assert got == sorted(want), inst
@@ -899,24 +960,22 @@ def outcome(run):
 
 
 def hitting_families(kind, inst, solutions_cap=CAP, feasible_cap=CAP):
-    """S(I) and F(I), each an outcome, by the shared search and by the
-    reference; both run behind the kind's guards."""
+    """S(I) and F(I), each an outcome, by the shared search at k and at the
+    universe size and by the reference; both run behind the kind's guard."""
     spec = KIND_SPECS[kind]
-    families = (
-        (spec.solutions, inst.k, solutions_cap),
-        (spec.feasible, universe_size(inst), feasible_cap),
-    )
+    families = ((inst.k, solutions_cap), (universe_size(inst), feasible_cap))
 
-    def guarded(enumerator, run):
-        enumerator.guard.check(inst, FAMILY_BOUNDS)
+    def guarded(run):
+        spec.guard.check(inst, FAMILY_BOUNDS)
         return run()
 
     shared = [
-        outcome(lambda: guarded(e, lambda: e.run(inst, cap))) for e, _, cap in families
+        outcome(lambda: guarded(lambda: spec.search(inst, k, cap)))
+        for k, cap in families
     ]
     ref = [
-        outcome(lambda: guarded(e, lambda: ref_hitting(kind, inst, k, cap)))
-        for e, k, cap in families
+        outcome(lambda: guarded(lambda: ref_hitting(kind, inst, k, cap)))
+        for k, cap in families
     ]
     return shared, ref
 
@@ -1070,7 +1129,7 @@ NUMBER_EDGES = (
 
 def number_outcomes(kind, inst, cap):
     """S(I) by the window search and by the reference, each an outcome."""
-    run = KIND_SPECS[kind].solutions.run
+    run = KIND_SPECS[kind].run
     return (
         outcome(lambda: run(inst, cap)),
         outcome(lambda: ref_number_solutions(kind, inst, cap)),
@@ -1152,9 +1211,9 @@ def test_knapsack_counts_only_its_solutions_against_the_cap():
     # stay within the weight cap, and the walk prunes on the weight: a cap
     # of 3 lists them, and only a cap of 2 is exceeded
     inst = KnapsackInstance(((1, 1), (1, 1), (1, 1)), 1, 1)
-    assert KIND_SPECS[ProblemKind.KNAPSACK].solutions.run(inst, 3) == [1, 2, 4]
+    assert KIND_SPECS[ProblemKind.KNAPSACK].run(inst, 3) == [1, 2, 4]
     with pytest.raises(CapacityError, match="solution cap exceeded"):
-        KIND_SPECS[ProblemKind.KNAPSACK].solutions.run(inst, 2)
+        KIND_SPECS[ProblemKind.KNAPSACK].run(inst, 2)
 
 
 def test_packings_equal_powerset_filter():
@@ -1227,7 +1286,7 @@ def pcenter_outcomes(inst, cap):
     the hitting-set search behind the kind's guard and by the scan."""
 
     def shared():
-        spec = KIND_SPECS[P_CENTER].solutions
+        spec = KIND_SPECS[P_CENTER]
         spec.guard.check(inst, BOUNDS)
         return list(spec.run(inst, cap))
 

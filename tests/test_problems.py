@@ -132,21 +132,23 @@ def test_capacity_error():
 
 
 def test_capacity_guards_keep_their_bound_size_and_message():
-    """Each family has its own guard: vertex-cover solutions answer to
-    ``max_vertices`` but its feasible sets to ``max_universe``, both TSP
+    """Each kind has one guard: vertex-cover solutions and feasible sets
+    both answer to ``max_vertices``, and not to ``max_universe``, both TSP
     families to ``max_vertices`` and the solution cap, and CNF enumeration
     to max(max_universe // 2, 16) variables."""
     vc = VertexCoverInstance(3, ((0, 1),), 1)
     few_vertices = Bounds(max_universe=24, max_vertices=2)
     small_universe = Bounds(max_universe=2, max_vertices=100)
-    with pytest.raises(CapacityError, match="^3 vertices exceed the structural bound$"):
-        enumerate_solutions(K.VERTEX_COVER, vc, few_vertices)
-    assert enumerate_feasible(K.VERTEX_COVER, vc, few_vertices)
-    assert enumerate_solutions(K.VERTEX_COVER, vc, small_universe)
-    with pytest.raises(
-        CapacityError, match="^universe of size 3 exceeds the powerset bound 2$"
-    ):
-        enumerate_feasible(K.VERTEX_COVER, vc, small_universe)
+    for enumerate_family in (enumerate_solutions, enumerate_feasible):
+        with pytest.raises(
+            CapacityError, match="^3 vertices exceed the structural bound$"
+        ):
+            enumerate_family(K.VERTEX_COVER, vc, few_vertices)
+    assert enumerate_solutions(K.VERTEX_COVER, vc, small_universe) == [1, 2]
+    # every set that holds vertex 0 or vertex 1
+    assert enumerate_feasible(K.VERTEX_COVER, vc, small_universe) == [
+        1, 2, 3, 5, 6, 7
+    ]
     tsp = TspInstance(11, (1,) * 55, 11)
     for enumerate_family in (enumerate_solutions, enumerate_feasible):
         with pytest.raises(
@@ -188,8 +190,9 @@ def test_bounded_searches_answer_to_the_elements_they_walk():
     """Set cover, hitting set, feedback vertex set and p-center solutions
     are listed by the hitting-set search, so they answer to
     ``max_vertices`` on the elements it walks and pass a powerset bound
-    below their universe; F(I) is listed whole and keeps the powerset
-    bound, and so do the UFL and p-median scans."""
+    below their universe, and so does F(I), the same search at a budget
+    every set meets; the UFL and p-median scans keep the powerset
+    bound."""
     few_vertices = Bounds(max_universe=24, max_vertices=2)
     small_universe = Bounds(max_universe=2, max_vertices=100)
     powerset = "^universe of size 3 exceeds the powerset bound 2$"
@@ -214,9 +217,11 @@ def test_bounded_searches_answer_to_the_elements_they_walk():
             enumerate_solutions(kind, inst, few_vertices)
         assert enumerate_solutions(kind, inst, small_universe) == want
         if is_lop(kind):
-            with pytest.raises(CapacityError, match=powerset):
-                enumerate_feasible(kind, inst, small_universe)
-            assert len(enumerate_feasible(kind, inst, few_vertices)) > len(want)
+            with pytest.raises(
+                CapacityError, match=f"^3 {noun} exceed the structural bound$"
+            ):
+                enumerate_feasible(kind, inst, few_vertices)
+            assert len(enumerate_feasible(kind, inst, small_universe)) > len(want)
     scans = (
         (K.UFL, FacilityLocationInstance(3, 2, (1, 1, 1), service, 1)),
         (K.P_MEDIAN, PMedianInstance(3, 2, service, 1, 0)),

@@ -26,13 +26,16 @@ from sspforge.reductions import (
     build_preserving,
     check_artifact,
 )
+from sspforge.problems.graphs import complete_edges
 from sspforge.rr import (
     CombRrInstance,
+    CostRrInstance,
     RAdjSatInstance,
     comb_to_cost_rr,
     radjsat_to_comb_rr,
 )
 from test_kernels import small_instances
+from test_rr import _assert_cost_rr_equals_loop
 
 HAM = DistanceMeasure.HAMMING
 PHI = CnfInstance(3, ((3, 4, 2),))
@@ -552,6 +555,26 @@ def _solve_doc(tmp_path, doc, problem):
     p = tmp_path / f"{problem}.json"
     p.write_text(json.dumps(doc))
     return main(["solve", str(p), "--problem", problem])
+
+
+def test_cli_solve_cost_rr_lists_feasible_sets_past_the_powerset_bound(
+    tmp_path, capsys
+):
+    # c1 differs from c_lo, so F(I) is listed, not streamed: the covers of
+    # K_26 within 25 vertices answer to the vertex bound of S(I), not to a
+    # powerset bound of 24 below the universe.  A first stage of 25
+    # vertices (50) recovers from any raised vertex by the 25 others (25)
+    n = 26
+    inst = CostRrInstance(
+        ProblemKind.VERTEX_COVER,
+        VertexCoverInstance(n, complete_edges(n), n - 1),
+        (2,) * n, (1,) * n, (3,) * n, 75, 1, 2, DistanceMeasure.HAMMING,
+    )
+    assert _solve_doc(tmp_path, serialize.cost_rr_to_doc(inst), "cost-rr") == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "value: 75", "answer: yes (threshold 75)"
+    ]
+    _assert_cost_rr_equals_loop(inst)
 
 
 @pytest.mark.parametrize("problem", ["radjsat", "eae-sat"])
