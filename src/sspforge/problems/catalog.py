@@ -15,8 +15,7 @@ one search of the members of F(I) within a cost budget,
 ``enumerate_feasible`` that search at the sum of the positive costs,
 which every set meets, and the cost-RR key stream of ``feasible_keys``
 that search at growing budgets.  All are exact, at desk scale.  S(I) is
-cached per instance, since the checkers ask for it repeatedly; F(I)
-shares that entry where t meets every set, as on the route kinds.  One
+cached per instance, since the checkers ask for it repeatedly.  One
 helper, ``cached``, builds every cache of the package (this one and the
 blow-up targets of ``reductions.blowup``), and one call,
 ``clear_caches``, empties them all.
@@ -162,10 +161,9 @@ def _zero_cost(cls, run) -> KindSpec:
     def search(i, budget, cap):
         return run(i, cap) if budget >= 0 else []
 
-    def cost(i):
-        return (0,) * universe_size(i), 0
-
-    return KindSpec(cls, _structural("n"), run, cost, search=search)
+    return KindSpec(
+        cls, _structural("n"), run, lambda i: ((0,) * universe_size(i), 0), search=search
+    )
 
 
 def _lop(cls, search, cost, guard=None) -> KindSpec:
@@ -405,17 +403,12 @@ def enumerate_solutions(kind: ProblemKind, inst, bounds: Bounds = DEFAULT_BOUNDS
 
 def enumerate_feasible(kind: ProblemKind, inst, bounds: Bounds = DEFAULT_BOUNDS):
     """F(I): the kind's search at the sum of the positive costs, which every
-    set meets, behind the guard of S(I); S(I) itself where the threshold
-    already meets that sum."""
+    set meets, behind the guard of S(I)."""
     spec = KIND_SPECS[kind]
     if spec.search is None:
         raise UnsupportedKindError(f"{kind.value} has no feasible-set structure")
-    d, t = spec.cost(inst)
-    top = _top(d)
-    if t >= top:
-        return enumerate_solutions(kind, inst, bounds)
     spec.guard.check(inst, bounds)
-    return list(spec.search(inst, top, bounds.max_solutions))
+    return list(spec.search(inst, _top(spec.cost(inst)[0]), bounds.max_solutions))
 
 
 def feasible_keys(

@@ -91,6 +91,8 @@ BOUNDS = Bounds(max_universe=24, max_solutions=1 << 20, max_vertices=16384)
 CAP = 1 << 20
 SOURCES_PER_EDGE = 20
 MAX_POWERSET = 16
+# the LOP families answer to max_vertices alone, so they list at a powerset bound of 0
+NO_POWERSET = Bounds(max_universe=0, max_solutions=CAP, max_vertices=BOUNDS.max_vertices)
 # the two kinds the undirected cycle search lists, TSP at two budgets
 UHC = KIND_SPECS[ProblemKind.UHAM_CYCLE]
 TSP = KIND_SPECS[ProblemKind.TSP]
@@ -131,20 +133,41 @@ def test_enumeration_equals_verify_filter_on_every_kind():
 
 def test_lop_identity_on_every_lop_kind():
     # S(I) = {F in F(I) : d(F) <= t}, where the registry lists S(I) and
-    # F(I) by one search at two budgets
-    kinds = set()
+    # F(I) by one search at two budgets behind one guard: F(I) lists at a
+    # powerset bound of 0, and past max_vertices S(I), the listed F(I) and
+    # the key stream raise the one message of S(I).  Outside the number
+    # kinds, whose F(I) ``test_threshold_families_equal_powerset_filter``
+    # checks, F(I) is the verify filter once the threshold k meets every set.
+    number_kinds = {kind for kind, *_ in threshold_instances(random.Random(0))}
+    kinds, raised = set(), set()
     for kind, inst in small_instances():
         if not is_lop(kind):
             continue
         d, t = lop_cost(kind, inst)
+        feasible = enumerate_feasible(kind, inst, NO_POWERSET)
         want = [
-            f
-            for f in enumerate_feasible(kind, inst, BOUNDS)
-            if sum(d[i] for i in range(len(d)) if f >> i & 1) <= t
+            f for f in feasible if sum(d[i] for i in range(len(d)) if f >> i & 1) <= t
         ]
         assert enumerate_solutions(kind, inst, BOUNDS) == want, (kind, inst)
+        top = sum(max(c, 0) for c in d)
+        if kind not in number_kinds:
+            every = dataclasses.replace(inst, k=top) if t < top else inst
+            assert feasible == powerset_filter(kind, every), (kind, inst)
+        for max_vertices in {max(len(d) - 1, 0), 0}:
+            narrow = Bounds(max_universe=24, max_solutions=CAP, max_vertices=max_vertices)
+            listed = outcome(lambda: enumerate_solutions(kind, inst, narrow))
+            for other in (
+                outcome(lambda: enumerate_feasible(kind, inst, narrow)),
+                outcome(lambda: feasible_keys(kind, inst, d, narrow)),
+            ):
+                if type(listed) is str:
+                    assert other == listed, (kind, inst, max_vertices)
+                else:
+                    assert type(other) is not str, (kind, inst, max_vertices)
+            if type(listed) is str:
+                raised.add(kind)
         kinds.add(kind)
-    assert kinds == {kind for kind in ProblemKind if is_lop(kind)}
+    assert kinds == raised == {kind for kind in ProblemKind if is_lop(kind)}
     assert len(kinds) == 19
 
 
@@ -339,7 +362,7 @@ def test_threshold_families_equal_powerset_filter():
                     m >> (n - 1) & 1,
                 )
             ]
-            family = enumerate_feasible(kind, inst, BOUNDS)
+            family = enumerate_feasible(kind, inst, NO_POWERSET)
             assert family == want, (kind, inst)
             cost, t = lop_cost(kind, inst)
             within = [
@@ -352,65 +375,6 @@ def test_threshold_families_equal_powerset_filter():
                 with pytest.raises(CapacityError):
                     search(inst, top, len(want) - 1)
             assert search(inst, top, len(want)) == want
-
-
-# the threshold each number kind whose verify pins a sum starts F(I) from,
-# over the values its sets are drawn from (partition and scheduling keep
-# the last element on the other side)
-SUM_THRESHOLDS = {
-    ProblemKind.SUBSET_SUM: lambda i: (i.values, i.target),
-    ProblemKind.PARTITION: lambda i: (i.values[:-1], (sum(i.values) + 1) // 2),
-    ProblemKind.SCHEDULING: lambda i: (i.times[:-1], sum(i.times) - i.deadline),
-}
-
-
-def feasible_filter(kind, inst):
-    """F(I) over the powerset: the sets the kind's verify accepts once its
-    threshold is the sum of the positive costs, which every set meets, or,
-    for a kind whose verify pins a sum, the sets whose sum reaches its
-    threshold."""
-    if kind in SUM_THRESHOLDS:
-        values, goal = SUM_THRESHOLDS[kind](inst)
-        return [m for m in range(1 << len(values)) if _masked_sum(values, m) >= goal]
-    d, t = lop_cost(kind, inst)
-    top = sum(max(c, 0) for c in d)
-    if t < top:
-        field = "weight_cap" if kind is ProblemKind.KNAPSACK else "k"
-        inst = dataclasses.replace(inst, **{field: top})
-    return powerset_filter(kind, inst)
-
-
-def test_one_guard_per_lop_kind():
-    # S(I), the listed F(I) and the key stream are one search behind one
-    # guard: past max_vertices all three raise the message of S(I), and
-    # none of them answers to the powerset bound
-    raised = set()
-    for kind, inst in small_instances():
-        if not is_lop(kind):
-            continue
-        d, _ = lop_cost(kind, inst)
-        n = len(d)
-        for max_vertices in {max(n - 1, 0), 0}:
-            narrow = Bounds(max_universe=24, max_solutions=CAP, max_vertices=max_vertices)
-            listed = outcome(lambda: enumerate_solutions(kind, inst, narrow))
-            for other in (
-                outcome(lambda: enumerate_feasible(kind, inst, narrow)),
-                outcome(lambda: feasible_keys(kind, inst, d, narrow)),
-            ):
-                if type(listed) is str:
-                    assert other == listed, (kind, inst, max_vertices)
-                else:
-                    assert type(other) is not str, (kind, inst, max_vertices)
-            if type(listed) is str:
-                raised.add(kind)
-        no_powerset = Bounds(max_universe=0, max_solutions=CAP, max_vertices=16384)
-        assert enumerate_solutions(kind, inst, no_powerset) == powerset_filter(
-            kind, inst
-        ), (kind, inst)
-        assert enumerate_feasible(kind, inst, no_powerset) == feasible_filter(
-            kind, inst
-        ), (kind, inst)
-    assert raised == {kind for kind in ProblemKind if is_lop(kind)}
 
 
 def stream_instances():
@@ -520,10 +484,9 @@ def test_key_stream_raises_on_what_it_reads():
         d, t = lop_cost(kind, inst)
         n = len(d)
         want = listed_keys(kind, inst, d)
-        wide = Bounds(max_universe=0, max_solutions=CAP, max_vertices=BOUNDS.max_vertices)
-        assert read_stream(feasible_keys(kind, inst, d, wide)) == (want, None)
+        assert read_stream(feasible_keys(kind, inst, d, NO_POWERSET)) == (want, None)
         masks = sorted(key & ((1 << n) - 1) for key in want)
-        assert enumerate_feasible(kind, inst, wide) == masks, (kind, inst)
+        assert enumerate_feasible(kind, inst, NO_POWERSET) == masks, (kind, inst)
         seen["listed"] += bool(n and masks)
         narrow = Bounds(max_universe=24, max_solutions=CAP, max_vertices=0)
         listed = outcome(lambda: enumerate_solutions(kind, inst, narrow))
