@@ -279,13 +279,13 @@ _COMB_RR_DRAWS = {
 }
 
 
-def random_comb_rr(rng, max_universe=8):
+def random_comb_rr(rng):
     """Random combinatorial-RR instance over an LOP nominal kind.
 
     Thresholds are set to the nominal optimum (the regime in which the
     cost simulation of blockable elements is exact; see README)."""
     kind = rng.choice(list(_COMB_RR_DRAWS))
-    inst = _COMB_RR_DRAWS[kind](rng, min(6, max_universe))
+    inst = _COMB_RR_DRAWS[kind](rng, 6)
     blockable = mask_of(
         i for i in range(universe_size(inst)) if rng.random() < 0.3
     )

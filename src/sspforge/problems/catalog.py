@@ -146,11 +146,20 @@ class KindSpec(NamedTuple):
     run: Callable[[Any, int], Iterable[int]]
     # the envelope: element costs d and threshold t of an instance
     cost: Callable[[Any], tuple[tuple[int, ...], int]] | None = None
-    # the clause width every instance must have
+    # the arity every instance must have: a CNF's clause width, or the
+    # number of terminal pairs of a disjoint-paths instance
     width: int | None = None
     # for the LOP kinds, ``search(inst, budget, cap)``: the members of F(I)
     # whose element cost is at most ``budget``
     search: Callable[[Any, int, int], Iterable[int]] | None = None
+
+    def admit(self, inst, bounds: Bounds | None = None) -> None:
+        """Refuse ``inst`` if it lacks the kind's width or fails its guard
+        under ``bounds``, when given."""
+        if bounds is not None:
+            self.guard.check(inst, bounds)
+        if self.width:
+            inst.require_width(self.width)
 
 
 def _zero_cost(cls, run) -> KindSpec:
@@ -317,7 +326,7 @@ KIND_SPECS: dict[ProblemKind, KindSpec] = {
     ),
     ProblemKind.TWO_DDP: _zero_cost(
         paths.DisjointPathsInstance, paths.disjoint_path_systems
-    ),
+    )._replace(width=2),
     ProblemKind.K_DDP: _zero_cost(
         paths.DisjointPathsInstance, paths.disjoint_path_systems
     ),
@@ -368,9 +377,7 @@ def verify(kind: ProblemKind, inst, mask: int) -> bool:
     """Whether ``mask`` is a solution of ``inst``; a mask that is negative
     or holds an element past the universe is refused here, for every kind,
     so an instance's own ``verify`` tests only its property."""
-    width = KIND_SPECS[kind].width
-    if width:
-        inst.require_width(width)
+    KIND_SPECS[kind].admit(inst)
     n = universe_size(inst)
     if mask >> n:
         raise DomainError(f"candidate outside the universe of {n} elements")
@@ -391,9 +398,7 @@ def cached(fn):
 @cached
 def _solutions_cached(kind: ProblemKind, inst, bounds: Bounds) -> tuple[int, ...]:
     spec = KIND_SPECS[kind]
-    spec.guard.check(inst, bounds)
-    if spec.width:
-        inst.require_width(spec.width)
+    spec.admit(inst, bounds)
     return tuple(spec.run(inst, bounds.max_solutions))
 
 
@@ -407,7 +412,7 @@ def enumerate_feasible(kind: ProblemKind, inst, bounds: Bounds = DEFAULT_BOUNDS)
     spec = KIND_SPECS[kind]
     if spec.search is None:
         raise UnsupportedKindError(f"{kind.value} has no feasible-set structure")
-    spec.guard.check(inst, bounds)
+    spec.admit(inst, bounds)
     return list(spec.search(inst, _top(spec.cost(inst)[0]), bounds.max_solutions))
 
 
@@ -429,7 +434,7 @@ def feasible_keys(
     d, t = lop_cost(kind, inst)
     if costs != d:
         return None
-    spec.guard.check(inst, bounds)
+    spec.admit(inst, bounds)
     return _windows(spec.search, inst, d, t, bounds.max_solutions)
 
 

@@ -178,6 +178,10 @@ class DisjointPathsInstance:
         if len(self.pairs) < 2:
             raise FormatError("need at least two terminal pairs")
 
+    def require_width(self, w: int) -> None:
+        if len(self.pairs) != w:
+            raise FormatError(f"{len(self.pairs)} terminal pairs, expected {w}")
+
     def verify(self, mask: int) -> bool:
         succ = _successors(self.arcs, mask)
         if succ is None:

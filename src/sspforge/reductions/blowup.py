@@ -75,32 +75,36 @@ def _sat3sat_helpers(src: CnfInstance) -> int:
     return sum(max(0, len(c) - 3) for c in src.clauses)
 
 
-def published_beta(edge: str, src: CnfInstance, l_b: int) -> dict[DistanceMeasure, int]:
-    """Blow-up factors exactly as published, per distance measure."""
+def _kappa_beta(edge: str, src: CnfInstance, l_b: int) -> int:
+    """The published factor for κ-addition, which κ-deletion shares."""
     n = src.n_vars
     L = 2 * n
     C = len(src.clauses)
-    b = len(_blown_pairs(src, l_b))
-    free_lits = L - 2 * b  # |L \ L_b|
-    free_pairs = n - b
+    free_pairs = n - len(_blown_pairs(src, l_b))  # the pairs outside L_b
     if edge == "sat-3sat":
-        return {_ADD: free_pairs, _DEL: free_pairs, _HAM: free_lits}
+        return free_pairs
     if edge == "3sat-vc":
-        v = L + 3 * C
-        return {_ADD: v, _DEL: v, _HAM: v}
+        return L + 3 * C
     if edge in ("3sat-is", "3sat-subsetsum"):
-        ad = C + free_pairs
-        return {_ADD: ad, _DEL: ad, _HAM: 2 * C + free_lits}
+        return C + free_pairs
     if edge == "3sat-dhampath":
-        ad = 2 * C + (4 * C + 2) * free_pairs
-        return {_ADD: ad, _DEL: ad, _HAM: 4 * C + (8 * C + 4) * free_pairs}
+        return 2 * C + (4 * C + 2) * free_pairs
     if edge == "3sat-2ddp":
-        ad = 17 * C + 21 * C * free_pairs
-        return {_ADD: ad, _DEL: ad, _HAM: 34 * C + 42 * C * free_pairs}
+        return 17 * C + 21 * C * free_pairs
     if edge == "3sat-steinertree":
-        ad = C * (L + 1) + 2 * free_lits
-        return {_ADD: ad, _DEL: ad, _HAM: 2 * C * (L + 1) + 4 * free_lits}
+        return C * (L + 1) + 4 * free_pairs  # 2 |L \ L_b|, as published
     raise PreconditionError(f"unknown blow-up edge {edge}")
+
+
+def _table(edge: str, kappa: int) -> dict[DistanceMeasure, int]:
+    """The factors of ``edge`` from its κ-factor, which κ-addition and
+    κ-deletion share: the Hamming factor doubles it, except on 3sat-vc."""
+    return {_ADD: kappa, _DEL: kappa, _HAM: kappa if edge == "3sat-vc" else 2 * kappa}
+
+
+def published_beta(edge: str, src: CnfInstance, l_b: int) -> dict[DistanceMeasure, int]:
+    """Blow-up factors exactly as published, per distance measure."""
+    return _table(edge, _kappa_beta(edge, src, l_b))
 
 
 def _ddp_base_vertices(src: CnfInstance) -> int:
@@ -114,7 +118,7 @@ def _ddp_base_vertices(src: CnfInstance) -> int:
 
 
 def effective_beta(edge: str, src: CnfInstance, l_b: int) -> dict[DistanceMeasure, int]:
-    """Published table with documented overrides.
+    """Published table with documented overrides of the κ-factor.
 
     sat-3sat: splitting wide clauses introduces helper variables whose
     values can differ between otherwise identical solutions, so the factor
@@ -128,25 +132,14 @@ def effective_beta(edge: str, src: CnfInstance, l_b: int) -> dict[DistanceMeasur
     replaced by the gadget-free vertex count, the same global-diameter
     bound the vertex-cover reduction uses.
     """
-    base = published_beta(edge, src, l_b)
+    kappa = _kappa_beta(edge, src, l_b)
     if edge == "sat-3sat":
-        h = _sat3sat_helpers(src)
-        return {
-            _ADD: base[_ADD] + h,
-            _DEL: base[_DEL] + h,
-            _HAM: base[_HAM] + 2 * h,
-        }
-    if edge == "3sat-dhampath":
-        C = len(src.clauses)
-        return {
-            _ADD: base[_ADD] + C,
-            _DEL: base[_DEL] + C,
-            _HAM: base[_HAM] + 2 * C,
-        }
-    if edge == "3sat-2ddp":
-        v0 = _ddp_base_vertices(src)
-        return {_ADD: v0, _DEL: v0, _HAM: 2 * v0}
-    return base
+        kappa += _sat3sat_helpers(src)
+    elif edge == "3sat-dhampath":
+        kappa += len(src.clauses)
+    elif edge == "3sat-2ddp":
+        kappa = _ddp_base_vertices(src)
+    return _table(edge, kappa)
 
 
 def build_blowup(
@@ -159,9 +152,7 @@ def build_blowup(
     if edge not in _BUILDERS:
         raise PreconditionError(f"unknown blow-up edge {edge}")
     source_kind, target_kind = edge_kinds(edge)
-    width = KIND_SPECS[source_kind].width
-    if width:
-        source.require_width(width)
+    KIND_SPECS[source_kind].admit(source)
     pairs = _blown_pairs(source, l_b)
     if beta_override is not None:
         if beta_override < 0:

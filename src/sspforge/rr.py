@@ -5,6 +5,11 @@ game solver, and the two hardness-pipeline constructions.
 Evaluators are exact quantifier searches over the solution and feasible
 families; witnesses are deterministic (the least first-stage mask among
 the optimal ones wins).
+
+One walk, ``_exists_forall_exists``, decides comb-RR, the adjustable-SAT
+game and exists-forall-exists SAT.  Cost-RR reads F(I) in cost order as
+windows of keys: from the kind's search under its own costs, and as one
+listed and sorted window under any other cost vector.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from .core import (
     Bounds,
@@ -78,6 +83,10 @@ class CostRrInstance:
     measure: DistanceMeasure
 
     def __post_init__(self):
+        if not is_lop(self.kind):
+            raise FormatError(
+                f"cost recoverable robustness needs an LOP kind, got {self.kind.value}"
+            )
         n = universe_size(self.instance)
         if not len(self.c1) == len(self.c_lo) == len(self.c_hi) == n:
             raise FormatError("cost vectors must match the universe")
@@ -130,7 +139,7 @@ def _assignments(n_vars, variables) -> Iterator[int]:
     return map(sum, itertools.product(*literals))
 
 
-def _budgeted(indices: list[int], gamma: int, bounds: Bounds, what: str) -> list[int]:
+def _budgeted(indices: Sequence[int], gamma: int, bounds: Bounds, what: str) -> list[int]:
     """The masks of the subsets of at most ``gamma`` of ``indices``, listed
     once their count is found within ``bounds.max_solutions``."""
     sizes = range(min(gamma, len(indices)) + 1)
@@ -150,6 +159,25 @@ def enumerate_scenarios(inst: CostRrInstance, bounds: Bounds = DEFAULT_BOUNDS):
     ]
 
 
+def _exists_forall_exists(firsts, moves, responses, fits):
+    """(x, {m: r}) for the first x of ``firsts`` that beats every move m of
+    ``moves``, with the first r of ``responses`` per move such that
+    ``r & m == 0`` and ``fits(x, m, r)``; None if no x does.  ``moves``
+    and ``responses`` are walked again for each x."""
+    for x in firsts:
+        answers = {}
+        for m in moves:
+            for r in responses:
+                if not r & m and fits(x, m, r):
+                    answers[m] = r
+                    break
+            else:
+                break  # m beats x
+        else:
+            return x, answers
+    return None
+
+
 def eval_comb_rr(
     inst: CombRrInstance, bounds: Bounds = DEFAULT_BOUNDS
 ) -> tuple[bool, RrWitness | None]:
@@ -159,38 +187,25 @@ def eval_comb_rr(
     if not sols:
         return False, None
     blockers = _budgeted(indices_of(inst.blockable), inst.gamma, bounds, "blocker")
-    for s1 in sols:
-        recov = {}
-        ok = True
-        for b in blockers:
-            found = None
-            for s2 in sols:
-                if s2 & b:
-                    continue
-                if distance(inst.measure, s1, s2) <= inst.kappa:
-                    found = s2
-                    break
-            if found is None:
-                ok = False
-                break
-            recov[b] = found
-        if ok:
-            return True, RrWitness(s1=s1, recoveries=recov)
-    return False, None
+    measure, kappa = inst.measure, inst.kappa
+    won = _exists_forall_exists(
+        sols, blockers, sols, lambda s1, b, s2: distance(measure, s1, s2) <= kappa
+    )
+    return (False, None) if won is None else (True, RrWitness(*won))
 
 
 class _Prefix:
-    """Keys c(S) << n | S of F(I) in increasing order: ``keys``, a plain
-    list, holds the keys read so far, ``floor`` the least cost any unread
-    key can have, and ``grow`` appends the next non-empty window of the
-    stream ``rest`` of (floor, keys) windows behind them, if there is one."""
+    """Keys c(S) << n | S of F(I) in increasing order, read from a stream
+    of (floor, keys) windows: ``keys``, a plain list, holds the keys read
+    so far, ``floor`` the least cost any unread key can have, and ``grow``
+    appends the next non-empty window, if there is one."""
 
     __slots__ = ("keys", "floor", "_rest")
 
-    def __init__(self, keys, rest=()):
-        self.keys = keys
-        self.floor = -INFEASIBLE if rest else INFEASIBLE  # keys alone are all F(I)
-        self._rest = iter(rest)
+    def __init__(self, windows):
+        self.keys = []
+        self.floor = -INFEASIBLE  # nothing read yet
+        self._rest = iter(windows)
 
     def grow(self) -> bool:
         """Read up to the next non-empty window; False once the stream has
@@ -203,26 +218,16 @@ class _Prefix:
         return False
 
 
-def _cost_orders(inst: CostRrInstance, bounds: Bounds) -> tuple[_Prefix, _Prefix]:
-    """F(I) in increasing (c_lo(S), S) order for the recoveries and in
-    increasing (c1(S), S) order for the first stages, each as keys
-    c(S) << n | S.  Priced by the kind's own costs in both stages, F(I) is
-    one stream, read window by window from the kind's search
-    (``feasible_keys``); otherwise F(I) is listed, each set priced by its
-    own bits, and sorted, and its two orders are one when c1 = c_lo."""
-    if inst.c1 == inst.c_lo:
-        stream = feasible_keys(inst.kind, inst.instance, inst.c_lo, bounds)
-        if stream is not None:
-            order = _Prefix([], stream)
-            return order, order
-    feas = enumerate_feasible(inst.kind, inst.instance, bounds)
-    n = len(inst.c_lo)
-
-    def order(costs):
-        return _Prefix(sorted(_masked_sum(costs, s) << n | s for s in feas))
-
-    lo = order(inst.c_lo)
-    return lo, lo if inst.c1 == inst.c_lo else order(inst.c1)
+def _order(inst: CostRrInstance, costs: tuple[int, ...], bounds: Bounds) -> _Prefix:
+    """F(I) in increasing (c(S), S) order: from the kind's search window by
+    window (``feasible_keys``) under the kind's own ``costs``, and under
+    any other listed, priced and sorted as one window with floor infinity."""
+    windows = feasible_keys(inst.kind, inst.instance, costs, bounds)
+    if windows is None:
+        n = len(costs)
+        feas = enumerate_feasible(inst.kind, inst.instance, bounds)
+        windows = [(INFEASIBLE, sorted(_masked_sum(costs, s) << n | s for s in feas))]
+    return _Prefix(windows)
 
 
 def eval_cost_rr(
@@ -231,13 +236,12 @@ def eval_cost_rr(
     """min over S1 of max over scenarios of min over S2 within kappa of
     c1(S1) + c2(S2); infeasible inner minimization yields infinity.
 
-    F(I) is read in two orders (``_cost_orders``): recoveries in increasing
-    (c_lo(S2), S2) order and first stages in increasing (c1(S1), S1)
-    order.  For any LOP kind priced by its own costs in both stages, as
-    every cost-RR instance of the hardness pipeline is, both are one
-    stream, read from the kind's search window by window of budgets only
-    as far as the walk needs, and it counts against the solution cap only
-    the searches it has run; any other cost vector lists F(I) and sorts it.
+    F(I) is read in two orders (``_order``), one when c1 = c_lo:
+    recoveries in increasing (c_lo(S2), S2) order and first stages in
+    increasing (c1(S1), S1) order.  Under the kind's own costs, as in every
+    pipeline instance, an order is read window by window only as far as
+    the walk needs, and counts against the solution cap only the searches
+    it has run.
 
     Each first stage S1 sets a cut: the best value so far, or one above it
     when S1's mask is smaller than the best one's, since a first stage
@@ -252,11 +256,8 @@ def eval_cost_rr(
     smaller, so the witness is the least mask among the optimal first
     stages, as in a walk in mask order; an infinite worst case is never a
     witness."""
-    if not is_lop(inst.kind):
-        raise UnsupportedKindError(
-            f"cost recoverable robustness needs an LOP kind, got {inst.kind.value}"
-        )
-    lo, first = _cost_orders(inst, bounds)
+    lo = _order(inst, inst.c_lo, bounds)
+    first = lo if inst.c1 == inst.c_lo else _order(inst, inst.c1, bounds)
     n = len(inst.c_lo)
     raises = [
         (raised, [(1 << i, inst.c_hi[i] - inst.c_lo[i])
@@ -266,8 +267,7 @@ def eval_cost_rr(
     best: int | float = INFEASIBLE
     best_s1 = -1
     best_witness = None
-    if not lo.keys:
-        lo.grow()
+    lo.grow()
     lo_keys, stages = lo.keys, first.keys
     lo_floor = lo_keys[0] >> n if lo_keys else 0
     full = (1 << n) - 1
@@ -313,8 +313,7 @@ def eval_cost_rr(
         if worst < best or worst == best and s1 < best_s1:
             best, best_s1 = worst, s1
             best_witness = RrWitness(s1=s1, recoveries=recov, objective=worst)
-    ok = best <= inst.t_rr
-    return best, ok, best_witness
+    return best, best <= inst.t_rr, best_witness
 
 
 def solve_eae_sat(
@@ -327,17 +326,13 @@ def solve_eae_sat(
     KIND_SPECS[ProblemKind.THREE_SAT].guard.check(cnf, bounds)
     n = cnf.n_vars
     masks = cnf.clause_masks()
-    for mx in _assignments(n, x_vars):
-        good = True
-        for ay in _assignments(n, y_vars):
-            my = mx | ay
-            zs = _assignments(n, z_vars)
-            if not any(all((my | az) & cm for cm in masks) for az in zs):
-                good = False
-                break
-        if good:
-            return True
-    return False
+    # a Z-assignment never meets a Y-assignment, so it always misses the move
+    won = _exists_forall_exists(
+        _assignments(n, x_vars),
+        list(_assignments(n, y_vars)), list(_assignments(n, z_vars)),
+        lambda mx, my, mz: 0 not in map((mx | my | mz).__and__, masks),
+    )
+    return won is not None
 
 
 def solve_radjsat(
@@ -352,27 +347,15 @@ def solve_radjsat(
     KIND_SPECS[ProblemKind.THREE_SAT].guard.check(cnf, bounds)
     n = cnf.n_vars
     masks = cnf.clause_masks()
-    zs = list(_assignments(n, inst.z_vars))
-    yz_assignments = [my | mz for my in _assignments(n, inst.y_vars) for mz in zs]
+    # the Z-assignments under each Y-assignment in turn
+    yz_assignments = list(_assignments(n, (*inst.z_vars, *inst.y_vars)))
     # a blocker zeroes its variables: their positive literals are barred
-    blockers = list(subsets_upto(inst.y_vars, inst.gamma))
-    for mx in _assignments(n, inst.x_vars):
-        good = True
-        for blocked_mask in blockers:
-            found = False
-            for myz in yz_assignments:
-                if myz & blocked_mask:
-                    continue
-                full = mx | myz
-                if all(full & cm for cm in masks):
-                    found = True
-                    break
-            if not found:
-                good = False
-                break
-        if good:
-            return True, mx
-    return False, None
+    blockers = _budgeted(inst.y_vars, inst.gamma, bounds, "blocker")
+    won = _exists_forall_exists(
+        _assignments(n, inst.x_vars), blockers, yz_assignments,
+        lambda mx, blocked, myz: 0 not in map((mx | myz).__and__, masks),
+    )
+    return (False, None) if won is None else (True, won[0])
 
 
 def radjsat_to_comb_rr(
@@ -432,22 +415,17 @@ def pad_radjsat(
 ) -> RAdjSatInstance:
     """Equalize the part sizes by appending fresh unconstrained variables
     to the short parts."""
-    xs, ys, zs = list(x_vars), list(y_vars), list(z_vars)
-    target = max(len(xs), len(ys), len(zs))
-    nxt = cnf.n_vars
-    extra = 0
-    for part in (xs, ys, zs):
-        while len(part) < target:
-            part.append(nxt)
-            nxt += 1
-            extra += 1
-    if extra:
-        old_n = cnf.n_vars
-        new_n = old_n + extra
-
+    parts = [list(x_vars), list(y_vars), list(z_vars)]
+    size = max(map(len, parts))
+    old_n = new_n = cnf.n_vars
+    for part in parts:
+        fresh = range(new_n, new_n + size - len(part))
+        part += fresh
+        new_n += len(fresh)
+    if new_n > old_n:
+        # the negative literals move up past the fresh variables
         def remap(lit):
             return lit if lit < old_n else lit - old_n + new_n
 
-        clauses = tuple(tuple(remap(x) for x in c) for c in cnf.clauses)
-        cnf = CnfInstance(new_n, clauses)
-    return RAdjSatInstance(cnf, tuple(xs), tuple(ys), tuple(zs), gamma)
+        cnf = CnfInstance(new_n, tuple(tuple(map(remap, c)) for c in cnf.clauses))
+    return RAdjSatInstance(cnf, *map(tuple, parts), gamma)

@@ -306,7 +306,7 @@ def test_c7_cost_simulation():
     disagreements = []
     n_cases = 0
     while n_cases < 200:
-        comb = random_comb_rr(rng, max_universe=8)
+        comb = random_comb_rr(rng)
         want, _ = eval_comb_rr(comb, BOUNDS)
         cost = comb_to_cost_rr(comb)
         value, got, _ = eval_cost_rr(cost, BOUNDS)

@@ -51,10 +51,11 @@ def draw_texts():
             if edge in BLOWUP_EDGES:
                 yield repr(random_lb(rng, src))
             yield repr(rng.random())
-    for max_universe in (6, 8):
+    # two seed labels of DRAWS draws each, all under DRAW_DIGEST
+    for label in (6, 8):
         for i in range(DRAWS):
-            rng = random.Random(repr(("draws", "comb-rr", max_universe, i)))
-            comb = random_comb_rr(rng, max_universe=max_universe)
+            rng = random.Random(repr(("draws", "comb-rr", label, i)))
+            comb = random_comb_rr(rng)
             yield serialize.dumps(serialize.comb_rr_to_doc(comb))
             yield repr(rng.random())
     for i in range(DRAWS):

@@ -35,6 +35,7 @@ from sspforge.problems import (
     VertexCoverInstance,
     enumerate_feasible,
     enumerate_solutions,
+    feasible_keys,
     is_lop,
     lop_cost,
     universe_size,
@@ -123,6 +124,23 @@ def test_feasible_unsupported_for_pure_ssp():
     with pytest.raises(UnsupportedKindError):
         enumerate_feasible(K.THREE_SAT, phi)
     assert not is_lop(K.UFL)
+
+
+def test_2ddp_needs_exactly_two_terminal_pairs():
+    # the 2ddp kind took any pair count; kddp still does
+    pairs = ((0, 1), (2, 3), (4, 5))
+    inst = DisjointPathsInstance(6, pairs, pairs)
+    refusals = (
+        lambda: enumerate_solutions(K.TWO_DDP, inst),
+        lambda: enumerate_feasible(K.TWO_DDP, inst),
+        lambda: feasible_keys(K.TWO_DDP, inst, (0, 0, 0)),
+        lambda: verify(K.TWO_DDP, inst, 7),
+    )
+    for refusal in refusals:
+        with pytest.raises(FormatError, match="^3 terminal pairs, expected 2$"):
+            refusal()
+    assert enumerate_solutions(K.K_DDP, inst) == [7]
+    assert verify(K.K_DDP, inst, 7)
 
 
 def test_capacity_error():

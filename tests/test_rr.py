@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -10,7 +11,9 @@ from sspforge.core import (
     FormatError,
     UnsupportedKindError,
     distance,
+    indices_of,
     mask_of,
+    subsets_upto,
 )
 from sspforge.gen import random_comb_rr, random_radjsat
 from sspforge.problems import (
@@ -22,6 +25,7 @@ from sspforge.problems import (
     SubsetSumInstance,
     VertexCoverInstance,
     enumerate_feasible,
+    enumerate_solutions,
     feasible_keys,
     lop_cost,
     universe_size,
@@ -47,6 +51,7 @@ ADD = DistanceMeasure.KAPPA_ADDITION
 DEL = DistanceMeasure.KAPPA_DELETION
 HAM = DistanceMeasure.HAMMING
 K3 = VertexCoverInstance(3, ((0, 1), (0, 2), (1, 2)), 2)
+BOUNDS = Bounds(max_universe=24, max_solutions=1 << 20, max_vertices=16384)
 
 
 def _cost_instance(inst, gamma, kappa, measure=HAM, raisable=0):
@@ -157,6 +162,14 @@ def test_cost_rr_rejects_pure_ssp_kind():
     comb = CombRrInstance(ProblemKind.THREE_SAT, phi, 0, 0, 0, HAM)
     with pytest.raises(UnsupportedKindError):
         comb_to_cost_rr(comb)
+
+
+def test_cost_rr_instance_refuses_a_kind_without_costs():
+    # eval_cost_rr refused it, with an error the CLI took for a failure
+    phi = CnfInstance(1, ((0, 0, 0),))
+    message = "^cost recoverable robustness needs an LOP kind, got 3sat$"
+    with pytest.raises(FormatError, match=message):
+        CostRrInstance(ProblemKind.THREE_SAT, phi, (0, 0), (0, 0), (0, 0), 0, 0, 0, HAM)
 
 
 def test_comb_to_cost_penalties():
@@ -307,7 +320,7 @@ def test_pipeline_blockables_are_positive_y_images():
 def test_monotone_kappa_and_gamma():
     rng = random.Random(9)
     for i in range(10):
-        comb = random_comb_rr(rng, max_universe=6)
+        comb = random_comb_rr(rng)
         base = eval_comb_rr(comb)[0]
         import dataclasses
 
@@ -323,7 +336,7 @@ def test_cost_rr_gamma_zero_two_copy_form():
 
     rng = random.Random(17)
     for i in range(8):
-        comb = random_comb_rr(rng, max_universe=6)
+        comb = random_comb_rr(rng)
         import dataclasses
 
         comb = dataclasses.replace(comb, gamma=0)
@@ -444,7 +457,7 @@ def test_cost_rr_equals_loop_on_comb_simulations():
     rng = random.Random(37)
     kinds = set()
     for _ in range(400):
-        comb = random_comb_rr(rng, max_universe=8)
+        comb = random_comb_rr(rng)
         kinds.add(comb.kind)
         _assert_cost_rr_equals_loop(comb_to_cost_rr(comb))
     assert len(kinds) == 8  # every LOP kind random_comb_rr draws
@@ -453,7 +466,7 @@ def test_cost_rr_equals_loop_on_comb_simulations():
 def test_cost_rr_equals_loop_on_general_costs():
     rng = random.Random(41)
     for _ in range(1500):
-        comb = random_comb_rr(rng, max_universe=8)
+        comb = random_comb_rr(rng)
         n = universe_size(comb.instance)
         c1 = tuple(rng.randint(-3, 5) for _ in range(n))
         c_lo = tuple(rng.randint(-3, 5) for _ in range(n))
@@ -464,6 +477,31 @@ def test_cost_rr_equals_loop_on_general_costs():
             rng.choice((ADD, DEL, HAM)),
         )
         _assert_cost_rr_equals_loop(inst)
+
+
+def test_cost_rr_equals_loop_with_one_stage_on_the_kinds_own_costs():
+    # one stage priced by the kind's own costs reads F(I) from the kind's
+    # search window by window, the other lists it as one window
+    rng = random.Random(47)
+    streamed = {"c1": 0, "c_lo": 0}
+    for _ in range(400):
+        cost = comb_to_cost_rr(random_comb_rr(rng))
+        n = universe_size(cost.instance)
+        other = tuple(c + rng.randint(0, 2) for c in cost.c1)
+        if other == cost.c1:
+            continue
+        own = rng.choice(("c1", "c_lo"))
+        if own == "c1":
+            c_hi = tuple(h + o - lo for h, o, lo in zip(cost.c_hi, other, cost.c_lo))
+            inst = dataclasses.replace(cost, c_lo=other, c_hi=c_hi)
+        else:
+            inst = dataclasses.replace(cost, c1=other)
+        assert feasible_keys(inst.kind, inst.instance, getattr(inst, own)) is not None
+        _assert_cost_rr_equals_loop(
+            dataclasses.replace(inst, kappa=rng.randint(0, n), t_rr=rng.randint(0, 20))
+        )
+        streamed[own] += 1
+    assert min(streamed.values()) > 150, streamed
 
 
 def _cost_rr_by_brute_force(inst):
@@ -504,7 +542,7 @@ def test_cost_rr_equals_brute_force_on_negative_costs():
     rng = random.Random(43)
     below_zero = 0
     for _ in range(300):
-        comb = random_comb_rr(rng, max_universe=6)
+        comb = random_comb_rr(rng)
         n = universe_size(comb.instance)
         c1 = tuple(rng.randint(-5, 2) for _ in range(n))
         c_lo = tuple(rng.randint(-5, 2) for _ in range(n))
@@ -758,3 +796,161 @@ def test_cost_rr_agrees_with_the_game_through_every_lop_chain():
                 agree[chain] = agree.get(chain, 0) + 1
     assert agree == dict.fromkeys(LOP_CHAINS, 24)
     assert time.perf_counter() - start < 10
+
+
+# ----------------------------------------------------- the walks as loops
+
+
+def _eval_comb_rr_by_loop(inst, bounds):
+    """Comb-RR as its own quantifier loop, over the same blockers."""
+    sols = enumerate_solutions(inst.kind, inst.instance, bounds)
+    if not sols:
+        return False, None
+    blockers = list(subsets_upto(indices_of(inst.blockable), inst.gamma))
+    for s1 in sols:
+        recov = {}
+        ok = True
+        for b in blockers:
+            found = None
+            for s2 in sols:
+                if s2 & b:
+                    continue
+                if distance(inst.measure, s1, s2) <= inst.kappa:
+                    found = s2
+                    break
+            if found is None:
+                ok = False
+                break
+            recov[b] = found
+        if ok:
+            return True, (s1, recov)
+    return False, None
+
+
+def _assert_comb_rr_equals_loop(comb, bounds=BOUNDS):
+    ans, wit = eval_comb_rr(comb, bounds)
+    got = ans, wit and (wit.s1, wit.recoveries)
+    assert got == _eval_comb_rr_by_loop(comb, bounds), comb
+
+
+def _game_literals(cnf, variables):
+    """The literal masks of all assignments to ``variables``, in the order
+    of the game's walk."""
+    n = cnf.n_vars
+    return [
+        sum((1 << (n + v), 1 << v)[bits >> pos & 1] for pos, v in enumerate(variables))
+        for bits in range(1 << len(variables))
+    ]
+
+
+def _solve_radjsat_by_loop(inst):
+    """The adjustable-SAT game as its own quantifier loop."""
+    masks = inst.cnf.clause_masks()
+    zs = _game_literals(inst.cnf, inst.z_vars)
+    yzs = [my | mz for my in _game_literals(inst.cnf, inst.y_vars) for mz in zs]
+    blockers = list(subsets_upto(inst.y_vars, inst.gamma))
+    for mx in _game_literals(inst.cnf, inst.x_vars):
+        good = True
+        for blocked_mask in blockers:
+            found = False
+            for myz in yzs:
+                if myz & blocked_mask:
+                    continue
+                if all((mx | myz) & cm for cm in masks):
+                    found = True
+                    break
+            if not found:
+                good = False
+                break
+        if good:
+            return True, mx
+    return False, None
+
+
+def _solve_eae_sat_by_loop(cnf, xs, ys, zs):
+    """Exists-forall-exists SAT as its own quantifier loop."""
+    masks = cnf.clause_masks()
+    for mx in _game_literals(cnf, xs):
+        good = True
+        for ay in _game_literals(cnf, ys):
+            my = mx | ay
+            if not any(
+                all((my | az) & cm for cm in masks) for az in _game_literals(cnf, zs)
+            ):
+                good = False
+                break
+        if good:
+            return True
+    return False
+
+
+def test_comb_rr_equals_loop_on_random_draws():
+    rng = random.Random(61)
+    answers = set()
+    for _ in range(600):
+        comb = random_comb_rr(rng)
+        _assert_comb_rr_equals_loop(comb)
+        answers.add(eval_comb_rr(comb, BOUNDS)[0])
+    assert answers == {False, True}
+
+
+def test_comb_rr_equals_loop_on_pipelines():
+    rng = random.Random(67)
+    answers = set()
+    for _ in range(60):
+        game = random_radjsat(rng, max_part=1, max_clauses=3, max_gamma=2)
+        for edge in ("3sat-vc", "3sat-is", "3sat-subsetsum"):
+            for measure in (ADD, DEL, HAM):
+                comb = radjsat_to_comb_rr(game, edge, measure)
+                _assert_comb_rr_equals_loop(comb)
+                answers.add(eval_comb_rr(comb, BOUNDS)[0])
+    assert answers == {False, True}
+
+
+def test_radjsat_equals_loop():
+    rng = random.Random(71)
+    answers = set()
+    for _ in range(200):
+        game = random_radjsat(rng, max_part=3, max_clauses=8, max_gamma=3)
+        got = solve_radjsat(game, BOUNDS)
+        assert got == _solve_radjsat_by_loop(game), game
+        answers.add(got[0])
+    assert answers == {False, True}
+
+
+def test_eae_sat_equals_loop_on_15_variables():
+    rng = random.Random(73)
+    answers = set()
+    for _ in range(30):
+        m = rng.randint(10, 40)
+        cnf = CnfInstance(
+            15, tuple(tuple(rng.randrange(30) for _ in range(3)) for _ in range(m))
+        )
+        variables = list(range(15))
+        rng.shuffle(variables)
+        xs, ys, zs = variables[:5], variables[5:10], variables[10:]
+        got = solve_eae_sat(cnf, xs, ys, zs, BOUNDS)
+        assert got == _solve_eae_sat_by_loop(cnf, xs, ys, zs)
+        answers.add(got)
+    assert answers == {False, True}
+
+
+def test_game_and_its_image_answer_to_one_blocker_cap():
+    # unit clauses pin all six variables true, so the subset-sum image has
+    # one solution, and gamma 2 on two Y variables makes 4 blockers; the
+    # game listed its blockers with no cap
+    phi = CnfInstance(6, tuple((v, v, v) for v in range(6)))
+    game = RAdjSatInstance(phi, (0, 1), (2, 3), (4, 5), 2)
+    comb = radjsat_to_comb_rr(game, "3sat-subsetsum", HAM)
+    assert len(enumerate_solutions(comb.kind, comb.instance)) == 1
+    for cap in (1, 3):
+        bounds = Bounds(max_solutions=cap)
+        message = "^blocker count exceeds the enumeration cap$"
+        with pytest.raises(CapacityError, match=message):
+            solve_radjsat(game, bounds)
+        with pytest.raises(CapacityError, match=message):
+            eval_comb_rr(comb, bounds)
+    # blocking a pinned Y variable leaves no completion
+    bounds = Bounds(max_solutions=4)
+    assert solve_radjsat(game, bounds) == (False, None)
+    assert eval_comb_rr(comb, bounds) == (False, None)

@@ -712,6 +712,30 @@ def test_cli_solve_malformed_instance_is_format_error(tmp_path, capsys, kind, pa
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_cli_solve_2ddp_with_three_pairs_is_format_error(tmp_path, capsys):
+    # a 2ddp document was solved whatever its pair count; kddp takes any
+    pairs = [[0, 1], [2, 3], [4, 5]]
+    doc = {"schema_version": 1, "kind": "2ddp",
+           "payload": {"n": 6, "arcs": pairs, "pairs": pairs}}
+    assert _solve_doc(tmp_path, doc, "nominal") == 2
+    assert capsys.readouterr().err == "error: 3 terminal pairs, expected 2\n"
+    doc["kind"] = "kddp"
+    assert _solve_doc(tmp_path, doc, "nominal") == 0
+    assert capsys.readouterr().out.startswith("answer: yes")
+
+
+def test_cli_solve_cost_rr_on_a_kind_without_costs_is_format_error(tmp_path, capsys):
+    # a SAT document reached the evaluator, which refused it with exit 1
+    doc = _rr_docs()["cost-rr"]
+    doc["kind"] = "sat"
+    doc["payload"] = _rr_docs()["eae-sat"]["cnf"]
+    for key in ("c1", "c_lo", "c_hi"):
+        doc[key] = [0] * 6
+    assert _solve_doc(tmp_path, doc, "cost-rr") == 2
+    err = capsys.readouterr().err
+    assert err == "error: cost recoverable robustness needs an LOP kind, got sat\n"
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("t_rr", "x"), ("t_rr", None), ("t_rr", 1.5), ("t_rr", True), ("gamma", True)],
