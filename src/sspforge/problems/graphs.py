@@ -7,8 +7,9 @@ neighbourhoods are bitmasks.  The cover search (which also serves
 independent sets and cliques, as complements) branches on the lowest free
 vertex with a free neighbour, forces a banned vertex's neighbourhood into
 the cover, and bounds the rest by a greedy packing of vertex-disjoint
-triangles (two cover vertices each) and edges (one each) over the free
-vertices.  Dominating sets and feedback vertex and arc sets are hitting
+triangles (two cover vertices each) and edges (one each), taken once at
+the root and carried down the tree with the count of edges left open, so
+that a node costs the degree of its branching vertex.  Dominating sets and feedback vertex and arc sets are hitting
 sets: ``covering.hitting_sets_upto`` lists them, from the closed
 neighbourhoods and from the constraint functions ``unhit_cycle_vertices``
 and ``unhit_cycle_arcs`` below.
@@ -174,15 +175,28 @@ def covers_upto(n, edges, k, cap) -> list[int]:
     Branches on the lowest free vertex that has a free neighbour: take it,
     or ban it and take its whole neighbourhood.  Every edge at a banned
     vertex is thus covered, so the free vertices carry all uncovered edges.
-    A branch with a free edge left and no budget ends at once.  Above
-    budget 0, a greedy packing of vertex-disjoint triangles and edges among
-    them bounds the vertices still needed: it takes the lowest free vertex
-    u and its lowest free neighbour v, and a triangle, which needs two
-    cover vertices, if u and v have a common free neighbour w (the
-    lowest), else the edge, which needs one; the 3SAT gadgets put a
-    triangle on every clause.  The bound cuts only branches that hold no cover within
-    the budget, so the family, its append order and the point where the
-    cap raises do not depend on it.
+    A node costs the degree of its branching vertex, as it carries three
+    things down the tree:
+
+    - the count of edges with both ends free, so a node with none is a
+      leaf;
+    - the free vertices met without a free neighbour, which keep none
+      below and which the scan for the branching vertex skips;
+    - a packing bound: a greedy set of vertex-disjoint triangles and edges,
+      taken once over all vertices (the lowest vertex u left, its lowest
+      neighbour v left, and their lowest common neighbour left if any; the
+      3SAT gadgets put a triangle on every clause).  A triangle needs two
+      cover vertices and an edge one; every vertex that goes into the cover
+      lowers its own item's need by one, and a banned vertex's neighbours
+      are all in the cover, so what is left of an item's need is a lower
+      bound on the free vertices a cover still takes from it.  The needs
+      are held as two masks over the items, those that need one more and
+      those that need two, and their total.
+
+    A branch with a free edge left and no budget, or with a need above its
+    budget, ends at once.  The bound cuts only branches that hold no cover
+    within the budget, so the family, its append order and the point where
+    the cap raises do not depend on it.
     """
     if k < 0:
         return []
@@ -191,56 +205,84 @@ def covers_upto(n, edges, k, cap) -> list[int]:
         nb[u] |= 1 << v
         nb[v] |= 1 << u
     full = (1 << n) - 1
+    # item[v] is the bit of the triangle or edge holding v, 0 if none
+    item = [0] * n
+    one = two = 0
+    rest, bit = full, 1
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        mates = nb[u] & rest
+        if mates:
+            low = mates & -mates
+            rest ^= low
+            v = low.bit_length() - 1
+            item[u] = item[v] = bit
+            one |= bit
+            common = mates & nb[v]
+            if common:
+                low = common & -common
+                rest ^= low
+                item[low.bit_length() - 1] = bit
+                two |= bit
+            bit <<= 1
     out = Capped(cap)
 
-    def rec(chosen, banned, budget):
-        free = full & ~(chosen | banned)
-        m = free
-        while m:
-            low = m & -m
-            if nb[low.bit_length() - 1] & free:
-                break
-            m ^= low
-        if not m:
+    def rec(chosen, free, lone, budget, open_, one, two, need):
+        if not open_:
             if budget:
                 _pad_supersets(chosen, indices_of(free), budget, out)
             else:
                 out.append(chosen)
             return
-        # a free edge is left, and no vertex to cover it
-        if not budget:
+        # a free edge is left, and no vertex to cover it, or fewer than
+        # the packing still needs
+        if not budget or need > budget:
             return
-        x = low.bit_length() - 1
-        # the free vertices below x have no free neighbour, so the greedy
-        # packing starts at x; it needs at most two of every three
-        # vertices in m, so it can exceed the budget only if 3 * budget is
-        # below twice their number
-        if 3 * budget < 2 * m.bit_count():
-            need = 0
-            while m:
-                low = m & -m
-                m ^= low
-                mates = nb[low.bit_length() - 1] & m
-                if mates:
-                    v = mates & -mates
-                    m ^= v
-                    common = mates & nb[v.bit_length() - 1]
-                    if common:
-                        m ^= common & -common
-                        need += 2
-                    else:
-                        need += 1
-                    if need > budget:
-                        return
-        rec(chosen | 1 << x, banned, budget - 1)
+        m = free & ~lone
+        while True:
+            low = m & -m
+            x = low.bit_length() - 1
+            if nb[x] & free:
+                break
+            lone |= low
+            m ^= low
+        free ^= low
         forced = nb[x] & free
-        if forced.bit_count() <= budget:
-            rec(chosen | forced, banned | 1 << x, budget - forced.bit_count())
+        size = forced.bit_count()
+        bit = item[x]
+        if bit & two:
+            rec(chosen | low, free, lone, budget - 1, open_ - size, one, two ^ bit, need - 1)
+        elif bit & one:
+            rec(chosen | low, free, lone, budget - 1, open_ - size, one ^ bit, two, need - 1)
+        else:
+            rec(chosen | low, free, lone, budget - 1, open_ - size, one, two, need)
+        if size > budget:
+            return
+        chosen |= forced
+        budget -= size
+        open_ -= size
+        m = forced
+        while m:
+            low = m & -m
+            m ^= low
+            free ^= low
+            y = low.bit_length() - 1
+            open_ -= (nb[y] & free).bit_count()
+            bit = item[y]
+            if bit & two:
+                two ^= bit
+                need -= 1
+            elif bit & one:
+                one ^= bit
+                need -= 1
+        rec(chosen, free, lone, budget, open_, one, two, need)
 
     # the search recurses through its own closure cell; emptying the cell
     # frees it now instead of at a later cyclic collection
     try:
-        rec(0, 0, k)
+        rec(0, full, 0, k, len(edges), one, two, one.bit_count() + two.bit_count())
     finally:
         del rec
     out.sort()

@@ -15,8 +15,10 @@ feedback arc sets and the other hitting-set kinds before the shared
 hitting-set search did, and the four number-kind searches that ran one
 include/exclude walk with per-kind prune and accept functions before the
 window search did, the window search in index order before it took the
-values largest first, and the scan of every facility mask that listed
-p-center before the hitting-set search did.
+values largest first, the scan of every facility mask that listed
+p-center before the hitting-set search did, and the cover search that took
+its packing bound afresh at every node before it carried the bound down
+the tree.
 """
 
 import dataclasses
@@ -35,11 +37,13 @@ from sspforge.core import (
     Capped,
     DistanceMeasure,
     DomainError,
+    indices_of,
     mask_of,
 )
 from sspforge.gen import random_lb, random_radjsat, random_source_for_edge
 from sspforge.problems import (
     KIND_SPECS,
+    CliqueInstance,
     CnfInstance,
     DirectedHamCycleInstance,
     DominatingSetInstance,
@@ -68,7 +72,7 @@ from sspforge.problems import (
     verify,
 )
 from sspforge.problems import paths
-from sspforge.problems.covering import _covers, _hits
+from sspforge.problems.covering import _covers, _hits, _pad_supersets
 from sspforge.problems.graphs import (
     _find_cycle_arcs,
     _out_arcs,
@@ -86,6 +90,7 @@ from sspforge.problems.paths import (
 from sspforge.problems.steiner import steiner_trees_upto
 from sspforge.reductions import ALL_EDGES, BLOWUP_EDGES, build_blowup, build_preserving
 from sspforge.rr import radjsat_to_comb_rr
+from test_rr import LADDER, LADDER_EDGES, ladder_games
 
 BOUNDS = Bounds(max_universe=24, max_solutions=1 << 20, max_vertices=16384)
 CAP = 1 << 20
@@ -644,6 +649,51 @@ def test_cover_kernels_equal_reference_on_comb_rr_targets(max_part, max_clauses,
                 kernel(t.n, t.edges, t.k, len(want) - 1)
         sizes.append(len(want))
     assert max(sizes) > 1  # a family worth comparing
+
+
+# the RR ladder's rows up to three variables per part and eight clauses:
+# the plain search takes about a minute on one (2, 10) target
+LADDER_TO_3_8 = tuple(LADDER)[:4]
+
+
+@pytest.mark.parametrize("part, clauses", LADDER_TO_3_8)
+def test_cover_search_equals_the_per_node_packing_on_ladder_targets(part, clauses):
+    """The cover search lists what the search that packed afresh at every
+    node listed on the cover targets of the RR ladder's games, under every
+    measure, and both overflow the cap one below the family's size."""
+    targets = {}
+    for game in ladder_games(part, clauses):
+        for edge in LADDER_EDGES:
+            for measure in DistanceMeasure:
+                t = radjsat_to_comb_rr(game, edge, measure).instance
+                budget = t.k if edge == "3sat-vc" else t.n - t.k
+                targets[t.n, t.edges, budget] = None
+    for n, edges, k in targets:
+        want = ref_packed_covers_upto(n, edges, k, CAP)
+        assert want  # a target with no covers would compare nothing
+        assert covers_upto(n, edges, k, CAP) == want
+        for search in (covers_upto, ref_packed_covers_upto):
+            with pytest.raises(CapacityError):
+                search(n, edges, k, len(want) - 1)
+
+
+def test_cover_kinds_equal_powerset_filter_on_every_small_graph():
+    # isolated vertices, budget 0 with an edge left, and k past n
+    kinds = (
+        (ProblemKind.VERTEX_COVER, VertexCoverInstance),
+        (ProblemKind.INDEPENDENT_SET, IndependentSetInstance),
+        (ProblemKind.CLIQUE, CliqueInstance),
+    )
+    for n in range(5):
+        pairs = complete_edges(n)
+        for picked in range(1 << len(pairs)):
+            edges = tuple(e for i, e in enumerate(pairs) if picked >> i & 1)
+            for k in range(-1, n + 2):
+                for kind, cls in kinds:
+                    inst = cls(n, edges, k)
+                    assert enumerate_solutions(kind, inst, BOUNDS) == powerset_filter(
+                        kind, inst
+                    ), (kind, inst)
 
 
 # the largest 3sat-steinertree targets have one to nine minimum trees, but
@@ -1844,6 +1894,66 @@ def ref_covers_upto(n, edges, k, cap):
         rec(chosen, banned | 1 << u, budget)
 
     rec(0, 0, k)
+    out.sort()
+    return out
+
+
+def ref_packed_covers_upto(n, edges, k, cap):
+    """The cover search that took its greedy packing of triangles and edges
+    afresh over the free vertices at every node where it could exceed the
+    budget, and scanned for the branching vertex and for a free edge."""
+    if k < 0:
+        return []
+    nb = [0] * n
+    for u, v in edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+    full = (1 << n) - 1
+    out = Capped(cap)
+
+    def rec(chosen, banned, budget):
+        free = full & ~(chosen | banned)
+        m = free
+        while m:
+            low = m & -m
+            if nb[low.bit_length() - 1] & free:
+                break
+            m ^= low
+        if not m:
+            if budget:
+                _pad_supersets(chosen, indices_of(free), budget, out)
+            else:
+                out.append(chosen)
+            return
+        if not budget:
+            return
+        x = low.bit_length() - 1
+        if 3 * budget < 2 * m.bit_count():
+            need = 0
+            while m:
+                low = m & -m
+                m ^= low
+                mates = nb[low.bit_length() - 1] & m
+                if mates:
+                    v = mates & -mates
+                    m ^= v
+                    common = mates & nb[v.bit_length() - 1]
+                    if common:
+                        m ^= common & -common
+                        need += 2
+                    else:
+                        need += 1
+                    if need > budget:
+                        return
+        rec(chosen | 1 << x, banned, budget - 1)
+        forced = nb[x] & free
+        if forced.bit_count() <= budget:
+            rec(chosen | forced, banned | 1 << x, budget - forced.bit_count())
+
+    try:
+        rec(0, 0, k)
+    finally:
+        del rec
     out.sort()
     return out
 

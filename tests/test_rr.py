@@ -798,6 +798,58 @@ def test_cost_rr_agrees_with_the_game_through_every_lop_chain():
     assert time.perf_counter() - start < 10
 
 
+# the RR ladder: ten fixed-seed games per (max_part, max_clauses) row, each
+# through the cover edges under every measure, comb-RR against the game,
+# and cost-RR too on the vertex-cover targets (30 cases per edge and row,
+# so 90 per row); per row, the cases that agree and those that end in
+# capacity.  The (3, 8) row's largest target has 252 vertices and 8,640
+# covers, the (3, 12) row's 336 vertices and 9,212 covers.
+LADDER = {
+    (1, 3): (90, 0),
+    (2, 6): (90, 0),
+    (2, 10): (90, 0),
+    (3, 8): (90, 0),
+    (3, 12): (90, 0),
+}
+LADDER_GAMES = 10
+LADDER_EDGES = ("3sat-vc", "3sat-is")
+
+
+def ladder_games(part, clauses):
+    """The ladder row's games, with at most ``part`` variables per part."""
+    for d in range(LADDER_GAMES):
+        rng = random.Random(repr(("scale", part, clauses, d)))
+        yield random_radjsat(rng, max_part=part, max_clauses=clauses, max_gamma=2)
+
+
+def test_rr_ladder_agrees_with_the_game_on_the_cover_edges():
+    start = time.perf_counter()
+    counts = {}
+    for part, clauses in LADDER:
+        agree = capacity = 0
+        for game in ladder_games(part, clauses):
+            want = solve_radjsat(game, BOUNDS)[0]
+            for edge in LADDER_EDGES:
+                for measure in (ADD, DEL, HAM):
+                    comb = radjsat_to_comb_rr(game, edge, measure)
+                    runs = [lambda: eval_comb_rr(comb, BOUNDS)[0]]
+                    if edge == "3sat-vc":
+                        runs.append(
+                            lambda: eval_cost_rr(comb_to_cost_rr(comb), BOUNDS)[1]
+                        )
+                    for run in runs:
+                        try:
+                            got = run()
+                        except CapacityError:
+                            capacity += 1
+                            continue
+                        assert got == want, (part, clauses, edge, measure, game)
+                        agree += 1
+        counts[part, clauses] = agree, capacity
+    assert counts == LADDER
+    assert time.perf_counter() - start < 10
+
+
 # ----------------------------------------------------- the walks as loops
 
 
