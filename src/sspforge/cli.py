@@ -242,15 +242,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-_PIPELINE_FUZZ_EDGES = (
-    "3sat-vc",
-    "3sat-is",
-    "3sat-subsetsum",
-    "sat-3sat",
-    "3sat-dhampath",
-)
-
-
 def _fuzz_pipeline_case(edge, measure, rng, bounds):
     """End-to-end equivalence on a tiny game instance through this edge."""
     inst = random_radjsat(rng, max_part=1, max_clauses=2, max_gamma=1)
@@ -296,7 +287,7 @@ def cmd_fuzz(args) -> int:
                     break
             if (
                 not failures
-                and edge in _PIPELINE_FUZZ_EDGES
+                and edge in BLOWUP_EDGES
                 and i % 5 == 0
                 and args.inject_beta is None
             ):

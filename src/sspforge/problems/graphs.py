@@ -9,10 +9,11 @@ vertex with a free neighbour, forces a banned vertex's neighbourhood into
 the cover, and bounds the rest by a greedy packing of vertex-disjoint
 triangles (two cover vertices each) and edges (one each), taken once at
 the root and carried down the tree with the count of edges left open, so
-that a node costs the degree of its branching vertex.  Dominating sets and feedback vertex and arc sets are hitting
-sets: ``covering.hitting_sets_upto`` lists them, from the closed
-neighbourhoods and from the constraint functions ``unhit_cycle_vertices``
-and ``unhit_cycle_arcs`` below.
+that a node costs the degree of its branching vertex.  Dominating sets and
+feedback vertex and arc sets are hitting sets:
+``covering.hitting_sets_upto`` lists them, from the closed neighbourhoods
+and from the constraint functions ``unhit_cycle_vertices`` and
+``unhit_cycle_arcs`` below.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..core import DistanceMeasure, mask_of
-from ..problems import ProblemKind
+from ..core import CompositionError, DistanceMeasure, mask_of
+from ..problems import KIND_SPECS, ProblemKind
 
 SSP = "ssp"
 BLOWUP = "blowup"
@@ -46,6 +46,15 @@ def edge_kinds(edge: str) -> tuple[ProblemKind, ProblemKind]:
     kind ``a`` to kind ``b``."""
     source, target = edge.split("-")
     return ProblemKind(source), ProblemKind(target)
+
+
+def source_kinds(edge: str, source) -> tuple[ProblemKind, ProblemKind]:
+    """``edge_kinds(edge)``, once ``source`` is of its source kind's class."""
+    kinds = edge_kinds(edge)
+    if not isinstance(source, KIND_SPECS[kinds[0]].cls):
+        want, got = kinds[0].value, type(source).__name__
+        raise CompositionError(f"edge {edge} expects a {want} source, got {got}")
+    return kinds
 
 
 @dataclass(frozen=True)

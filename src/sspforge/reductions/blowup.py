@@ -37,7 +37,7 @@ from ..problems import (
     SubsetSumInstance,
 )
 from ..problems.catalog import cached
-from .artifact import BLOWUP, ReductionArtifact, edge_kinds
+from .artifact import BLOWUP, ReductionArtifact, source_kinds
 
 _ADD = DistanceMeasure.KAPPA_ADDITION
 _DEL = DistanceMeasure.KAPPA_DELETION
@@ -151,7 +151,7 @@ def build_blowup(
 ) -> ReductionArtifact:
     if edge not in _BUILDERS:
         raise PreconditionError(f"unknown blow-up edge {edge}")
-    source_kind, target_kind = edge_kinds(edge)
+    source_kind, target_kind = source_kinds(edge, source)
     KIND_SPECS[source_kind].admit(source)
     pairs = _blown_pairs(source, l_b)
     if beta_override is not None:

@@ -38,7 +38,7 @@ from ..problems import (
     connected_undirected,
 )
 from ..problems.graphs import complement_edges, complete_edges
-from .artifact import PRESERVING, ReductionArtifact, edge_kinds
+from .artifact import PRESERVING, ReductionArtifact, source_kinds
 
 
 class _Built(NamedTuple):
@@ -231,7 +231,7 @@ def build_preserving(edge: str, source, params: dict | None = None):
         build = _BUILDERS[edge]
     except KeyError:
         raise PreconditionError(f"unknown preserving edge {edge}") from None
-    source_kind, target_kind = edge_kinds(edge)
+    source_kind, target_kind = source_kinds(edge, source)
     target, f, u_on, u_off = build(source, **(params or {}))
     return ReductionArtifact(
         edge=edge,

@@ -1,6 +1,7 @@
 """Recoverable-robust layer: budgeted scenario sets, exhaustive
 evaluators for the combinatorial and cost formulations, the adjustable-SAT
-game solver, and the two hardness-pipeline constructions.
+game solver, and the two hardness-pipeline constructions, the first
+through an edge chain from 3SAT.
 
 Evaluators are exact quantifier searches over the solution and feasible
 families; witnesses are deterministic (the least first-stage mask among
@@ -44,7 +45,7 @@ from .problems import (
     universe_size,
 )
 from .problems.numbers import _masked_sum
-from .reductions import build_blowup
+from .reductions import build_blowup, build_preserving, compose
 
 INFEASIBLE = float("inf")
 
@@ -359,15 +360,18 @@ def solve_radjsat(
 
 
 def radjsat_to_comb_rr(
-    inst: RAdjSatInstance, edge: str, measure: DistanceMeasure
+    inst: RAdjSatInstance, chain: str, measure: DistanceMeasure
 ) -> CombRrInstance:
-    """Hardness-pipeline step: blow up the X-literals, block the images of
-    the positive Y-literals, and set the recovery radius to the blow-up
-    factor."""
+    """Hardness pipeline through ``chain`` (as ``reduce --chain``): blow up
+    the X-literals, compose each preserving edge on, block the images of the
+    positive Y-literals, and set the recovery radius to the blow-up factor."""
     cnf = inst.cnf
     n = cnf.n_vars
     l_b = mask_of([*inst.x_vars, *(n + v for v in inst.x_vars)])
+    edge, *rest = chain.split(",")
     artifact = build_blowup(edge, cnf, l_b, measure)
+    for edge in rest:
+        artifact = compose(build_preserving(edge, artifact.target), artifact)
     return CombRrInstance(
         kind=artifact.target_kind,
         instance=artifact.target,

@@ -31,7 +31,6 @@ from sspforge.problems import (
     universe_size,
 )
 from sspforge.problems.numbers import _masked_sum
-from sspforge.reductions import build_blowup, build_preserving, compose
 from sspforge.rr import (
     INFEASIBLE,
     CombRrInstance,
@@ -739,63 +738,6 @@ def test_cost_rr_cuts_the_recovery_scans_of_wide_no_instances():
             )[1], (seed, measure)
     assert sizes == WIDE_NO_TARGETS
     assert elapsed < 5, elapsed
-
-
-# every chain from 3SAT whose target is an LOP kind with non-negative
-# costs: a blow-up edge, then the preserving edges composed onto it
-LOP_CHAINS = (
-    "3sat-vc",
-    "3sat-vc,vc-sc",
-    "3sat-vc,vc-hs",
-    "3sat-vc,vc-fvs",
-    "3sat-dhampath,dhampath-dhamcycle",
-    "3sat-dhampath,dhampath-dhamcycle,dhamcycle-uhamcycle,uhamcycle-tsp",
-    "3sat-subsetsum",
-    "3sat-subsetsum,subsetsum-knapsack",
-    "3sat-subsetsum,subsetsum-partition,partition-scheduling",
-    "3sat-2ddp,2ddp-kddp",
-    "3sat-steinertree",
-)
-
-
-def chain_comb_rr(game, chain, measure):
-    """The hardness pipeline through ``chain``: the blow-up of the game's
-    X-literals, composed with each preserving edge in turn; the images of
-    the Y variables are blockable, and the composed factor is kappa."""
-    n = game.cnf.n_vars
-    blowup, *rest = chain.split(",")
-    l_b = mask_of([*game.x_vars, *(n + v for v in game.x_vars)])
-    art = build_blowup(blowup, game.cnf, l_b, measure)
-    for edge in rest:
-        art = compose(build_preserving(edge, art.target), art)
-    return CombRrInstance(
-        art.target_kind,
-        art.target,
-        mask_of(art.f[v] for v in game.y_vars),
-        game.gamma,
-        art.beta_for(measure),
-        measure,
-    )
-
-
-def test_cost_rr_agrees_with_the_game_through_every_lop_chain():
-    # the targets hold 14-30,135 elements, past the powerset bound on all
-    # but the number chains; each is read as one key stream from its kind's
-    # own search, so cost-RR answers on every case
-    bounds = Bounds(max_universe=24, max_solutions=1 << 20, max_vertices=16384)
-    start = time.perf_counter()
-    agree = {}
-    for chain in LOP_CHAINS:
-        rng = random.Random(repr(("rr-chain", chain)))
-        for _ in range(8):
-            game = random_radjsat(rng, max_part=1, max_clauses=2, max_gamma=1)
-            want = solve_radjsat(game, bounds)[0]
-            for measure in (ADD, DEL, HAM):
-                cost = comb_to_cost_rr(chain_comb_rr(game, chain, measure))
-                assert eval_cost_rr(cost, bounds)[1] == want, (chain, measure)
-                agree[chain] = agree.get(chain, 0) + 1
-    assert agree == dict.fromkeys(LOP_CHAINS, 24)
-    assert time.perf_counter() - start < 10
 
 
 # the RR ladder: ten fixed-seed games per (max_part, max_clauses) row, each
